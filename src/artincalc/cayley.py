@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .core import render_word, positive_to_word
-from .monoid import canonical, left_divisors, pos_equal, DEFAULT_CAP
+from .monoid import canonical, left_divisors, DEFAULT_CAP
 from .rewrite import applicable_steps, apply_step
 
 

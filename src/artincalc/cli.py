@@ -2,7 +2,8 @@
 (bundled names like fig2.txt resolve to the package data), parses words in
 the uppercase-inverse convention, and emits either text or one-line JSON.
 
-Exit codes: 64 usage error, 66 file error, 70 broken internal invariant;
+Exit codes: 64 usage error (a malformed step or derivation file included),
+66 file error, 70 broken internal invariant;
 the search-style subcommands use 0 = found/true, 1 = not/false,
 2 = exhausted.
 '''
@@ -18,8 +19,9 @@ import sys
 import click
 
 from .core import (WordError, PresentationError, load_presentation, parse_word,
-	parse_positive, render_word, positive_to_word, validate as validate_p)
-from .rewrite import Step, Derivation, StepError, applicable_steps, apply_step
+	parse_positive, render_word, validate as validate_p)
+from .rewrite import (Step, Derivation, StepError, FormatError, applicable_steps,
+	apply_step, derivation_words)
 from .reversing import (ReversingError, right_reverse, left_reverse,
 	right_fraction, word_problem_spherical)
 from .monoid import (CapExceeded, equiv_class, left_divisors, right_lcm,
@@ -39,6 +41,16 @@ def _load(path):
 			return load_presentation(str(bundled))
 		raise FileNotFoundError('no such presentation file: %s' % path)
 	return load_presentation(path)
+
+
+def _derivation(p, path):
+	'''Read and replay a derivation file: unreadable exits 66, malformed
+	64, and steps that do not replay 70.'''
+	with open(path) as f:
+		try:
+			return Derivation.from_json(json.load(f), p)
+		except (UnicodeDecodeError, json.JSONDecodeError, FormatError) as e:
+			raise click.UsageError('malformed derivation file %s: %s' % (path, e))
 
 
 def _word(text, p):
@@ -152,16 +164,13 @@ def apply(ppath, word, step_json, as_json):
 def replay(ppath, inpath, as_json):
 	'''Replay a derivation trace file and print the final word.'''
 	p = _load(ppath)
-	with open(inpath) as f:
-		d = Derivation.from_json(json.load(f), p)
-	cur = d.start
-	for s in d.steps:
-		cur = apply_step(p, cur, s)
+	d = _derivation(p, inpath)
+	blob = d.to_json(p)
 	if as_json:
-		_emit(d.to_json(p))
+		_emit(blob)
 	else:
 		click.echo('%d step(s): %s -> %s'
-			% (len(d.steps), _fmt(d.start, p), _fmt(cur, p)))
+			% (len(d.steps), _fmt(d.start, p), blob['end'] or 'e'))
 
 
 @cli.command()
@@ -244,8 +253,7 @@ def wp_raag(ppath, word, as_json):
 def eliminate_inf(ppath, inpath, outpath):
 	'''Rewrite a {0,1,inf} trace to ε into an insertion-free {0,1,2} trace.'''
 	p = _load(ppath)
-	with open(inpath) as f:
-		d = Derivation.from_json(json.load(f), p)
+	d = _derivation(p, inpath)
 	out = eliminate_infinity(p, d)
 	with open(outpath, 'w') as f:
 		json.dump(out.to_json(p), f, sort_keys=True)
@@ -267,15 +275,8 @@ def fuzz_raag(gens, seed, count, as_json):
 		p = random_right_angled(rng, gens)
 		w = random_trivial_word(p, rng, 12)
 		try:
-			d = generate_01inf_derivation(p, w)
-			out = eliminate_infinity(p, d)
-			cur = tuple(w)
-			for s in out.steps:
-				if s.kind == 'inf':
-					raise AugError('insertion survived elimination')
-				cur = apply_step(p, cur, s)
-			if cur != ():
-				raise AugError('derivation does not end at the empty word')
+			# validation replays the result and rejects surviving insertions
+			eliminate_infinity(p, generate_01inf_derivation(p, w), validate=True)
 		except (AugError, StepError) as e:
 			failures.append({'case': i, 'word': render_word(w, p), 'error': str(e)})
 	report = {'count': count, 'failures': failures}
@@ -431,9 +432,8 @@ def search(ppath, word, target, kinds, max_steps, max_len, max_ins, as_json):
 		click.echo('%s (visited %d, conclusive: %s)'
 			% (out.result, out.visited, out.conclusive))
 		if out.derivation:
-			cur = out.derivation.start
-			for s in out.derivation.steps:
-				cur = apply_step(p, cur, s)
+			words = derivation_words(p, out.derivation)
+			for s, cur in zip(out.derivation.steps, words[1:]):
 				click.echo('  %s  %s' % (s.kind.ljust(2), _fmt(cur, p)))
 	sys.exit({'found': 0, 'dead': 1, 'exhausted': 2}[out.result])
 

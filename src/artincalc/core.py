@@ -9,7 +9,8 @@ use whitespace-separated tokens with an explicit ^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 
 class WordError(ValueError):
@@ -25,11 +26,11 @@ class PresentationError(ValueError):
 
 def invert(w):
 	'''Formal inverse: signs flipped, order reversed.'''
-	return tuple((g, -e) for g, e in reversed(w))
+	return tuple([(g, -e) for g, e in reversed(w)])
 
 
 def positive_to_word(u):
-	return tuple((g, 1) for g in u)
+	return tuple([(g, 1) for g in u])
 
 
 def is_positive(w):
@@ -53,6 +54,19 @@ def free_reduce(w):
 	return tuple(out)
 
 
+def step_factor(kind, a, b, sign=1, lv=None, lvp=None):
+	'''(factor, replacement) of a type 1, 2r or 2l step on the oriented
+	relation a = b; lv and lvp are |v| and |v'| for type 2.'''
+	if kind == '1':
+		src, dst = positive_to_word(a), positive_to_word(b)
+		return (src, dst) if sign != -1 else (invert(src), invert(dst))
+	if kind == '2r':
+		return (invert(positive_to_word(a[:lv])) + positive_to_word(b[:lvp]),
+			positive_to_word(a[lv:]) + invert(positive_to_word(b[lvp:])))
+	return (positive_to_word(a[-lv:]) + invert(positive_to_word(b[-lvp:])),
+		invert(positive_to_word(a[:-lv])) + positive_to_word(b[:-lvp]))
+
+
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -64,6 +78,17 @@ class Presentation:
 	positive words.  declared_spherical is a user assertion (the paper
 	gives no finiteness algorithm); right_angled and length_preserving
 	are computed.
+
+	The rule table below answers every "which factor may a relation
+	rewrite" question.  Each piece is built on first use and cached on
+	the instance; dataclasses.replace starts a fresh table.  Rows are
+	(factor, replacement, fields), fields being the keyword arguments of
+	the step.  Row order is the order of step lists, and so of search
+	results: relation index, then 'fwd' (the stored relation read lhs ->
+	rhs) before 'bwd', then sign +1 before -1 (type 1), |v| then |v'|
+	ascending (type 2), or shift then |u| ascending (Dehn).  The pair maps
+	keep the first hit in that order: the lowest relation index wins, and
+	'fwd' beats 'bwd'.
 	'''
 	generators: tuple
 	relations: tuple
@@ -88,10 +113,85 @@ class Presentation:
 
 	def commutes(self, s, t):
 		'''True iff st = ts is (up to orientation) a relation.'''
-		return ((s, t), (t, s)) in self.relations or ((t, s), (s, t)) in self.relations
+		return (s, t) in self.commuting_pairs
 
 	def fingerprint(self):
 		return repr((self.generators, self.relations))
+
+	def _sides(self):
+		for ri, (l, r) in enumerate(self.relations):
+			yield ri, 'fwd', l, r
+			yield ri, 'bwd', r, l
+
+	def _factor_rows(self, kind):
+		rows = []
+		for ri, orient, a, b in self._sides():
+			splits = [dict(sign=1), dict(sign=-1)] if kind == '1' else [
+				dict(lv=lv, lvp=lvp)
+				for lv in range(1, len(a) + 1) for lvp in range(1, len(b) + 1)]
+			for sp in splits:
+				rows.append(step_factor(kind, a, b, **sp)
+					+ (dict(rel=ri, orient=orient, **sp),))
+		return rows
+
+	@cached_property
+	def rows_1(self):
+		'''Type 1: a side, or its formal inverse (sign -1), by the other.'''
+		return self._factor_rows('1')
+
+	@cached_property
+	def rows_2r(self):
+		'''Type 2r: v^-1 v' by u u'^-1, for each split v u = v' u'.'''
+		return self._factor_rows('2r')
+
+	@cached_property
+	def rows_2l(self):
+		'''Type 2l: v v'^-1 by u^-1 u', for each split u v = u' v'.'''
+		return self._factor_rows('2l')
+
+	@cached_property
+	def positive_rows(self):
+		'''Type 1 on positive words (generator tuples), sign +1 only.'''
+		return [(a, b, dict(rel=ri, orient=orient))
+			for ri, orient, a, b in self._sides()]
+
+	@cached_property
+	def dehn_rows(self):
+		'''Dehn: u by u' with |u| > |u'| and u^-1 u' a cyclic shift of
+		v^-1 v' ('fwd') or v'^-1 v ('bwd'), shifts at letter boundaries.'''
+		rows = []
+		for ri, orient, a, b in self._sides():
+			z = invert(positive_to_word(a)) + positive_to_word(b)
+			for shift in range(len(z)):
+				c = z[shift:] + z[:shift]
+				for k in range(len(c) // 2 + 1, len(c) + 1):
+					rows.append((invert(c[:k]), c[k:],
+						dict(rel=ri, orient=orient, shift=shift)))
+		return rows
+
+	def _pairs(self, end):
+		pairs = {}
+		for ri, orient, a, b in self._sides():
+			pairs.setdefault((a[end], b[end]), (ri, orient))
+		return pairs
+
+	@cached_property
+	def first_pairs(self):
+		'''(s, t) -> (rel, orient) of the first oriented relation whose
+		sides start with s and t: the right reversing step for s^-1 t.'''
+		return self._pairs(0)
+
+	@cached_property
+	def last_pairs(self):
+		'''(s, t) -> (rel, orient) of the first oriented relation whose
+		sides end with s and t: the left reversing step for s t^-1.'''
+		return self._pairs(-1)
+
+	@cached_property
+	def commuting_pairs(self):
+		'''Every (s, t) such that st = ts is a relation, either way round.'''
+		return frozenset((a[0], a[1]) for _, _, a, b in self._sides()
+			if len(a) == 2 and b == (a[1], a[0]))
 
 
 def validate(p):

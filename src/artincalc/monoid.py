@@ -15,8 +15,8 @@ import os
 import hashlib
 from collections import deque
 
-from .core import invert, positive_to_word, word_to_positive
-from .rewrite import Step, Derivation
+from .core import invert, positive_to_word
+from .rewrite import Step, Derivation, unwind
 from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError
 
 DEFAULT_CAP = 100000
@@ -29,14 +29,14 @@ class CapExceeded(RuntimeError):
 
 
 def _rewrites(p, w):
-	'''One-step type-1 rewrites of a positive word, both directions.'''
+	'''One-step type-1 rewrites of a positive word, both directions, as
+	(next word, position, step fields).'''
 	n = len(w)
-	for ri, (l, r) in enumerate(p.relations):
-		for src, dst in ((l, r), (r, l)):
-			k = len(src)
-			for i in range(n - k + 1):
-				if w[i:i + k] == src:
-					yield w[:i] + dst + w[i + k:]
+	for src, dst, fields in p.positive_rows:
+		k = len(src)
+		for i in range(n - k + 1):
+			if w[i:i + k] == src:
+				yield w[:i] + dst + w[i + k:], i, fields
 
 
 def _disk_path(p, w):
@@ -65,7 +65,7 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	queue = deque([w])
 	while queue:
 		cur = queue.popleft()
-		for nxt in _rewrites(p, cur):
+		for nxt, _, _ in _rewrites(p, cur):
 			if nxt not in seen:
 				if len(seen) >= cap:
 					raise CapExceeded('equivalence class exceeds cap %d' % cap)
@@ -101,23 +101,11 @@ def rewrite_path(p, u, v, cap=DEFAULT_CAP):
 	queue = deque([u])
 	while queue and v not in parent:
 		cur = queue.popleft()
-		for ri, (l, r) in enumerate(p.relations):
-			for orient, src, dst in (('fwd', l, r), ('bwd', r, l)):
-				k = len(src)
-				for i in range(len(cur) - k + 1):
-					if cur[i:i + k] == src:
-						nxt = cur[:i] + dst + cur[i + k:]
-						if nxt not in parent:
-							parent[nxt] = (cur, Step('1', i, rel=ri, orient=orient, sign=1))
-							queue.append(nxt)
-	steps = []
-	node = v
-	while parent[node] is not None:
-		prev, step = parent[node]
-		steps.append(step)
-		node = prev
-	steps.reverse()
-	return steps
+		for nxt, i, fields in _rewrites(p, cur):
+			if nxt not in parent:
+				parent[nxt] = (cur, Step('1', i, sign=1, **fields))
+				queue.append(nxt)
+	return unwind(parent, u, v).steps
 
 
 def left_divisors(p, g, cap=DEFAULT_CAP):
@@ -150,7 +138,8 @@ def right_lcm(p, u, v, budget=10000, cap=DEFAULT_CAP):
 		raise ReversingError(res.blocked or 'lcm reversal budget exhausted')
 	a, b = split_pos_neg(res.word)
 	lcm = canonical(p, u + a, cap)
-	assert pos_equal(p, lcm, v + b, cap), 'reversing produced unequal multiples'
+	if not pos_equal(p, lcm, v + b, cap):
+		raise ReversingError('reversing produced unequal multiples')
 	return lcm
 
 

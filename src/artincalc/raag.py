@@ -108,19 +108,17 @@ def apply_aug_step(p, w, s):
 
 
 def check_aug_derivation(p, d):
-	w = tuple(d.start)
-	for i, s in enumerate(d.steps):
-		try:
-			w = apply_aug_step(p, w, s)
-		except AugError as e:
-			raise AugError('augmented step %d inapplicable: %s' % (i, e)) from None
-	return w
+	return aug_derivation_words(p, d)[-1]
 
 
 def aug_derivation_words(p, d):
+	'''All intermediate words; a failure names the first bad step.'''
 	words = [tuple(d.start)]
-	for s in d.steps:
-		words.append(apply_aug_step(p, words[-1], s))
+	for i, s in enumerate(d.steps):
+		try:
+			words.append(apply_aug_step(p, words[-1], s))
+		except AugError as e:
+			raise AugError('augmented step %d inapplicable: %s' % (i, e)) from None
 	return words
 
 
@@ -151,8 +149,6 @@ def _plain_step_to_aug(p, w, aw, step):
 	if step.kind == '0':
 		return AugStep('0', step.pos)
 	if step.kind == '1':
-		if step.lv not in (None,):  # defensive: type 1 carries no split
-			raise AugError('unexpected split on type 1')
 		l, r = p.relations[step.rel]
 		if len(l) != 2:
 			raise AugError('lifting requires a right-angled presentation')
@@ -237,27 +233,21 @@ def _swap_block(p, pw, target):
 	mid_w, mid_t = pw[a:b], target[a:c]
 	if len(mid_w) != len(mid_t) or sorted(mid_w) != sorted(mid_t):
 		raise AugError('projection diff is not a single move')
-	steps = []
-	if mid_w and mid_t and mid_w[-1] == mid_t[0] and mid_w[:-1] == mid_t[1:]:
-		# letter moves left across the block
+	# pw and target differ, so mid_w is not empty
+	if mid_w[-1] == mid_t[0] and mid_w[:-1] == mid_t[1:]:
+		# the last letter moves left, crossing the block from its right end
 		x = mid_w[-1]
-		block = mid_w[:-1]
-		cur = a + len(block) - 1
-		for let in reversed(block):
-			_require_swap(p, let, x)
-			steps.append(AugStep('1' if let[2] == x[2] else '2', cur))
-			cur -= 1
-	elif mid_w and mid_t and mid_w[0] == mid_t[-1] and mid_w[1:] == mid_t[:-1]:
-		# letter moves right across the block
+		crossings = zip(range(b - 2, a - 1, -1), reversed(mid_w[:-1]))
+	elif mid_w[0] == mid_t[-1] and mid_w[1:] == mid_t[:-1]:
+		# the first letter moves right, crossing the block from its left end
 		x = mid_w[0]
-		block = mid_w[1:]
-		cur = a
-		for let in block:
-			_require_swap(p, x, let)
-			steps.append(AugStep('1' if let[2] == x[2] else '2', cur))
-			cur += 1
+		crossings = zip(range(a, b - 1), mid_w[1:])
 	else:
 		raise AugError('projection diff is not a single move')
+	steps = []
+	for cur, let in crossings:
+		_require_swap(p, let, x)
+		steps.append(AugStep('1' if let[2] == x[2] else '2', cur))
 	return steps
 
 
@@ -279,23 +269,17 @@ def project_step(p, w, s, h):
 		if s.index < h:
 			return [AugStep('inf', _adjusted_pos(w, s.pos, h),
 				letter=s.letter, index=s.index, sign=s.sign)]
-		assert pw == pw2
-		return []
-	if s.kind in ('1', '2'):
+	else:
 		i1, i2 = w[s.pos][1], w[s.pos + 1][1]
 		if i1 < h and i2 < h:
 			return [AugStep(s.kind, _adjusted_pos(w, s.pos, h))]
-		assert pw == pw2
+	if s.kind != '0' or (i1 >= h and i2 >= h):
+		# the step moves or cancels only letters that pi_h deletes
+		if pw != pw2:
+			raise AugError('step on letters of index >= %d changed the projection' % h)
 		return []
-	# type 0
-	i1, i2 = w[s.pos][1], w[s.pos + 1][1]
-	if i1 < h and i2 < h:
-		return [AugStep('0', _adjusted_pos(w, s.pos, h))]
-	if i1 >= h and i2 >= h:
-		assert pw == pw2
-		return []
-	# one cancelled letter has index h: the surviving pair partner is
-	# relabelled below h and must cross the pair contents by commutations
+	# type 0 with one cancelled letter of index h: the surviving pair partner
+	# is relabelled below h and must cross the pair contents by commutations
 	steps = _swap_block(p, pw, pw2)
 	cur = pw
 	for st in steps:
@@ -313,25 +297,21 @@ def _aug_to_plain_step(p, w, s):
 	if s.kind == '0':
 		return Step('0', s.pos, sign=w[s.pos][2])
 	(g1, _, e1), (g2, _, e2) = w[s.pos], w[s.pos + 1]
-	for ri, (l, r) in enumerate(p.relations):
-		for orient, src in (('fwd', l), ('bwd', r)):
-			if s.kind == '1' and set(src) == {g1, g2}:
-				if e1 == 1 and src == (g1, g2):
-					return Step('1', s.pos, rel=ri, orient=orient, sign=1)
-				if e1 == -1 and src == (g2, g1):
-					# factor (g2 g1)^-1 = g2^-1-last; inverse side replacement
-					return Step('1', s.pos, rel=ri, orient=orient, sign=-1)
-	if s.kind == '2':
-		for ri, (l, r) in enumerate(p.relations):
-			if set(l) != {g1, g2}:
-				continue
-			if e1 == -1:
-				# g1^-1 g2 -> g2 g1^-1: type 2r with v = g1, v' = g2
-				orient = 'fwd' if l[0] == g1 else 'bwd'
-				return Step('2r', s.pos, rel=ri, orient=orient, lv=1, lvp=1)
-			# g1 g2^-1 -> g2^-1 g1: type 2l with v = g1, v' = g2
-			orient = 'fwd' if l[-1] == g1 else 'bwd'
-			return Step('2l', s.pos, rel=ri, orient=orient, lv=1, lvp=1)
+	# a right-angled side s t is the one that starts with s while the other
+	# side starts with t, so the pair maps name every relation needed here
+	if s.kind == '1':
+		# g1 g2 -> g2 g1, or (g2 g1)^-1 -> (g1 g2)^-1 on negative letters
+		pair = (g1, g2) if e1 == 1 else (g2, g1)
+		if pair in p.first_pairs:
+			ri, orient = p.first_pairs[pair]
+			return Step('1', s.pos, rel=ri, orient=orient, sign=e1)
+	elif s.kind == '2':
+		# g1^-1 g2 -> g2 g1^-1 is type 2r, g1 g2^-1 -> g2^-1 g1 is type 2l,
+		# both with v = g1, v' = g2: the reversing step of that pattern
+		kind, pairs = ('2r', p.first_pairs) if e1 == -1 else ('2l', p.last_pairs)
+		if (g1, g2) in pairs:
+			ri, orient = pairs[g1, g2]
+			return Step(kind, s.pos, rel=ri, orient=orient, lv=1, lvp=1)
 	raise AugError('no relation realizes the swap %s %s' % (g1, g2))
 
 
@@ -345,28 +325,22 @@ def eliminate_infinity(p, d, validate=True):
 			raise AugError('input derivation contains a type 2 step')
 	if check_derivation(p, d) != ():
 		raise AugError('input derivation does not end at the empty word')
-	ad = lift_derivation(p, d)
-	words = aug_derivation_words(p, ad)
-	for w in words:
-		ok, diag = is_regular(p, w)
-		if not ok:
-			raise AugError('lifted word not regular: ' + diag)
-	steps = list(ad.steps)
+	nd = lift_derivation(p, d)
+	stage = 'lifted'
 	while True:
-		h = max(max_index(w) for w in words)
-		if h < 1:
-			break
-		new_steps = []
-		for w, s in zip(words, steps):
-			new_steps.extend(project_step(p, w, s, h))
-		start = pi_h(words[0], h)
-		nd = AugDerivation(start, new_steps)
 		words = aug_derivation_words(p, nd)
 		for w in words:
 			ok, diag = is_regular(p, w)
 			if not ok:
-				raise AugError('projected word not regular: ' + diag)
-		steps = new_steps
+				raise AugError('%s word not regular: %s' % (stage, diag))
+		steps = nd.steps
+		h = max(max_index(w) for w in words)
+		if h < 1:
+			break
+		nd = AugDerivation(pi_h(words[0], h), [])
+		for w, s in zip(words, steps):
+			nd.steps.extend(project_step(p, w, s, h))
+		stage = 'projected'
 	plain_steps = []
 	for w, s in zip(words, steps):
 		plain_steps.append(_aug_to_plain_step(p, w, s))

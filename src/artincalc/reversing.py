@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import invert, is_positive, word_to_positive, positive_to_word
-from .rewrite import Step, Derivation, apply_step, check_derivation
+from .core import invert, word_to_positive, positive_to_word
+from .rewrite import Step, Derivation, apply_step
 
 
 class ReversingError(ValueError):
@@ -30,86 +30,53 @@ class ReversalResult:
 	step_count: int = 0
 
 
-def _find_right_pattern(w):
-	for i in range(len(w) - 1):
-		if w[i][1] == -1 and w[i + 1][1] == 1:
-			return i
-	return None
+# Right reversing rewrites the leftmost s^-1 t, left reversing the
+# rightmost s t^-1: per side, the sign of s, the step kind and the pair map
+# that names its relation, and the wording of a block.
+_SIDES = {
+	'right': (-1, '2r', 'first_pairs', 'no relation reverses %s^-1 %s'),
+	'left': (1, '2l', 'last_pairs', 'no relation reverses %s %s^-1'),
+}
 
 
-def _find_left_pattern(w):
-	for i in range(len(w) - 2, -1, -1):
-		if w[i][1] == 1 and w[i + 1][1] == -1:
-			return i
-	return None
-
-
-def _relation_for(p, s, t, initial):
-	'''Lowest-index relation whose sides start (initial=True) or end
-	(initial=False) with s and t respectively, with orientation.'''
-	for ri, (l, r) in enumerate(p.relations):
-		a = (l[0], r[0]) if initial else (l[-1], r[-1])
-		if a == (s, t):
-			return ri, 'fwd'
-		if a == (t, s):
-			return ri, 'bwd'
-	return None, None
+def _reverse(p, w, budget, side):
+	if budget <= 0:
+		raise ReversingError('budget must be positive')
+	e, kind, pairs, blocked = _SIDES[side]
+	pairs = getattr(p, pairs)
+	steps = []
+	cur = tuple(w)
+	for _ in range(budget):
+		at = range(len(cur) - 1) if side == 'right' else range(len(cur) - 2, -1, -1)
+		i = next((j for j in at if cur[j][1] == e and cur[j + 1][1] == -e), None)
+		if i is None:
+			return ReversalResult(cur, True, trace=Derivation(tuple(w), steps),
+				step_count=len(steps))
+		s, t = cur[i][0], cur[i + 1][0]
+		if s == t:
+			step = Step('0', i, sign=e)
+		elif (s, t) in pairs:
+			ri, orient = pairs[s, t]
+			step = Step(kind, i, rel=ri, orient=orient, lv=1, lvp=1)
+		else:
+			return ReversalResult(cur, False, blocked=blocked % (s, t),
+				trace=Derivation(tuple(w), steps), step_count=len(steps))
+		cur = apply_step(p, cur, step)
+		steps.append(step)
+	return ReversalResult(cur, False, trace=Derivation(tuple(w), steps),
+		step_count=len(steps))
 
 
 def right_reverse(p, w, budget=10000):
 	'''Eliminate s^-1 t patterns by {0, 2r} steps.  Converged words have
 	the shape w1 w2^-1 with w1, w2 positive.'''
-	if budget <= 0:
-		raise ReversingError('budget must be positive')
-	steps = []
-	cur = tuple(w)
-	for _ in range(budget):
-		i = _find_right_pattern(cur)
-		if i is None:
-			return ReversalResult(cur, True, trace=Derivation(tuple(w), steps),
-				step_count=len(steps))
-		s, t = cur[i][0], cur[i + 1][0]
-		if s == t:
-			step = Step('0', i, sign=-1)
-		else:
-			ri, orient = _relation_for(p, s, t, initial=True)
-			if ri is None:
-				return ReversalResult(cur, False,
-					blocked='no relation reverses %s^-1 %s' % (s, t),
-					trace=Derivation(tuple(w), steps), step_count=len(steps))
-			step = Step('2r', i, rel=ri, orient=orient, lv=1, lvp=1)
-		cur = apply_step(p, cur, step)
-		steps.append(step)
-	return ReversalResult(cur, False, trace=Derivation(tuple(w), steps),
-		step_count=len(steps))
+	return _reverse(p, w, budget, 'right')
 
 
 def left_reverse(p, w, budget=10000):
 	'''Eliminate s t^-1 patterns by {0, 2l} steps.  Converged words have
 	the shape w1^-1 w2 with w1, w2 positive.'''
-	if budget <= 0:
-		raise ReversingError('budget must be positive')
-	steps = []
-	cur = tuple(w)
-	for _ in range(budget):
-		i = _find_left_pattern(cur)
-		if i is None:
-			return ReversalResult(cur, True, trace=Derivation(tuple(w), steps),
-				step_count=len(steps))
-		s, t = cur[i][0], cur[i + 1][0]
-		if s == t:
-			step = Step('0', i, sign=1)
-		else:
-			ri, orient = _relation_for(p, s, t, initial=False)
-			if ri is None:
-				return ReversalResult(cur, False,
-					blocked='no relation reverses %s %s^-1' % (s, t),
-					trace=Derivation(tuple(w), steps), step_count=len(steps))
-			step = Step('2l', i, rel=ri, orient=orient, lv=1, lvp=1)
-		cur = apply_step(p, cur, step)
-		steps.append(step)
-	return ReversalResult(cur, False, trace=Derivation(tuple(w), steps),
-		step_count=len(steps))
+	return _reverse(p, w, budget, 'left')
 
 
 def split_neg_pos(w):

@@ -16,16 +16,19 @@ are |v| and |v'|.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from .core import invert, positive_to_word, render_word, parse_word
+from .core import render_word, parse_word, step_factor
 
 KINDS = ('0', '1', '2r', '2l', 'inf')
 
 
 class StepError(ValueError):
 	pass
+
+
+class FormatError(StepError):
+	'''A serialized step or derivation that is not well formed.'''
 
 
 @dataclass(frozen=True)
@@ -47,34 +50,46 @@ class Step:
 			d['kind'] = 'inf'
 			d['letter'] = self.letter
 			d['sign'] = self.sign
-		elif self.kind == '1':
-			d['kind'] = '1'
-			d['rel'] = self.rel
-			d['orient'] = self.orient
-			d['sign'] = self.sign
 		else:
 			d['kind'] = self.kind
 			d['rel'] = self.rel
 			d['orient'] = self.orient
-			# the schema carries a single split index; pack both lengths
-			d['split'] = (self.lv - 1) * 64 + (self.lvp - 1)
+			if self.kind == '1':
+				d['sign'] = self.sign
+			elif not (1 <= self.lv <= 64 and 1 <= self.lvp <= 64):
+				raise StepError('split lengths %r, %r do not fit schema 1'
+					% (self.lv, self.lvp))
+			else:
+				# the schema carries a single split index; pack both lengths
+				d['split'] = (self.lv - 1) * 64 + (self.lvp - 1)
 		return d
 
 	@classmethod
 	def from_json(cls, d):
-		kind = d['kind']
-		if kind in ('0r', '0l'):
-			return cls('0', d['pos'], sign=1 if kind == '0r' else -1)
-		if kind == 'inf':
-			return cls('inf', d['pos'], letter=d['letter'], sign=d['sign'])
-		if kind == '1':
-			return cls('1', d['pos'], rel=d['rel'], orient=d['orient'], sign=d.get('sign', 1))
-		split = d['split']
-		return cls(kind, d['pos'], rel=d['rel'], orient=d['orient'],
-			lv=split // 64 + 1, lvp=split % 64 + 1)
+		try:
+			kind = d['kind']
+			if kind in ('0r', '0l'):
+				return cls('0', d['pos'], sign=1 if kind == '0r' else -1)
+			if kind == 'inf':
+				return cls('inf', d['pos'], letter=d['letter'], sign=d['sign'])
+			if kind == '1':
+				return cls('1', d['pos'], rel=d['rel'], orient=d['orient'], sign=d.get('sign', 1))
+			if kind not in ('2r', '2l'):
+				raise FormatError('unknown step kind %r' % (kind,))
+			split = d['split']
+			if type(split) is not int or not 0 <= split < 64 * 64:
+				raise FormatError('bad split %r' % (split,))
+			return cls(kind, d['pos'], rel=d['rel'], orient=d['orient'],
+				lv=split // 64 + 1, lvp=split % 64 + 1)
+		except (KeyError, TypeError, AttributeError) as e:
+			raise FormatError('malformed step %r: %r' % (d, e)) from None
 
 
 def oriented_relation(p, step):
+	if type(step.rel) is not int or not 0 <= step.rel < len(p.relations):
+		raise StepError('relation index %r out of range' % (step.rel,))
+	if step.orient not in ('fwd', 'bwd'):
+		raise StepError('unknown orientation %r' % (step.orient,))
 	l, r = p.relations[step.rel]
 	return (l, r) if step.orient == 'fwd' else (r, l)
 
@@ -82,6 +97,8 @@ def oriented_relation(p, step):
 def apply_step(p, w, s):
 	'''Apply one step; raises StepError on any pattern mismatch.'''
 	n = len(w)
+	if type(s.pos) is not int or s.pos < 0:
+		raise StepError('position %r out of range' % (s.pos,))
 	if s.kind == '0':
 		if s.pos + 2 > n:
 			raise StepError('type 0 out of range')
@@ -94,36 +111,17 @@ def apply_step(p, w, s):
 			raise StepError('insertion position out of range')
 		if s.letter not in p.generators:
 			raise StepError('unknown letter %r' % s.letter)
+		if s.sign not in (1, -1):
+			raise StepError('insertion sign must be 1 or -1, got %r' % (s.sign,))
 		pair = ((s.letter, s.sign), (s.letter, -s.sign))
 		return w[:s.pos] + pair + w[s.pos:]
-	if s.kind == '1':
-		src, dst = oriented_relation(p, s)
-		factor = positive_to_word(src) if s.sign != -1 else invert(positive_to_word(src))
-		new = positive_to_word(dst) if s.sign != -1 else invert(positive_to_word(dst))
+	if s.kind in ('1', '2r', '2l'):
+		a, b = oriented_relation(p, s)
+		if s.kind != '1' and not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
+			raise StepError('bad type %s split' % s.kind)
+		factor, new = step_factor(s.kind, a, b, s.sign, s.lv, s.lvp)
 		if w[s.pos:s.pos + len(factor)] != factor:
-			raise StepError('type 1 factor mismatch at %d' % s.pos)
-		return w[:s.pos] + new + w[s.pos + len(factor):]
-	if s.kind == '2r':
-		l, r = oriented_relation(p, s)
-		if not (1 <= s.lv <= len(l) and 1 <= s.lvp <= len(r)):
-			raise StepError('bad type 2r split')
-		v, u = l[:s.lv], l[s.lv:]
-		vp, up = r[:s.lvp], r[s.lvp:]
-		factor = invert(positive_to_word(v)) + positive_to_word(vp)
-		if w[s.pos:s.pos + len(factor)] != factor:
-			raise StepError('type 2r factor mismatch at %d' % s.pos)
-		new = positive_to_word(u) + invert(positive_to_word(up))
-		return w[:s.pos] + new + w[s.pos + len(factor):]
-	if s.kind == '2l':
-		l, r = oriented_relation(p, s)
-		if not (1 <= s.lv <= len(l) and 1 <= s.lvp <= len(r)):
-			raise StepError('bad type 2l split')
-		u, v = l[:len(l) - s.lv], l[len(l) - s.lv:]
-		up, vp = r[:len(r) - s.lvp], r[len(r) - s.lvp:]
-		factor = positive_to_word(v) + invert(positive_to_word(vp))
-		if w[s.pos:s.pos + len(factor)] != factor:
-			raise StepError('type 2l factor mismatch at %d' % s.pos)
-		new = invert(positive_to_word(u)) + positive_to_word(up)
+			raise StepError('type %s factor mismatch at %d' % (s.kind, s.pos))
 		return w[:s.pos] + new + w[s.pos + len(factor):]
 	raise StepError('unknown step kind %r' % s.kind)
 
@@ -134,29 +132,8 @@ def applicable_steps(p, w, kinds, inf_letters=None, inf_positions=None):
 	and is only enumerated when an explicit letter list is supplied.'''
 	if 'inf' in kinds and inf_letters is None:
 		raise StepError("kind 'inf' requires an explicit inf_letters bound")
-	# factor tables, in enumeration order, built once per call
-	tables = {}
-	if '1' in kinds:
-		tables['1'] = [
-			(positive_to_word(src) if sg == 1 else invert(positive_to_word(src)),
-				dict(rel=ri, orient=orient, sign=sg))
-			for ri, (l, r) in enumerate(p.relations)
-			for orient, src in (('fwd', l), ('bwd', r))
-			for sg in (1, -1)]
-	for kind in ('2r', '2l'):
-		if kind not in kinds:
-			continue
-		rows = []
-		for ri, (l, r) in enumerate(p.relations):
-			for orient, a, b in (('fwd', l, r), ('bwd', r, l)):
-				for lv in range(1, len(a) + 1):
-					for lvp in range(1, len(b) + 1):
-						if kind == '2r':
-							fac = invert(positive_to_word(a[:lv])) + positive_to_word(b[:lvp])
-						else:
-							fac = positive_to_word(a[-lv:]) + invert(positive_to_word(b[-lvp:]))
-						rows.append((fac, dict(rel=ri, orient=orient, lv=lv, lvp=lvp)))
-		tables[kind] = rows
+	tables = {kind: getattr(p, 'rows_' + kind)
+		for kind in ('1', '2r', '2l') if kind in kinds}
 	out = []
 	n = len(w)
 	for pos in range(n + 1):
@@ -167,8 +144,8 @@ def applicable_steps(p, w, kinds, inf_letters=None, inf_positions=None):
 				(g1, e1), (g2, e2) = w[pos], w[pos + 1]
 				if g1 == g2 and e1 == -e2:
 					out.append(Step('0', pos, sign=e1))
-			elif kind in ('1', '2r', '2l'):
-				for factor, kw in tables[kind]:
+			elif kind in tables:
+				for factor, _, kw in tables[kind]:
 					if pos + len(factor) <= n and w[pos:pos + len(factor)] == factor:
 						out.append(Step(kind, pos, **kw))
 			elif kind == 'inf':
@@ -195,13 +172,19 @@ class Derivation:
 
 	@classmethod
 	def from_json(cls, d, p):
-		if d.get('schema') != 1:
-			raise StepError('unsupported derivation schema %r' % d.get('schema'))
-		der = cls(parse_word(d['start'], p), [Step.from_json(s) for s in d['steps']])
+		'''Parse and replay; FormatError when d is not a schema-1
+		derivation, StepError when its steps do not replay to its end.'''
+		try:
+			if d.get('schema') != 1:
+				raise FormatError('unsupported derivation schema %r' % d.get('schema'))
+			der = cls(parse_word(d['start'], p), [Step.from_json(s) for s in d['steps']])
+			want = d['end']
+		except (KeyError, TypeError, AttributeError) as e:
+			raise FormatError('malformed derivation: %r' % (e,)) from None
 		end = check_derivation(p, der)
-		if render_word(end, p) != d['end']:
+		if render_word(end, p) != want:
 			raise StepError('derivation end mismatch: %r != %r'
-				% (render_word(end, p), d['end']))
+				% (render_word(end, p), want))
 		return der
 
 
@@ -225,6 +208,19 @@ def derivation_words(p, d):
 	return words
 
 
+def unwind(parent, start, end):
+	'''The derivation from start to end in a search tree that maps each
+	reached word to (previous word, step), and start to None.'''
+	steps = []
+	node = end
+	while parent[node] is not None:
+		prev, s = parent[node]
+		steps.append(s)
+		node = prev
+	steps.reverse()
+	return Derivation(start, steps)
+
+
 # ---------------------------------------------------------------------------
 # Dehn transformations
 
@@ -244,22 +240,11 @@ def dehn_steps(p, w):
 	Cyclic shifts are taken at letter boundaries.'''
 	out = []
 	seen = set()
-	for ri, (l, r) in enumerate(p.relations):
-		for orient, a, b in (('fwd', l, r), ('bwd', r, l)):
-			z = invert(positive_to_word(a)) + positive_to_word(b)
-			for shift in range(len(z)):
-				c = z[shift:] + z[:shift]
-				# u^-1 u' = c with |u| > |u'|
-				for k in range(len(c) // 2 + 1, len(c) + 1):
-					u = invert(c[:k])
-					up = c[k:]
-					for pos in range(len(w) - len(u) + 1):
-						if w[pos:pos + len(u)] == u:
-							key = (pos, u, up)
-							if key in seen:
-								continue
-							seen.add(key)
-							out.append(DehnStep(pos, u, up, ri, orient, shift))
+	for u, up, fields in p.dehn_rows:
+		for pos in range(len(w) - len(u) + 1):
+			if w[pos:pos + len(u)] == u and (pos, u, up) not in seen:
+				seen.add((pos, u, up))
+				out.append(DehnStep(pos, u, up, **fields))
 	out.sort(key=lambda d: (d.pos, -len(d.factor), d.rel, d.orient, d.shift))
 	return out
 

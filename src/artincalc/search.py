@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 from .core import free_reduce
 from .rewrite import (Step, Derivation, StepError, applicable_steps, apply_step,
-	dehn_steps, apply_dehn)
+	dehn_steps, apply_dehn, unwind)
 
 
 @dataclass(frozen=True)
@@ -91,21 +91,10 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 			best[nxt] = nins
 			parent[nxt] = (cur, s)
 			if nxt == target:
-				return SearchOutcome('found', _unwind(parent, w, nxt),
+				return SearchOutcome('found', unwind(parent, w, nxt),
 					visited=visited)
 			queue.append((nxt, depth + 1, nins))
 	return SearchOutcome('exhausted', visited=visited, frontier_emptied=emptied)
-
-
-def _unwind(parent, start, end):
-	steps = []
-	node = end
-	while parent[node] is not None:
-		prev, s = parent[node]
-		steps.append(s)
-		node = prev
-	steps.reverse()
-	return Derivation(start, steps)
 
 
 def is_dead(p, w, kinds):
@@ -143,14 +132,9 @@ def dehn_to_special(p, w, ds, fallback_depth=3):
 		raise StepError('presentation violates the length-2 hypothesis')
 	u, up = ds.factor, ds.replacement
 	# whole relation side, positive or inverse orientation: one type 1
-	for ri, (l, r) in enumerate(p.relations):
-		for orient, src, dst in (('fwd', l, r), ('bwd', r, l)):
-			for sg in (1, -1):
-				fac = tuple((g, sg) for g in (src if sg == 1 else reversed(src)))
-				new = tuple((g, sg) for g in (dst if sg == 1 else reversed(dst)))
-				if u == fac and up == new:
-					step = Step('1', ds.pos, rel=ri, orient=orient, sign=sg)
-					return Derivation(tuple(w), [step])
+	for fac, new, fields in p.rows_1:
+		if u == fac and up == new:
+			return Derivation(tuple(w), [Step('1', ds.pos, **fields)])
 	limits = SearchLimits(max_steps=fallback_depth,
 		max_word_length=len(u) + 2, max_visited=100000)
 	out = bounded_derivation_search(p, u, up, {'0', '1', '2r', '2l'}, limits)

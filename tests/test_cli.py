@@ -132,13 +132,45 @@ def test_paper_examples(capsys):
 	assert len(lines) == 6 and all(l.startswith('PASS') for l in lines)
 
 
-def test_usage_and_file_errors(capsys):
+def test_usage_and_file_errors(capsys, tmp_path):
 	code, _ = run(capsys, 'steps', '-p', A2, '-w', 'ax')
 	assert code == 64
 	code, _ = run(capsys, 'steps', '-p', A2, '-w', 'a', '--kinds', 'zap')
 	assert code == 64
 	code, _ = run(capsys, 'validate', '-p', '/nonexistent/file.txt')
 	assert code == 66
+	# a step that would pair the last letter with the first is refused
+	code, out = run(capsys, 'apply', '-p', 'ra3.txt', '-w', 'abA',
+		'--step', '{"kind": "0l", "pos": -1}')
+	assert code == 70 and out == ''
+	code, _ = run(capsys, 'apply', '-p', 'ra3.txt', '-w', 'abA',
+		'--step', '{"kind": "2r", "pos": 0, "rel": 0, "orient": "fwd", "split": -1}')
+	assert code == 64
+	# derivation files: malformed 64, missing 66, not replaying 70
+	step = {'kind': '0r', 'pos': 0}
+	cases = [
+		('not json', 64),
+		(b'\xff\xfe', 64),
+		('[]', 64),
+		(json.dumps({'schema': 1, 'start': 'aA', 'steps': [{'pos': 0}], 'end': ''}), 64),
+		(json.dumps({'schema': 1, 'start': 'aA', 'steps': [7], 'end': ''}), 64),
+		(json.dumps({'schema': 1, 'start': 'aA', 'end': ''}), 64),
+		(json.dumps({'schema': 1, 'start': 'aA', 'steps': [step]}), 64),
+		(json.dumps({'schema': 2, 'start': 'aA', 'steps': [step], 'end': ''}), 64),
+		(json.dumps({'schema': 1, 'start': 'ab', 'steps': [step], 'end': ''}), 70),
+		(json.dumps({'schema': 1, 'start': 'aA', 'steps': [step], 'end': 'a'}), 70),
+		(None, 66),
+	]
+	for i, (text, want) in enumerate(cases):
+		f = tmp_path / ('d%d.json' % i)
+		if isinstance(text, bytes):
+			f.write_bytes(text)
+		elif text is not None:
+			f.write_text(text)
+		for argv in (('replay', '--in', str(f)),
+				('eliminate-inf', '--in', str(f), '--out', str(tmp_path / 'o.json'))):
+			code, _ = run(capsys, argv[0], '-p', 'ra3.txt', *argv[1:])
+			assert code == want, (argv[0], text)
 
 
 def test_replay_and_eliminate_round_trip(tmp_path, capsys):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from artincalc import (parse_word, parse_positive, render_word, free_reduce,
+from artincalc import (Presentation, Step, parse_word, parse_positive,
+	render_word, free_reduce,
 	right_reverse, left_reverse, right_fraction, left_fraction,
 	word_problem_spherical, completeness_check, completeness_sample,
 	check_derivation)
@@ -185,3 +186,28 @@ def test_completeness_sample_shape():
 	assert rep == {'passed': 2, 'failed': [], 'total': 2}
 	rep = completeness_sample(A2, [(('a',), ('b',))])
 	assert rep['failed'] == [(('a',), ('b',))]
+
+
+def test_left_reverse_is_mirrored_right_reverse():
+	# reading words and relation sides backwards turns each s t^-1 into
+	# t^-1 s, so left reversing must be right reversing seen in a mirror:
+	# the same relation with the orientation flipped, at the mirrored place
+	flip = {'fwd': 'bwd', 'bwd': 'fwd'}
+	rng = random.Random(43)
+	for p in (A2, I24, RA3, F2XF2, FIG2, FREE2):
+		q = Presentation(p.generators,
+			tuple((l[::-1], r[::-1]) for l, r in p.relations))
+		for _ in range(50):
+			w = random_word(p, rng, rng.randrange(0, 10))
+			left = left_reverse(p, w, budget=200)
+			right = right_reverse(q, w[::-1], budget=200)
+			assert left.word == right.word[::-1]
+			assert left.converged == right.converged
+			assert left.step_count == right.step_count
+			assert bool(left.blocked) == bool(right.blocked)
+			lengths = [len(u) for u in derivation_words(p, left.trace)]
+			mirrored = [Step('0' if s.kind == '0' else '2r', n - 2 - s.pos,
+				rel=s.rel, orient=flip.get(s.orient), lv=s.lv, lvp=s.lvp,
+				sign=-s.sign if s.sign else None)
+				for s, n in zip(left.trace.steps, lengths)]
+			assert right.trace.steps == mirrored

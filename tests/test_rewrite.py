@@ -231,3 +231,82 @@ def test_simulate_type2_matches_apply():
 def test_simulate_type2_rejects_other_kinds():
 	with pytest.raises(StepError):
 		simulate_type2(A2, parse_word('aA', A2), Step('0', 0, sign=1))
+
+
+def brute_ordered_steps(p, w):
+	'''Every {0,1,2r,2l} step on w, built straight from the definitions in
+	the documented order: position, kind, relation, orientation, then sign
+	(type 1) or split (type 2).'''
+	def pos_word(u, e):
+		return tuple((g, e) for g in (u if e == 1 else reversed(u)))
+	out = []
+	for pos in range(len(w) + 1):
+		if pos + 2 <= len(w) and w[pos][0] == w[pos + 1][0] \
+				and w[pos][1] == -w[pos + 1][1]:
+			out.append(Step('0', pos, sign=w[pos][1]))
+		for kind in ('1', '2r', '2l'):
+			for ri, (l, r) in enumerate(p.relations):
+				for orient, a, b in (('fwd', l, r), ('bwd', r, l)):
+					if kind == '1':
+						cands = [(pos_word(a, sg), dict(sign=sg)) for sg in (1, -1)]
+					else:
+						cands = [(pos_word(a[:lv], -1) + pos_word(b[:lvp], 1)
+							if kind == '2r' else
+							pos_word(a[len(a) - lv:], 1) + pos_word(b[len(b) - lvp:], -1),
+							dict(lv=lv, lvp=lvp))
+							for lv in range(1, len(a) + 1)
+							for lvp in range(1, len(b) + 1)]
+					for fac, extra in cands:
+						if w[pos:pos + len(fac)] == fac:
+							out.append(Step(kind, pos, rel=ri, orient=orient, **extra))
+	return out
+
+
+def test_applicable_steps_exact_order():
+	# search takes successors in this order, so a reordering changes which
+	# derivation it finds even when the set of successors stays the same
+	rng = random.Random(47)
+	for p in (A2, I24, RA3, F2XF2, FIG2):
+		for _ in range(300):
+			w = random_word(p, rng, rng.randrange(0, 10))
+			assert applicable_steps(p, w, ALL) == brute_ordered_steps(p, w)
+
+
+def test_apply_step_rejects_out_of_range_fields():
+	w = parse_word('abA', RA3)
+	bad = [
+		Step('0', -1, sign=-1),  # would pair w[-1] with w[0]
+		Step('inf', -1, letter='a', sign=1),
+		Step('inf', 0, letter='a', sign=2),
+		Step('1', 0, rel=3, orient='fwd', sign=1),
+		Step('1', 0, rel=-1, orient='fwd', sign=1),
+		Step('1', 0, rel=0, orient='sideways', sign=1),
+		Step('2l', 1, rel=9, orient='fwd', lv=1, lvp=1),
+		Step('2l', 1, rel=0, orient=None, lv=1, lvp=1),
+	]
+	for s in bad:
+		with pytest.raises(StepError):
+			apply_step(RA3, w, s)
+
+
+def test_derivation_with_negative_position_is_rejected():
+	blob = {'schema': 1, 'start': 'abA', 'steps': [{'kind': '0l', 'pos': -1}],
+		'end': 'abbA'}
+	with pytest.raises(StepError):
+		Derivation.from_json(blob, RA3)
+
+
+def test_step_json_rejects_what_schema_1_cannot_carry():
+	for lv, lvp in ((1, 65), (65, 1), (0, 1)):
+		with pytest.raises(StepError):
+			Step('2r', 0, rel=0, orient='fwd', lv=lv, lvp=lvp).to_json()
+	for split in (-1, 1.5, '3', True, 64 * 64):
+		with pytest.raises(StepError):
+			Step.from_json({'kind': '2r', 'pos': 0, 'rel': 0, 'orient': 'fwd',
+				'split': split})
+	for d in ({'pos': 0}, [], {'kind': 'zz', 'pos': 0}, {'kind': '1', 'pos': 0}):
+		with pytest.raises(StepError):
+			Step.from_json(d)
+	# the largest split still round-trips byte for byte
+	d = {'kind': '2l', 'pos': 0, 'rel': 0, 'orient': 'bwd', 'split': 64 * 64 - 1}
+	assert Step.from_json(d).to_json() == d
