@@ -44,25 +44,18 @@ def _load(path):
 
 
 def _derivation(p, path):
-	'''Read and replay a derivation file: unreadable exits 66, malformed
-	64, and steps that do not replay 70.'''
+	'''Read and replay a derivation file, returning it and its end word:
+	unreadable exits 66, malformed 64, and steps that do not replay 70.'''
 	with open(path) as f:
 		try:
-			return Derivation.from_json(json.load(f), p)
+			return Derivation.replay_json(json.load(f), p)
 		except (UnicodeDecodeError, json.JSONDecodeError, FormatError) as e:
 			raise click.UsageError('malformed derivation file %s: %s' % (path, e))
 
 
-def _word(text, p):
+def _word(text, p, parse=parse_word):
 	try:
-		return parse_word(text, p)
-	except WordError as e:
-		raise click.UsageError(str(e))
-
-
-def _positive(text, p):
-	try:
-		return parse_positive(text, p)
+		return parse(text, p)
 	except WordError as e:
 		raise click.UsageError(str(e))
 
@@ -164,8 +157,8 @@ def apply(ppath, word, step_json, as_json):
 def replay(ppath, inpath, as_json):
 	'''Replay a derivation trace file and print the final word.'''
 	p = _load(ppath)
-	d = _derivation(p, inpath)
-	blob = d.to_json(p)
+	d, end = _derivation(p, inpath)
+	blob = d.to_json(p, end)
 	if as_json:
 		_emit(blob)
 	else:
@@ -253,7 +246,7 @@ def wp_raag(ppath, word, as_json):
 def eliminate_inf(ppath, inpath, outpath):
 	'''Rewrite a {0,1,inf} trace to ε into an insertion-free {0,1,2} trace.'''
 	p = _load(ppath)
-	d = _derivation(p, inpath)
+	d, _ = _derivation(p, inpath)
 	out = eliminate_infinity(p, d)
 	with open(outpath, 'w') as f:
 		json.dump(out.to_json(p), f, sort_keys=True)
@@ -296,7 +289,7 @@ def fuzz_raag(gens, seed, count, as_json):
 def class_(ppath, word, as_json):
 	'''Equivalence class of a positive word under the relations.'''
 	p = _load(ppath)
-	u = _positive(word, p)
+	u = _word(word, p, parse_positive)
 	members = sorted(equiv_class(p, u))
 	if as_json:
 		_emit({'canonical': _pfmt(members[0]), 'members': [_pfmt(m) for m in members]})
@@ -312,7 +305,7 @@ def class_(ppath, word, as_json):
 def divisors(ppath, element, as_json):
 	'''Left divisors of a positive word, as canonical representatives.'''
 	p = _load(ppath)
-	g = _positive(element, p)
+	g = _word(element, p, parse_positive)
 	divs = sorted(left_divisors(p, g))
 	if as_json:
 		_emit([_pfmt(d) for d in divs])
@@ -331,7 +324,7 @@ def lcm(ppath, u, v, as_json):
 	'''Right lcm of two positive words, computed by reversing.  (Invoking
 	this asserts the presentation is of spherical type.)'''
 	p = dataclasses.replace(_load(ppath), declared_spherical=True)
-	m = right_lcm(p, _positive(u, p), _positive(v, p))
+	m = right_lcm(p, _word(u, p, parse_positive), _word(v, p, parse_positive))
 	_emit({'lcm': _pfmt(m)}) if as_json else click.echo(_pfmt(m))
 
 
@@ -343,7 +336,7 @@ def lcm(ppath, u, v, as_json):
 def minimal(ppath, element, s0, as_json):
 	'''Is the element S0-minimal (no nontrivial right divisor over S0)?'''
 	p = _load(ppath)
-	g = _positive(element, p)
+	g = _word(element, p, parse_positive)
 	sub = _subset(p, s0)
 	ans = is_S0_minimal(p, g, sub)
 	_emit({'minimal': ans}) if as_json else click.echo(str(ans).lower())
@@ -388,13 +381,13 @@ def coset_head(ppath, word, s0, as_json):
 def cayley_trace(ppath, element, vertex, word, as_dot, as_json):
 	'''Trace a word inside the left-divisor fragment of an element.'''
 	p = _load(ppath)
-	f = divisor_fragment(p, _positive(element, p))
+	f = divisor_fragment(p, _word(element, p, parse_positive))
 	if as_dot:
 		click.echo(to_dot(f, p))
 		return
 	if word is None:
 		raise click.UsageError('-w required unless --dot is given')
-	v = canonical(p, _positive(vertex, p))
+	v = canonical(p, _word(vertex, p, parse_positive))
 	traced, info = traced_from(f, v, _word(word, p))
 	if as_json:
 		_emit({'traced': traced, 'vertices': len(f.vertices),

@@ -86,9 +86,11 @@ class Presentation:
 	the step.  Row order is the order of step lists, and so of search
 	results: relation index, then 'fwd' (the stored relation read lhs ->
 	rhs) before 'bwd', then sign +1 before -1 (type 1), |v| then |v'|
-	ascending (type 2), or shift then |u| ascending (Dehn).  The pair maps
-	keep the first hit in that order: the lowest relation index wins, and
-	'fwd' beats 'bwd'.
+	ascending (type 2), or shift then |u| ascending (Dehn).  The type 1,
+	2r and 2l rows are keyed by the first letter of their factor, each
+	bucket keeping that order, so a position tests only the rows that
+	start with its letter.  The pair maps keep the first hit in that
+	order: the lowest relation index wins, and 'fwd' beats 'bwd'.
 	'''
 	generators: tuple
 	relations: tuple
@@ -102,12 +104,12 @@ class Presentation:
 		if rep['errors']:
 			raise PresentationError('; '.join(rep['errors']))
 
-	@property
+	@cached_property
 	def right_angled(self):
 		return all(len(l) == 2 and len(r) == 2 and l[0] != l[1]
 			and (r[0], r[1]) == (l[1], l[0]) for l, r in self.relations)
 
-	@property
+	@cached_property
 	def length_preserving(self):
 		return all(len(l) == len(r) for l, r in self.relations)
 
@@ -115,6 +117,7 @@ class Presentation:
 		'''True iff st = ts is (up to orientation) a relation.'''
 		return (s, t) in self.commuting_pairs
 
+	@cached_property
 	def fingerprint(self):
 		return repr((self.generators, self.relations))
 
@@ -124,14 +127,15 @@ class Presentation:
 			yield ri, 'bwd', r, l
 
 	def _factor_rows(self, kind):
-		rows = []
+		rows = {}
 		for ri, orient, a, b in self._sides():
 			splits = [dict(sign=1), dict(sign=-1)] if kind == '1' else [
 				dict(lv=lv, lvp=lvp)
 				for lv in range(1, len(a) + 1) for lvp in range(1, len(b) + 1)]
 			for sp in splits:
-				rows.append(step_factor(kind, a, b, **sp)
-					+ (dict(rel=ri, orient=orient, **sp),))
+				factor, new = step_factor(kind, a, b, **sp)
+				rows.setdefault(factor[0], []).append(
+					(factor, new, dict(rel=ri, orient=orient, **sp)))
 		return rows
 
 	@cached_property
@@ -152,7 +156,7 @@ class Presentation:
 	@cached_property
 	def positive_rows(self):
 		'''Type 1 on positive words (generator tuples), sign +1 only.'''
-		return [(a, b, dict(rel=ri, orient=orient))
+		return [(a, b, dict(rel=ri, orient=orient, sign=1))
 			for ri, orient, a, b in self._sides()]
 
 	@cached_property

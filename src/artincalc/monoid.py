@@ -14,9 +14,10 @@ import json
 import os
 import hashlib
 from collections import deque
+from dataclasses import replace
 
 from .core import invert, positive_to_word
-from .rewrite import Step, Derivation, unwind
+from .rewrite import Derivation, unwind
 from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError
 
 DEFAULT_CAP = 100000
@@ -43,7 +44,7 @@ def _disk_path(p, w):
 	root = os.environ.get('ARTIN_CACHE_DIR')
 	if not root:
 		return None
-	key = hashlib.sha256((p.fingerprint() + '|' + ' '.join(w)).encode()).hexdigest()
+	key = hashlib.sha256((p.fingerprint + '|' + ' '.join(w)).encode()).hexdigest()
 	return os.path.join(root, key + '.json')
 
 
@@ -51,7 +52,7 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	'''BFS closure of a positive word under relation rewrites.  Complete
 	for length-preserving presentations; the cap guards the general case.'''
 	w = tuple(w)
-	key = (p.fingerprint(), w)
+	key = (p.fingerprint, w)
 	hit = _class_cache.get(key)
 	if hit is not None:
 		return hit
@@ -73,7 +74,7 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 				queue.append(nxt)
 	cls = frozenset(seen)
 	for m in cls:
-		_class_cache[(p.fingerprint(), m)] = cls
+		_class_cache[(p.fingerprint, m)] = cls
 	if path:
 		os.makedirs(os.path.dirname(path), exist_ok=True)
 		with open(path, 'w') as f:
@@ -103,7 +104,7 @@ def rewrite_path(p, u, v, cap=DEFAULT_CAP):
 		cur = queue.popleft()
 		for nxt, i, fields in _rewrites(p, cur):
 			if nxt not in parent:
-				parent[nxt] = (cur, Step('1', i, sign=1, **fields))
+				parent[nxt] = (cur, '1', i, fields)
 				queue.append(nxt)
 	return unwind(parent, u, v).steps
 
@@ -220,9 +221,7 @@ def coset_head_spherical(p, w, s0, budget=10000, cap=DEFAULT_CAP,
 	# positions of the strip rewrites are offsets inside g2, which starts
 	# after the |g1| negative letters of the reversed word
 	offset = len(g1)
-	steps = frac.trace.steps + [
-		Step(st.kind, st.pos + offset, rel=st.rel, orient=st.orient, sign=st.sign)
-		for st in strip_steps]
+	steps = frac.trace.steps + [replace(st, pos=st.pos + offset) for st in strip_steps]
 	v = invert(positive_to_word(g1)) + positive_to_word(head)
 	u = positive_to_word(tail)
 	trace = Derivation(tuple(w), steps)

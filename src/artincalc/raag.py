@@ -229,8 +229,7 @@ def _swap_block(p, pw, target):
 	b = len(pw)
 	while b > a and pw[b - 1] == target[b - 1]:
 		b -= 1
-	c = b
-	mid_w, mid_t = pw[a:b], target[a:c]
+	mid_w, mid_t = pw[a:b], target[a:b]
 	if len(mid_w) != len(mid_t) or sorted(mid_w) != sorted(mid_t):
 		raise AugError('projection diff is not a single move')
 	# pw and target differ, so mid_w is not empty
@@ -246,14 +245,10 @@ def _swap_block(p, pw, target):
 		raise AugError('projection diff is not a single move')
 	steps = []
 	for cur, let in crossings:
-		_require_swap(p, let, x)
+		if let[0] == x[0] or not p.commutes(let[0], x[0]):
+			raise AugError('projection needs %s and %s to commute' % (let[0], x[0]))
 		steps.append(AugStep('1' if let[2] == x[2] else '2', cur))
 	return steps
-
-
-def _require_swap(p, l1, l2):
-	if l1[0] == l2[0] or not p.commutes(l1[0], l2[0]):
-		raise AugError('projection needs %s and %s to commute' % (l1[0], l2[0]))
 
 
 def project_step(p, w, s, h):
@@ -341,10 +336,8 @@ def eliminate_infinity(p, d, validate=True):
 		for w, s in zip(words, steps):
 			nd.steps.extend(project_step(p, w, s, h))
 		stage = 'projected'
-	plain_steps = []
-	for w, s in zip(words, steps):
-		plain_steps.append(_aug_to_plain_step(p, w, s))
-	out = Derivation(tuple(d.start), plain_steps)
+	out = Derivation(tuple(d.start),
+		[_aug_to_plain_step(p, w, s) for w, s in zip(words, steps)])
 	if validate:
 		if any(st.kind == 'inf' for st in out.steps):
 			raise AugError('elimination left an insertion step')
@@ -409,8 +402,7 @@ def generate_01inf_derivation(p, w):
 	cur = tuple(d.start)
 	for s in d.steps:
 		if s.kind in ('2r', '2l'):
-			sim = simulate_type2(p, cur, s)
-			steps.extend(sim.steps)
+			steps.extend(simulate_type2(p, cur, s).steps)
 		else:
 			steps.append(s)
 		cur = apply_step(p, cur, s)

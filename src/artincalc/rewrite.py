@@ -20,9 +20,6 @@ from dataclasses import dataclass
 
 from .core import render_word, parse_word, step_factor
 
-KINDS = ('0', '1', '2r', '2l', 'inf')
-
-
 class StepError(ValueError):
 	pass
 
@@ -126,33 +123,35 @@ def apply_step(p, w, s):
 	raise StepError('unknown step kind %r' % s.kind)
 
 
+def _successors(p, w, kinds):
+	'''(kind, pos, step fields, next word) of every applicable step of
+	the kinds 0, 1, 2r and 2l in kinds, in applicable_steps order.'''
+	tables = [(kind, getattr(p, 'rows_' + kind))
+		for kind in ('1', '2r', '2l') if kind in kinds]
+	zero = '0' in kinds
+	n = len(w)
+	for pos, x in enumerate(w):
+		if zero and pos + 1 < n and w[pos + 1] == (x[0], -x[1]):
+			yield '0', pos, {'sign': x[1]}, w[:pos] + w[pos + 2:]
+		for kind, table in tables:
+			for factor, new, fields in table.get(x, ()):
+				end = pos + len(factor)
+				if w[pos:end] == factor:
+					yield kind, pos, fields, w[:pos] + new + w[end:]
+
+
 def applicable_steps(p, w, kinds, inf_letters=None, inf_positions=None):
 	'''All applicable steps of the requested kinds, in deterministic order
 	(position, kind, relation, split).  Kind 'inf' is an infinite family
 	and is only enumerated when an explicit letter list is supplied.'''
 	if 'inf' in kinds and inf_letters is None:
 		raise StepError("kind 'inf' requires an explicit inf_letters bound")
-	tables = {kind: getattr(p, 'rows_' + kind)
-		for kind in ('1', '2r', '2l') if kind in kinds}
-	out = []
-	n = len(w)
-	for pos in range(n + 1):
-		for kind in KINDS:
-			if kind not in kinds:
-				continue
-			if kind == '0' and pos + 2 <= n:
-				(g1, e1), (g2, e2) = w[pos], w[pos + 1]
-				if g1 == g2 and e1 == -e2:
-					out.append(Step('0', pos, sign=e1))
-			elif kind in tables:
-				for factor, _, kw in tables[kind]:
-					if pos + len(factor) <= n and w[pos:pos + len(factor)] == factor:
-						out.append(Step(kind, pos, **kw))
-			elif kind == 'inf':
-				for g in inf_letters:
-					for sg in (1, -1):
-						if inf_positions is None or pos in inf_positions:
-							out.append(Step('inf', pos, letter=g, sign=sg))
+	out = [Step(kind, pos, **fields) for kind, pos, fields, _ in _successors(p, w, kinds)]
+	if 'inf' in kinds:  # insertions last at each position, by a stable sort
+		out += [Step('inf', pos, letter=g, sign=sg) for pos in range(len(w) + 1)
+			if inf_positions is None or pos in inf_positions
+			for g in inf_letters for sg in (1, -1)]
+		out.sort(key=lambda s: s.pos)
 	return out
 
 
@@ -161,19 +160,24 @@ class Derivation:
 	start: tuple
 	steps: list
 
-	def to_json(self, p):
-		end = check_derivation(p, self)
+	def to_json(self, p, end=None):
+		'''The schema-1 blob; a given end word spares the replay.'''
 		return {
 			'schema': 1,
 			'start': render_word(self.start, p),
 			'steps': [s.to_json() for s in self.steps],
-			'end': render_word(end, p),
+			'end': render_word(check_derivation(p, self) if end is None else end, p),
 		}
 
 	@classmethod
 	def from_json(cls, d, p):
 		'''Parse and replay; FormatError when d is not a schema-1
 		derivation, StepError when its steps do not replay to its end.'''
+		return cls.replay_json(d, p)[0]
+
+	@classmethod
+	def replay_json(cls, d, p):
+		'''from_json that also returns the final word it replayed to.'''
 		try:
 			if d.get('schema') != 1:
 				raise FormatError('unsupported derivation schema %r' % d.get('schema'))
@@ -185,7 +189,7 @@ class Derivation:
 		if render_word(end, p) != want:
 			raise StepError('derivation end mismatch: %r != %r'
 				% (render_word(end, p), want))
-		return der
+		return der, end
 
 
 def check_derivation(p, d):
@@ -208,15 +212,15 @@ def derivation_words(p, d):
 	return words
 
 
-def unwind(parent, start, end):
+def unwind(tree, start, end):
 	'''The derivation from start to end in a search tree that maps each
-	reached word to (previous word, step), and start to None.'''
+	reached word other than start to a tuple ending in (previous word,
+	kind, pos, step fields); Steps are made only on this path.'''
 	steps = []
 	node = end
-	while parent[node] is not None:
-		prev, s = parent[node]
-		steps.append(s)
-		node = prev
+	while node != start:
+		node, kind, pos, fields = tree[node][-4:]
+		steps.append(Step(kind, pos, **fields))
 	steps.reverse()
 	return Derivation(start, steps)
 
@@ -264,7 +268,7 @@ def simulate_type2(p, w, s):
 	when exercising the elimination algorithm.'''
 	if s.kind not in ('2r', '2l'):
 		raise StepError('simulate_type2 needs a type 2 step')
-	apply_step(p, w, s)  # applicability check
+	want = apply_step(p, w, s)  # also the applicability check
 	l, r = oriented_relation(p, s)
 	steps = []
 	if s.kind == '2r':
@@ -288,8 +292,6 @@ def simulate_type2(p, w, s):
 		for i in range(s.lvp):
 			steps.append(Step('0', off - 1 - i, sign=1))
 	d = Derivation(w, steps)
-	end_word = check_derivation(p, d)
-	want = apply_step(p, w, s)
-	if end_word != want:
+	if check_derivation(p, d) != want:
 		raise StepError('type 2 simulation mismatch')
 	return d

@@ -8,8 +8,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .core import free_reduce
-from .rewrite import (Step, Derivation, StepError, applicable_steps, apply_step,
-	dehn_steps, apply_dehn, unwind)
+from .rewrite import (Step, Derivation, StepError, _successors, dehn_steps,
+	apply_dehn, unwind)
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,38 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 	'''Breadth-first search over the rewriting graph with exact-word
 	deduplication.  Insertions are restricted to presentation letters,
 	positions in the current word, at most max_insertions along a path,
-	and the word length cap.'''
+	and the word length cap.
+
+	Successors come in applicable_steps order, then insertions by
+	position, letter and sign.  Dedupe drops a word already reached with
+	no more insertions; one reached with fewer is expanded anew, so the
+	insertion budget stays exact.  The pair inserted at q whose second
+	letter is the letter before q is skipped: it makes the word that the
+	opposite pair at q - 1 made just before, at the same insertion count,
+	so dedupe would drop it.'''
 	w, target = tuple(w), tuple(target)
 	plain_kinds = set(kinds) - {'inf'}
 	use_inf = 'inf' in kinds
 	if w == target:
 		return SearchOutcome('found', Derivation(w, []), visited=1,
 			frontier_emptied=True)
-	if not use_inf and not applicable_steps(p, w, plain_kinds):
+	if not use_inf and next(_successors(p, w, plain_kinds), None) is None:
 		return SearchOutcome('dead', visited=1, frontier_emptied=True)
-	# best (fewest) insertion count seen per word; re-expansion allowed
-	# when a cheaper path appears so the insertion budget stays exact
-	best = {w: 0}
-	parent = {w: None}
+	pairs = [(((g, e), (g, -e)), {'letter': g, 'sign': e})
+		for g in p.generators for e in (1, -1)]
+
+	def insertions(cur):
+		for pos in range(len(cur) + 1):
+			head, tail = cur[:pos], cur[pos:]
+			before = cur[pos - 1] if pos else None
+			for pair, fields in pairs:
+				if pair[1] != before:
+					yield 'inf', pos, fields, head + pair + tail
+
+	max_len = limits.max_word_length
+	# word -> (fewest insertions, previous word, kind, pos, step fields);
+	# the start word holds its count only
+	seen = {w: (0,)}
 	queue = deque([(w, 0, 0)])
 	visited = 0
 	emptied = True
@@ -68,32 +87,21 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 		if visited > limits.max_visited:
 			emptied = False
 			break
-		succs = [(s, apply_step(p, cur, s), 0)
-			for s in applicable_steps(p, cur, plain_kinds)]
-		if use_inf and ins < limits.max_insertions and len(cur) + 2 <= limits.max_word_length:
-			# inline the insertion successors; the Step object is only
-			# materialized for words that are actually new
-			for pos in range(len(cur) + 1):
-				head, tail = cur[:pos], cur[pos:]
-				for g in p.generators:
-					for e in (1, -1):
-						succs.append(((pos, g, e),
-							head + ((g, e), (g, -e)) + tail, 1))
-		for s, nxt, is_ins in succs:
-			if len(nxt) > limits.max_word_length:
-				emptied = False
-				continue
-			nins = ins + is_ins
-			if nxt in best and best[nxt] <= nins:
-				continue
-			if is_ins:
-				s = Step('inf', s[0], letter=s[1], sign=s[2])
-			best[nxt] = nins
-			parent[nxt] = (cur, s)
-			if nxt == target:
-				return SearchOutcome('found', unwind(parent, w, nxt),
-					visited=visited)
-			queue.append((nxt, depth + 1, nins))
+		grow = use_inf and ins < limits.max_insertions and len(cur) + 2 <= max_len
+		for succs, nins in ((_successors(p, cur, plain_kinds), ins),
+				(insertions(cur) if grow else (), ins + 1)):
+			for kind, pos, fields, nxt in succs:
+				if len(nxt) > max_len:
+					emptied = False
+					continue
+				old = seen.get(nxt)
+				if old is not None and old[0] <= nins:
+					continue
+				seen[nxt] = (nins, cur, kind, pos, fields)
+				if nxt == target:
+					return SearchOutcome('found', unwind(seen, w, nxt),
+						visited=visited)
+				queue.append((nxt, depth + 1, nins))
 	return SearchOutcome('exhausted', visited=visited, frontier_emptied=emptied)
 
 
@@ -102,7 +110,7 @@ def is_dead(p, w, kinds):
 	(insertions excluded by definition).'''
 	if 'inf' in kinds:
 		raise StepError('dead-word detection excludes insertions')
-	return bool(w) and not applicable_steps(p, w, set(kinds))
+	return bool(w) and next(_successors(p, w, set(kinds)), None) is None
 
 
 def dehn_run(p, w):
@@ -132,7 +140,7 @@ def dehn_to_special(p, w, ds, fallback_depth=3):
 		raise StepError('presentation violates the length-2 hypothesis')
 	u, up = ds.factor, ds.replacement
 	# whole relation side, positive or inverse orientation: one type 1
-	for fac, new, fields in p.rows_1:
+	for fac, new, fields in p.rows_1.get(u[0], ()) if u else ():
 		if u == fac and up == new:
 			return Derivation(tuple(w), [Step('1', ds.pos, **fields)])
 	limits = SearchLimits(max_steps=fallback_depth,

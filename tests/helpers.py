@@ -8,8 +8,11 @@ import dataclasses
 import itertools
 import random
 
+from collections import deque
+
 from artincalc import (parse_presentation_text, parse_word, parse_positive,
-	render_word, invert, free_reduce)
+	render_word, invert, free_reduce, Step, Derivation, applicable_steps,
+	apply_step)
 from artincalc.core import positive_to_word
 
 
@@ -140,3 +143,58 @@ def brute_pos_equal(p, u, v):
 
 def all_positive_words(p, n):
 	return itertools.product(p.generators, repeat=n)
+
+
+# ---------------------------------------------------------------------------
+# reference bounded search: the plain breadth-first search, every successor
+# built as a Step and applied, every insertion made, and separate maps for
+# the insertion count and the parent.  Returns (result, derivation, visited,
+# frontier emptied, names of the limits that cut the search).
+
+def reference_search(p, w, target, kinds, limits):
+	w, target = tuple(w), tuple(target)
+	plain = set(kinds) - {'inf'}
+	use_inf = 'inf' in kinds
+	if w == target:
+		return 'found', Derivation(w, []), 1, True, set()
+	if not use_inf and not applicable_steps(p, w, plain):
+		return 'dead', None, 1, True, set()
+	best, parent = {w: 0}, {w: None}
+	queue = deque([(w, 0, 0)])
+	visited, emptied, cuts = 0, True, set()
+	while queue:
+		cur, depth, ins = queue.popleft()
+		if depth >= limits.max_steps:
+			emptied = False
+			cuts.add('max_steps')
+			continue
+		visited += 1
+		if visited > limits.max_visited:
+			cuts.add('max_visited')
+			return 'exhausted', None, visited, False, cuts
+		succs = [(s, 0) for s in applicable_steps(p, cur, plain)]
+		if use_inf and len(cur) + 2 <= limits.max_word_length:
+			if ins < limits.max_insertions:
+				succs += [(Step('inf', pos, letter=g, sign=e), 1)
+					for pos in range(len(cur) + 1)
+					for g in p.generators for e in (1, -1)]
+			else:
+				cuts.add('max_insertions')
+		for s, cost in succs:
+			nxt = apply_step(p, cur, s)
+			if len(nxt) > limits.max_word_length:
+				emptied = False
+				cuts.add('max_word_length')
+				continue
+			if nxt in best and best[nxt] <= ins + cost:
+				continue
+			best[nxt] = ins + cost
+			parent[nxt] = (cur, s)
+			if nxt == target:
+				steps = []
+				while parent[nxt] is not None:
+					nxt, s = parent[nxt]
+					steps.append(s)
+				return 'found', Derivation(w, steps[::-1]), visited, False, cuts
+			queue.append((nxt, depth + 1, ins + cost))
+	return 'exhausted', None, visited, emptied, cuts

@@ -7,9 +7,10 @@ from artincalc import (parse_word, render_word, free_reduce, check_derivation,
 from artincalc.rewrite import StepError
 from artincalc.search import (SearchLimits, bounded_derivation_search, is_dead,
 	dehn_run, dehn_to_special)
-from artincalc.rewrite import dehn_steps
+from artincalc.rewrite import dehn_steps, applicable_steps, apply_step
 
-from helpers import A2, I24, RA2, FIG2, FREE2, HomOracle, random_word
+from helpers import (A2, I24, RA2, RA3, FIG2, FREE2, HomOracle, random_word,
+	reference_search)
 
 K012 = {'0', '1', '2r', '2l'}
 K01INF = {'0', '1', 'inf'}
@@ -62,6 +63,42 @@ def test_search_respects_insertion_budget():
 		parse_word('abAB', A2), K01INF,
 		SearchLimits(max_steps=12, max_word_length=10, max_insertions=0))
 	assert out.result == 'exhausted'
+
+
+def test_search_matches_reference():
+	# same answer, node count, frontier flag and derivation as the plain
+	# search in helpers, with limits small enough that every cut happens
+	rng = random.Random(131)
+	cuts, found, ins_found = set(), 0, 0
+	for i in range(800):
+		p = (A2, I24, RA3, FIG2)[i % 4]
+		kinds = K01INF if i % 8 < 4 else K012
+		w = random_word(p, rng, rng.randrange(0, 7))
+		target = () if i % 3 == 0 else random_word(p, rng, rng.randrange(1, 4))
+		if i % 3 == 2:  # a few steps away, so that nonempty targets are found
+			target = w
+			for _ in range(rng.randrange(1, 4)):
+				steps = applicable_steps(p, target, kinds, inf_letters=p.generators)
+				if steps:
+					target = apply_step(p, target, rng.choice(steps))
+		limits = SearchLimits(max_steps=rng.randrange(0, 7),
+			max_word_length=rng.randrange(3, 11),
+			max_insertions=rng.randrange(0, 3),
+			max_visited=rng.choice((3, 40, 250)))
+		out = bounded_derivation_search(p, w, target, kinds, limits)
+		result, der, visited, emptied, hit = reference_search(p, w, target,
+			kinds, limits)
+		assert (out.result, out.visited, out.frontier_emptied) == \
+			(result, visited, emptied)
+		assert (out.derivation and out.derivation.to_json(p)) == \
+			(der and der.to_json(p))
+		cuts |= hit
+		if result == 'found' and der.steps:
+			found += 1
+			ins_found += any(s.kind == 'inf' for s in der.steps)
+	assert cuts == {'max_steps', 'max_word_length', 'max_insertions',
+		'max_visited'}
+	assert found >= 50 and ins_found >= 10
 
 
 def test_search_limit_validation():
