@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .core import render_word, positive_to_word
 from .monoid import canonical, left_divisors, DEFAULT_CAP
-from .rewrite import applicable_steps, apply_step
+from .rewrite import _successors
 
 
 class FragmentError(ValueError):
@@ -86,16 +86,16 @@ def closure_probe(p, f, v, w, trials=1000, walk_len=20, seed=0, cap=DEFAULT_CAP)
 	violations = []
 	checked = 0
 	for _ in range(trials):
-		cur = tuple(w)
+		cur = p._encode(w)
 		for _ in range(walk_len):
-			steps = applicable_steps(p, cur, {'0', '1', '2r', '2l'})
-			if not steps:
+			succs = list(_successors(p, cur, {'0', '1', '2r', '2l'}))
+			if not succs:
 				break
-			cur = apply_step(p, cur, rng.choice(steps))
+			cur = rng.choice(succs)[3]
 			checked += 1
-			traced, info = traced_from(f, v, cur)
+			traced, info = traced_from(f, v, p._decode(cur))
 			if not traced:
-				violations.append((render_word(cur, p), info))
+				violations.append((render_word(p._decode(cur), p), info))
 				break
 	return {'trials': trials, 'successors_checked': checked, 'violations': violations}
 

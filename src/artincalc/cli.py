@@ -2,8 +2,8 @@
 (bundled names like fig2.txt resolve to the package data), parses words in
 the uppercase-inverse convention, and emits either text or one-line JSON.
 
-Exit codes: 64 usage error (a malformed step or derivation file included),
-66 file error, 70 broken internal invariant;
+Exit codes: 64 usage error (a malformed step or derivation file, or a step
+that does not apply, included), 66 file error, 70 broken internal invariant;
 the search-style subcommands use 0 = found/true, 1 = not/false,
 2 = exhausted.
 '''
@@ -25,9 +25,8 @@ from .rewrite import (Step, Derivation, StepError, FormatError, applicable_steps
 from .reversing import (ReversingError, right_reverse, left_reverse,
 	right_fraction, word_problem_spherical)
 from .monoid import (CapExceeded, equiv_class, left_divisors, right_lcm,
-	is_S0_minimal, coset_head_spherical)
+	is_S0_minimal, coset_head_spherical, canonical)
 from .cayley import FragmentError, divisor_fragment, traced_from, to_dot
-from .monoid import canonical
 from .search import SearchLimits, bounded_derivation_search, is_dead, dehn_run
 from .raag import (AugError, raag_word_problem, eliminate_infinity,
 	generate_01inf_derivation, random_right_angled, random_trivial_word)
@@ -143,10 +142,9 @@ def apply(ppath, word, step_json, as_json):
 	p = _load(ppath)
 	w = _word(word, p)
 	try:
-		s = Step.from_json(json.loads(step_json))
-	except (ValueError, KeyError) as e:
-		raise click.UsageError('bad step JSON: %s' % e)
-	out = apply_step(p, w, s)
+		out = apply_step(p, w, Step.from_json(json.loads(step_json)))
+	except (ValueError, KeyError) as e:  # StepError included
+		raise click.UsageError('bad step: %s' % e)
 	_emit({'word': render_word(out, p)}) if as_json else click.echo(_fmt(out, p))
 
 
@@ -232,7 +230,7 @@ def wp_raag(ppath, word, as_json):
 	d = raag_word_problem(p, w)
 	if as_json:
 		_emit({'trivial': d is not None,
-			'trace': d.to_json(p) if d is not None else None})
+			'trace': d.to_json(p, ()) if d is not None else None})
 	else:
 		click.echo('trivial' if d is not None
 			else 'not trivial (no cancellable pair)')
@@ -420,7 +418,7 @@ def search(ppath, word, target, kinds, max_steps, max_len, max_ins, as_json):
 	if as_json:
 		_emit({'result': out.result, 'visited': out.visited,
 			'conclusive': out.conclusive,
-			'trace': out.derivation.to_json(p) if out.derivation else None})
+			'trace': out.derivation.to_json(p, t) if out.derivation else None})
 	else:
 		click.echo('%s (visited %d, conclusive: %s)'
 			% (out.result, out.visited, out.conclusive))

@@ -81,16 +81,22 @@ class Presentation:
 
 	The rule table below answers every "which factor may a relation
 	rewrite" question.  Each piece is built on first use and cached on
-	the instance; dataclasses.replace starts a fresh table.  Rows are
-	(factor, replacement, fields), fields being the keyword arguments of
-	the step.  Row order is the order of step lists, and so of search
-	results: relation index, then 'fwd' (the stored relation read lhs ->
-	rhs) before 'bwd', then sign +1 before -1 (type 1), |v| then |v'|
-	ascending (type 2), or shift then |u| ascending (Dehn).  The type 1,
-	2r and 2l rows are keyed by the first letter of their factor, each
-	bucket keeping that order, so a position tests only the rows that
-	start with its letter.  The pair maps keep the first hit in that
-	order: the lowest relation index wins, and 'fwd' beats 'bwd'.
+	the instance; dataclasses.replace starts a fresh table.  Row order is
+	the order of step lists, and so of search results: relation index,
+	then 'fwd' (the stored relation read lhs -> rhs) before 'bwd', then
+	sign +1 before -1 (type 1), |v| then |v'| ascending (type 2), or
+	shift then |u| ascending (Dehn).  The pair maps keep the first hit in
+	that order: the lowest relation index wins, and 'fwd' beats 'bwd'.
+
+	Inside the search a word is a string, one character per letter:
+	generator i is chr(2i) and its inverse chr(2i + 1), so the two differ
+	in the lowest bit (_encode).  Each set of the kinds 1, 2r and 2l has
+	one step table of rows (kind, factor, replacement, step fields),
+	factor and replacement encoded, kind 1 before 2r before 2l, each in
+	the order above.  A row is keyed by the first two letters of its
+	factor, a one-letter factor by its letter and by every two-letter key
+	that starts with it, so a position tests only the rows that can start
+	there (_step_table).
 	'''
 	generators: tuple
 	relations: tuple
@@ -100,6 +106,7 @@ class Presentation:
 		object.__setattr__(self, 'generators', tuple(self.generators))
 		object.__setattr__(self, 'relations',
 			tuple((tuple(l), tuple(r)) for l, r in self.relations))
+		object.__setattr__(self, '_step_tables', {})
 		rep = validate(self)
 		if rep['errors']:
 			raise PresentationError('; '.join(rep['errors']))
@@ -127,31 +134,51 @@ class Presentation:
 			yield ri, 'bwd', r, l
 
 	def _factor_rows(self, kind):
-		rows = {}
+		'''Type 1: a side, or its formal inverse (sign -1), by the other.
+		Type 2r: v^-1 v' by u u'^-1, for each split v u = v' u'.
+		Type 2l: v v'^-1 by u^-1 u', for each split u v = u' v'.'''
 		for ri, orient, a, b in self._sides():
 			splits = [dict(sign=1), dict(sign=-1)] if kind == '1' else [
 				dict(lv=lv, lvp=lvp)
 				for lv in range(1, len(a) + 1) for lvp in range(1, len(b) + 1)]
 			for sp in splits:
 				factor, new = step_factor(kind, a, b, **sp)
-				rows.setdefault(factor[0], []).append(
-					(factor, new, dict(rel=ri, orient=orient, **sp)))
-		return rows
+				yield factor, new, dict(rel=ri, orient=orient, **sp)
 
 	@cached_property
-	def rows_1(self):
-		'''Type 1: a side, or its formal inverse (sign -1), by the other.'''
-		return self._factor_rows('1')
+	def _codes(self):
+		return {(g, e): chr(2 * i + (e < 0))
+			for i, g in enumerate(self.generators) for e in (1, -1)}
 
-	@cached_property
-	def rows_2r(self):
-		'''Type 2r: v^-1 v' by u u'^-1, for each split v u = v' u'.'''
-		return self._factor_rows('2r')
+	def _encode(self, w):
+		'''w as a string of letter codes; a generator outside the
+		presentation gets a fresh code pair for this call only.'''
+		codes = self._codes
+		if not all(x in codes for x in w):
+			codes, k = dict(codes), len(codes)
+			for g, e in w:
+				if (g, e) not in codes:
+					codes[g, abs(e)], codes[g, -abs(e)] = chr(k), chr(k + 1)
+					k += 2
+		return ''.join([codes[x] for x in w])
 
-	@cached_property
-	def rows_2l(self):
-		'''Type 2l: v v'^-1 by u^-1 u', for each split u v = u' v'.'''
-		return self._factor_rows('2l')
+	def _decode(self, s):
+		letters = list(self._codes)
+		return tuple([letters[ord(c)] for c in s])
+
+	def _step_table(self, kinds):
+		'''The step table of the kinds 1, 2r and 2l in kinds.'''
+		kinds = frozenset(kinds) & {'1', '2r', '2l'}
+		if kinds not in self._step_tables:
+			table = self._step_tables[kinds] = {}
+			ends = ['', *self._codes.values()]
+			for kind in [k for k in ('1', '2r', '2l') if k in kinds]:
+				for f, r, fields in self._factor_rows(kind):
+					f = self._encode(f)
+					row = (kind, f, self._encode(r), fields)
+					for key in [f[:2]] if len(f) > 1 else [f + c for c in ends]:
+						table.setdefault(key, []).append(row)
+		return self._step_tables[kinds]
 
 	@cached_property
 	def positive_rows(self):

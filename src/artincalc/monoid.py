@@ -98,7 +98,7 @@ def rewrite_path(p, u, v, cap=DEFAULT_CAP):
 	u, v = tuple(u), tuple(v)
 	if v not in equiv_class(p, u, cap):
 		raise ValueError('words are not equivalent')
-	parent = {u: None}
+	parent = {u: ()}
 	queue = deque([u])
 	while queue and v not in parent:
 		cur = queue.popleft()

@@ -125,19 +125,19 @@ def apply_step(p, w, s):
 
 def _successors(p, w, kinds):
 	'''(kind, pos, step fields, next word) of every applicable step of
-	the kinds 0, 1, 2r and 2l in kinds, in applicable_steps order.'''
-	tables = [(kind, getattr(p, 'rows_' + kind))
-		for kind in ('1', '2r', '2l') if kind in kinds]
+	the kinds 0, 1, 2r and 2l in kinds, in applicable_steps order, on
+	words encoded as strings (Presentation._encode): type 0 is two codes
+	that differ in the lowest bit, other kinds are looked up by the two
+	letters at a position in the step table.'''
+	table = p._step_table(kinds)
 	zero = '0' in kinds
-	n = len(w)
-	for pos, x in enumerate(w):
-		if zero and pos + 1 < n and w[pos + 1] == (x[0], -x[1]):
-			yield '0', pos, {'sign': x[1]}, w[:pos] + w[pos + 2:]
-		for kind, table in tables:
-			for factor, new, fields in table.get(x, ()):
-				end = pos + len(factor)
-				if w[pos:end] == factor:
-					yield kind, pos, fields, w[:pos] + new + w[end:]
+	for pos in range(len(w)):
+		key = w[pos:pos + 2]
+		if zero and len(key) == 2 and ord(key[0]) ^ ord(key[1]) == 1:
+			yield '0', pos, {'sign': -1 if ord(key[0]) & 1 else 1}, w[:pos] + w[pos + 2:]
+		for kind, factor, new, fields in table.get(key) or table.get(key[0], ()):
+			if w.startswith(factor, pos):
+				yield kind, pos, fields, w[:pos] + new + w[pos + len(factor):]
 
 
 def applicable_steps(p, w, kinds, inf_letters=None, inf_positions=None):
@@ -146,7 +146,8 @@ def applicable_steps(p, w, kinds, inf_letters=None, inf_positions=None):
 	and is only enumerated when an explicit letter list is supplied.'''
 	if 'inf' in kinds and inf_letters is None:
 		raise StepError("kind 'inf' requires an explicit inf_letters bound")
-	out = [Step(kind, pos, **fields) for kind, pos, fields, _ in _successors(p, w, kinds)]
+	out = [Step(kind, pos, **fields)
+		for kind, pos, fields, _ in _successors(p, p._encode(w), kinds)]
 	if 'inf' in kinds:  # insertions last at each position, by a stable sort
 		out += [Step('inf', pos, letter=g, sign=sg) for pos in range(len(w) + 1)
 			if inf_positions is None or pos in inf_positions
@@ -214,12 +215,12 @@ def derivation_words(p, d):
 
 def unwind(tree, start, end):
 	'''The derivation from start to end in a search tree that maps each
-	reached word other than start to a tuple ending in (previous word,
-	kind, pos, step fields); Steps are made only on this path.'''
+	reached word to a tuple ending in (previous word, kind, pos, step
+	fields) and the root to a shorter tuple; Steps are made only on this
+	path, and its words may be encoded.'''
 	steps = []
-	node = end
-	while node != start:
-		node, kind, pos, fields = tree[node][-4:]
+	while len(tree[end]) >= 4:
+		end, kind, pos, fields = tree[end][-4:]
 		steps.append(Step(kind, pos, **fields))
 	steps.reverse()
 	return Derivation(start, steps)

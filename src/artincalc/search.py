@@ -51,31 +51,33 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 	insertion budget stays exact.  The pair inserted at q whose second
 	letter is the letter before q is skipped: it makes the word that the
 	opposite pair at q - 1 made just before, at the same insertion count,
-	so dedupe would drop it.'''
+	so dedupe would drop it.  Inside, words are strings, w and target
+	encoded together (Presentation._encode).'''
 	w, target = tuple(w), tuple(target)
-	plain_kinds = set(kinds) - {'inf'}
 	use_inf = 'inf' in kinds
 	if w == target:
 		return SearchOutcome('found', Derivation(w, []), visited=1,
 			frontier_emptied=True)
-	if not use_inf and next(_successors(p, w, plain_kinds), None) is None:
+	code = p._encode(w + target)
+	start, goal = code[:len(w)], code[len(w):]
+	if not use_inf and next(_successors(p, start, kinds), None) is None:
 		return SearchOutcome('dead', visited=1, frontier_emptied=True)
-	pairs = [(((g, e), (g, -e)), {'letter': g, 'sign': e})
+	pairs = [(p._encode(((g, e), (g, -e))), {'letter': g, 'sign': e})
 		for g in p.generators for e in (1, -1)]
+	# letter before the position -> the pairs whose second letter differs
+	after = {a[1]: [(b, f) for b, f in pairs if b[1] != a[1]] for a, _ in pairs}
 
 	def insertions(cur):
 		for pos in range(len(cur) + 1):
 			head, tail = cur[:pos], cur[pos:]
-			before = cur[pos - 1] if pos else None
-			for pair, fields in pairs:
-				if pair[1] != before:
-					yield 'inf', pos, fields, head + pair + tail
+			for pair, fields in after.get(cur[pos - 1:pos], pairs):
+				yield 'inf', pos, fields, head + pair + tail
 
 	max_len = limits.max_word_length
 	# word -> (fewest insertions, previous word, kind, pos, step fields);
 	# the start word holds its count only
-	seen = {w: (0,)}
-	queue = deque([(w, 0, 0)])
+	seen = {start: (0,)}
+	queue = deque([(start, 0, 0)])
 	visited = 0
 	emptied = True
 	while queue:
@@ -88,7 +90,7 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 			emptied = False
 			break
 		grow = use_inf and ins < limits.max_insertions and len(cur) + 2 <= max_len
-		for succs, nins in ((_successors(p, cur, plain_kinds), ins),
+		for succs, nins in ((_successors(p, cur, kinds), ins),
 				(insertions(cur) if grow else (), ins + 1)):
 			for kind, pos, fields, nxt in succs:
 				if len(nxt) > max_len:
@@ -98,7 +100,7 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 				if old is not None and old[0] <= nins:
 					continue
 				seen[nxt] = (nins, cur, kind, pos, fields)
-				if nxt == target:
+				if nxt == goal:
 					return SearchOutcome('found', unwind(seen, w, nxt),
 						visited=visited)
 				queue.append((nxt, depth + 1, nins))
@@ -110,7 +112,7 @@ def is_dead(p, w, kinds):
 	(insertions excluded by definition).'''
 	if 'inf' in kinds:
 		raise StepError('dead-word detection excludes insertions')
-	return bool(w) and next(_successors(p, w, set(kinds)), None) is None
+	return bool(w) and next(_successors(p, p._encode(w), kinds), None) is None
 
 
 def dehn_run(p, w):
@@ -140,8 +142,9 @@ def dehn_to_special(p, w, ds, fallback_depth=3):
 		raise StepError('presentation violates the length-2 hypothesis')
 	u, up = ds.factor, ds.replacement
 	# whole relation side, positive or inverse orientation: one type 1
-	for fac, new, fields in p.rows_1.get(u[0], ()) if u else ():
-		if u == fac and up == new:
+	u_code, up_code, table = p._encode(u), p._encode(up), p._step_table({'1'})
+	for _, fac, new, fields in table.get(u_code[:2]) or table.get(u_code[:1], ()):
+		if u_code == fac and up_code == new:
 			return Derivation(tuple(w), [Step('1', ds.pos, **fields)])
 	limits = SearchLimits(max_steps=fallback_depth,
 		max_word_length=len(u) + 2, max_visited=100000)

@@ -31,6 +31,8 @@ F2XF2 = make('gens: a b c d\nrel: ac = ca\nrel: bc = cb\nrel: ad = da\nrel: bd =
 FIG2 = make('gens: a b c d e f\nrel: ac = cae\nrel: bc = cbe\n'
 	'rel: ad = daf\nrel: bd = dbf')
 FREE2 = make('gens: a b')
+SIDE1 = make('gens: a b\nrel: a = bb')  # a relation side of length 1
+MULTI = make('gens: x1 x2\nrel: x1 x2 x1 = x2 x1 x2')
 
 
 def random_word(p, rng, n):

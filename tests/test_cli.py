@@ -142,7 +142,11 @@ def test_usage_and_file_errors(capsys, tmp_path):
 	# a step that would pair the last letter with the first is refused
 	code, out = run(capsys, 'apply', '-p', 'ra3.txt', '-w', 'abA',
 		'--step', '{"kind": "0l", "pos": -1}')
-	assert code == 70 and out == ''
+	assert code == 64 and out == ''
+	# a well-formed step that does not apply is a usage error too
+	code, out = run(capsys, 'apply', '-p', A2, '-w', 'ab',
+		'--step', '{"kind": "0r", "pos": 0}')
+	assert code == 64 and out == ''
 	code, _ = run(capsys, 'apply', '-p', 'ra3.txt', '-w', 'abA',
 		'--step', '{"kind": "2r", "pos": 0, "rel": 0, "orient": "fwd", "split": -1}')
 	assert code == 64

@@ -9,7 +9,8 @@ from artincalc import (Step, Derivation, applicable_steps, apply_step,
 from artincalc.rewrite import StepError, derivation_words
 from artincalc.core import positive_to_word
 
-from helpers import A2, I24, RA2, RA3, F2XF2, FIG2, HomOracle, random_word
+from helpers import (A2, I24, RA2, RA3, F2XF2, FIG2, SIDE1, MULTI, HomOracle,
+	random_word)
 
 ALL = {'0', '1', '2r', '2l'}
 
@@ -266,7 +267,7 @@ def test_applicable_steps_exact_order():
 	# search takes successors in this order, so a reordering changes which
 	# derivation it finds even when the set of successors stays the same
 	rng = random.Random(47)
-	for p in (A2, I24, RA3, F2XF2, FIG2):
+	for p in (A2, I24, RA3, F2XF2, FIG2, SIDE1, MULTI):
 		for _ in range(300):
 			w = random_word(p, rng, rng.randrange(0, 10))
 			assert applicable_steps(p, w, ALL) == brute_ordered_steps(p, w)

@@ -9,8 +9,8 @@ from artincalc.search import (SearchLimits, bounded_derivation_search, is_dead,
 	dehn_run, dehn_to_special)
 from artincalc.rewrite import dehn_steps, applicable_steps, apply_step
 
-from helpers import (A2, I24, RA2, RA3, FIG2, FREE2, HomOracle, random_word,
-	reference_search)
+from helpers import (A2, I24, RA2, RA3, FIG2, FREE2, SIDE1, MULTI, HomOracle,
+	random_word, reference_search)
 
 K012 = {'0', '1', '2r', '2l'}
 K01INF = {'0', '1', 'inf'}
@@ -70,8 +70,10 @@ def test_search_matches_reference():
 	# search in helpers, with limits small enough that every cut happens
 	rng = random.Random(131)
 	cuts, found, ins_found = set(), 0, 0
-	for i in range(800):
-		p = (A2, I24, RA3, FIG2)[i % 4]
+	for i in range(1200):
+		# the last 400 words are over a one-letter relation side (a = bb)
+		# and over generators named by several characters
+		p = (A2, I24, RA3, FIG2)[i % 4] if i < 800 else (SIDE1, MULTI)[i % 2]
 		kinds = K01INF if i % 8 < 4 else K012
 		w = random_word(p, rng, rng.randrange(0, 7))
 		target = () if i % 3 == 0 else random_word(p, rng, rng.randrange(1, 4))
@@ -99,6 +101,42 @@ def test_search_matches_reference():
 	assert cuts == {'max_steps', 'max_word_length', 'max_insertions',
 		'max_visited'}
 	assert found >= 50 and ins_found >= 10
+
+
+def test_foreign_letters():
+	# letters outside the presentation take part in type 0 and block every
+	# factor, as they always have; w and target share their codes
+	z, Z, y, Y = ('z', 1), ('z', -1), ('y', 1), ('y', -1)
+	a, b, B = ('a', 1), ('b', 1), ('b', -1)
+	w = (a, z, Z, B, b)
+	zeros = [{'pos': 1, 'kind': '0r'}, {'pos': 3, 'kind': '0l'}]
+	assert [s.to_json() for s in applicable_steps(A2, w, K012)] == zeros
+	assert [s.to_json() for s in applicable_steps(A2, w + (a, b, a), K012)] == \
+		zeros + [{'pos': 4, 'kind': '1', 'rel': 0, 'orient': 'bwd', 'sign': 1},
+			{'pos': 5, 'kind': '1', 'rel': 0, 'orient': 'fwd', 'sign': 1}]
+	assert not is_dead(A2, w, K012) and not is_dead(A2, (z, Z), {'0'})
+	assert is_dead(A2, w, {'1', '2r', '2l'}) and is_dead(A2, (z,), K012)
+	limits = SearchLimits(max_steps=6, max_word_length=8, max_insertions=1,
+		max_visited=500)
+	cases = [
+		(w, (a,), K012, 'found', 2, [{'pos': 1, 'kind': '0r'}, {'pos': 1, 'kind': '0l'}]),
+		(w, (), K012, 'exhausted', 16, None),
+		(w, (a, z, Z), K01INF, 'found', 1, [{'pos': 3, 'kind': '0l'}]),
+		(w, (z, B, b), K01INF, 'exhausted', 58, None),
+		(w, (y,), K01INF, 'exhausted', 58, None),
+		((z, a), (z, b, B, a), K01INF, 'found', 1,
+			[{'pos': 1, 'kind': 'inf', 'letter': 'b', 'sign': 1}]),
+		((y, Y, z), (z,), K012, 'found', 1, [{'pos': 0, 'kind': '0r'}]),
+	]
+	for start, target, kinds, result, visited, steps in cases:
+		out = bounded_derivation_search(A2, start, target, kinds, limits)
+		ref, der, ref_visited, emptied, _ = reference_search(A2, start, target,
+			kinds, limits)
+		assert (out.result, out.visited, out.frontier_emptied) == \
+			(ref, ref_visited, emptied)
+		assert (out.result, out.visited) == (result, visited)
+		assert (out.derivation and out.derivation.steps) == (der and der.steps)
+		assert (out.derivation and [s.to_json() for s in out.derivation.steps]) == steps
 
 
 def test_search_limit_validation():
