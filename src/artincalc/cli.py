@@ -2,8 +2,9 @@
 (bundled names like fig2.txt resolve to the package data), parses words in
 the uppercase-inverse convention, and emits either text or one-line JSON.
 
-Exit codes: 64 usage error (a malformed step or derivation file, or a step
-that does not apply, included), 66 file error, 70 broken internal invariant;
+Exit codes: 64 usage error (a malformed step or derivation file, a step
+that does not apply, and the right-angled preconditions of wp-raag and
+eliminate-inf included), 66 file error, 70 broken internal invariant;
 the search-style subcommands use 0 = found/true, 1 = not/false,
 2 = exhausted.
 '''
@@ -50,6 +51,12 @@ def _derivation(p, path):
 			return Derivation.replay_json(json.load(f), p)
 		except (UnicodeDecodeError, json.JSONDecodeError, FormatError) as e:
 			raise click.UsageError('malformed derivation file %s: %s' % (path, e))
+
+
+def _right_angled(p):
+	if not p.right_angled:
+		raise click.UsageError('the presentation is not right-angled')
+	return p
 
 
 def _word(text, p, parse=parse_word):
@@ -225,7 +232,7 @@ def wp_spherical(ppath, word, as_json):
 @_jopt
 def wp_raag(ppath, word, as_json):
 	'''Right-angled word problem; on success prints a {0,1,2} derivation.'''
-	p = _load(ppath)
+	p = _right_angled(_load(ppath))
 	w = _word(word, p)
 	d = raag_word_problem(p, w)
 	if as_json:
@@ -243,11 +250,13 @@ def wp_raag(ppath, word, as_json):
 @click.option('--out', 'outpath', required=True, type=click.Path())
 def eliminate_inf(ppath, inpath, outpath):
 	'''Rewrite a {0,1,inf} trace to ε into an insertion-free {0,1,2} trace.'''
-	p = _load(ppath)
-	d, _ = _derivation(p, inpath)
+	p = _right_angled(_load(ppath))
+	d, end = _derivation(p, inpath)
+	if end != () or any(s.kind in ('2r', '2l') for s in d.steps):
+		raise click.UsageError('not a {0,1,inf} derivation to the empty word: ' + inpath)
 	out = eliminate_infinity(p, d)
 	with open(outpath, 'w') as f:
-		json.dump(out.to_json(p), f, sort_keys=True)
+		json.dump(out.to_json(p, ()), f, sort_keys=True)
 		f.write('\n')
 	click.echo('%d step(s) -> %d step(s), no insertions'
 		% (len(d.steps), len(out.steps)))
@@ -406,14 +415,16 @@ def cayley_trace(ppath, element, vertex, word, as_dot, as_json):
 @click.option('--max-steps', default=20, show_default=True)
 @click.option('--max-len', default=24, show_default=True)
 @click.option('--max-ins', default=4, show_default=True)
+@click.option('--max-visited', default=SearchLimits.max_visited, show_default=True,
+	type=click.IntRange(0), help='nodes expanded before giving up')
 @_jopt
-def search(ppath, word, target, kinds, max_steps, max_len, max_ins, as_json):
+def search(ppath, word, target, kinds, max_steps, max_len, max_ins, max_visited, as_json):
 	'''Bounded breadth-first derivation search from a word to a target.'''
 	p = _load(ppath)
 	w = _word(word, p)
 	t = _word(target, p)
 	limits = SearchLimits(max_steps=max_steps, max_word_length=max_len,
-		max_insertions=max_ins)
+		max_insertions=max_ins, max_visited=max_visited)
 	out = bounded_derivation_search(p, w, t, _kinds(kinds), limits)
 	if as_json:
 		_emit({'result': out.result, 'visited': out.visited,

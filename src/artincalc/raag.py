@@ -20,10 +20,13 @@ yields a {0,1,2} derivation on plain words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from operator import itemgetter
 
 from .core import Presentation
 from .rewrite import (Step, Derivation, apply_step, check_derivation,
-	simulate_type2)
+	derivation_words, simulate_type2)
 
 
 class AugError(ValueError):
@@ -46,7 +49,7 @@ def to_aug(w):
 
 
 def max_index(w):
-	return max((i for _, i, _ in w), default=-1)
+	return max(map(itemgetter(1), w), default=-1)
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,8 @@ def apply_aug_step(p, w, s):
 			raise AugError('no trivial pair at %d' % s.pos)
 		lo = min(i1, i2)
 		rest = w[:s.pos] + w[s.pos + 2:]
+		if i1 == i2:  # the relabelling keeps every index
+			return rest
 		return tuple((g, lo, e) if g == g1 and i in (i1, i2) else (g, i, e)
 			for g, i, e in rest)
 	if s.kind in ('1', '2'):
@@ -143,8 +148,8 @@ def applicable_aug_steps(p, w):
 # ---------------------------------------------------------------------------
 # lifting
 
-def _plain_step_to_aug(p, w, aw, step):
-	'''Translate one plain {0,1,2r,2l,inf} step on phi(aw) = w into an
+def _plain_step_to_aug(p, aw, step):
+	'''Translate one plain {0,1,2r,2l,inf} step on phi(aw) into an
 	augmented step at the same position.'''
 	if step.kind == '0':
 		return AugStep('0', step.pos)
@@ -166,18 +171,20 @@ def lift_derivation(p, d):
 	presentation; insertion steps receive the fresh index max + 1.'''
 	if not p.right_angled:
 		raise AugError('lifting requires a right-angled presentation')
-	aw = to_aug(tuple(d.start))
-	aug_steps = []
-	w = tuple(d.start)
+	plain = accumulate(d.steps, partial(apply_step, p), initial=tuple(d.start))
+	return _lift(p, d, plain)[0]
+
+
+def _lift(p, d, plain):
+	'''The lift of d and its augmented words; plain iterates over the words
+	of d, start included, and is read one word per step lifted.'''
+	words, steps = [to_aug(next(plain))], []
 	for step in d.steps:
-		a = _plain_step_to_aug(p, w, aw, step)
-		new_aw = apply_aug_step(p, aw, a)
-		w = apply_step(p, w, step)
-		if phi(new_aw) != w:
+		steps.append(_plain_step_to_aug(p, words[-1], step))
+		words.append(apply_aug_step(p, words[-1], steps[-1]))
+		if phi(words[-1]) != next(plain):
 			raise AugError('lift does not project back to the plain word')
-		aw = new_aw
-		aug_steps.append(a)
-	return AugDerivation(to_aug(tuple(d.start)), aug_steps)
+	return AugDerivation(words[0], steps), words
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +217,6 @@ def is_regular(p, w):
 
 # ---------------------------------------------------------------------------
 # projection (one step, top index h)
-
-def _adjusted_pos(w, pos, h):
-	'''Position in pi_h(w) of the boundary before w[pos].'''
-	return sum(1 for let in w[:pos] if let[1] < h)
-
 
 def _swap_block(p, pw, target):
 	'''Steps moving one letter across a commuting block, turning pw into
@@ -254,20 +256,24 @@ def _swap_block(p, pw, target):
 def project_step(p, w, s, h):
 	'''Augmented steps transforming pi_h(w) into pi_h(apply(w, s)), by case
 	analysis on how the step interacts with the index-h pair.  w must be
-	regular.'''
+	regular, and this checks it itself.'''
 	ok, diag = is_regular(p, w)
 	if not ok:
 		raise AugError('projection needs a regular word: ' + diag)
-	w2 = apply_aug_step(p, w, s)
-	pw, pw2 = pi_h(w, h), pi_h(w2, h)
+	return _project(p, w, apply_aug_step(p, w, s), s, h)
+
+
+def _project(p, w, w2, s, h):
+	'''project_step on a regular w and its successor w2 = apply(w, s).'''
 	if s.kind == 'inf':
 		if s.index < h:
-			return [AugStep('inf', _adjusted_pos(w, s.pos, h),
+			return [AugStep('inf', len(pi_h(w[:s.pos], h)),
 				letter=s.letter, index=s.index, sign=s.sign)]
 	else:
 		i1, i2 = w[s.pos][1], w[s.pos + 1][1]
 		if i1 < h and i2 < h:
-			return [AugStep(s.kind, _adjusted_pos(w, s.pos, h))]
+			return [AugStep(s.kind, len(pi_h(w[:s.pos], h)))]
+	pw, pw2 = pi_h(w, h), pi_h(w2, h)
 	if s.kind != '0' or (i1 >= h and i2 >= h):
 		# the step moves or cancels only letters that pi_h deletes
 		if pw != pw2:
@@ -288,10 +294,10 @@ def project_step(p, w, s, h):
 # elimination
 
 def _aug_to_plain_step(p, w, s):
-	'''A zero-index augmented step as a plain Step on phi(w).'''
+	'''A zero-index augmented step as a plain Step on phi(w), or on w plain.'''
 	if s.kind == '0':
-		return Step('0', s.pos, sign=w[s.pos][2])
-	(g1, _, e1), (g2, _, e2) = w[s.pos], w[s.pos + 1]
+		return Step('0', s.pos, sign=w[s.pos][-1])
+	(g1, *_, e1), (g2, *_, e2) = w[s.pos], w[s.pos + 1]
 	# a right-angled side s t is the one that starts with s while the other
 	# side starts with t, so the pair maps name every relation needed here
 	if s.kind == '1':
@@ -312,32 +318,36 @@ def _aug_to_plain_step(p, w, s):
 
 def eliminate_infinity(p, d, validate=True):
 	'''Turn a valid {0,1,inf} derivation from w to the empty word into a
-	{0,1,2} derivation from w to the empty word (right-angled only).'''
+	{0,1,2} derivation from w to the empty word (right-angled only).  Each
+	stage replays once, and checks each of its words for regularity once.'''
 	if not p.right_angled:
 		raise AugError('elimination requires a right-angled presentation')
 	for st in d.steps:
 		if st.kind in ('2r', '2l'):
 			raise AugError('input derivation contains a type 2 step')
-	if check_derivation(p, d) != ():
+	plain = derivation_words(p, d)
+	if plain[-1] != ():
 		raise AugError('input derivation does not end at the empty word')
-	nd = lift_derivation(p, d)
+	nd, words = _lift(p, d, iter(plain))
 	stage = 'lifted'
 	while True:
-		words = aug_derivation_words(p, nd)
 		for w in words:
 			ok, diag = is_regular(p, w)
 			if not ok:
 				raise AugError('%s word not regular: %s' % (stage, diag))
-		steps = nd.steps
-		h = max(max_index(w) for w in words)
+		# type 0 relabels to an index already present and swaps permute, so
+		# the indices of every word are those of the start and the insertions
+		h = max([max_index(nd.start)] + [s.index for s in nd.steps if s.kind == 'inf'])
 		if h < 1:
 			break
-		nd = AugDerivation(pi_h(words[0], h), [])
-		for w, s in zip(words, steps):
-			nd.steps.extend(project_step(p, w, s, h))
+		steps = []
+		for w, w2, s in zip(words, words[1:], nd.steps):
+			steps += _project(p, w, w2, s, h)
+		nd = AugDerivation(pi_h(words[0], h), steps)
+		words = aug_derivation_words(p, nd)
 		stage = 'projected'
 	out = Derivation(tuple(d.start),
-		[_aug_to_plain_step(p, w, s) for w, s in zip(words, steps)])
+		[_aug_to_plain_step(p, w, s) for w, s in zip(words, nd.steps)])
 	if validate:
 		if any(st.kind == 'inf' for st in out.steps):
 			raise AugError('elimination left an insertion step')
@@ -388,8 +398,7 @@ def _find_cancellable_pair(p, w):
 def _swap_plain(p, w, pos):
 	'''Plain step swapping w[pos] and w[pos + 1] (commuting generators).'''
 	(g1, e1), (g2, e2) = w[pos], w[pos + 1]
-	aug = AugStep('1' if e1 == e2 else '2', pos)
-	return _aug_to_plain_step(p, to_aug(w), aug)
+	return _aug_to_plain_step(p, w, AugStep('1' if e1 == e2 else '2', pos))
 
 
 def generate_01inf_derivation(p, w):

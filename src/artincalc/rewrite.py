@@ -194,22 +194,19 @@ class Derivation:
 
 
 def check_derivation(p, d):
-	'''Replay a derivation, returning the final word; the index of the
-	first inapplicable step is reported on failure.'''
-	w = tuple(d.start)
-	for i, s in enumerate(d.steps):
-		try:
-			w = apply_step(p, w, s)
-		except StepError as e:
-			raise StepError('step %d inapplicable: %s' % (i, e)) from None
-	return w
+	'''Replay a derivation to its final word, failing as derivation_words.'''
+	return derivation_words(p, d)[-1]
 
 
 def derivation_words(p, d):
-	'''All intermediate words, start included.'''
+	'''All intermediate words, start included; the index of the first
+	inapplicable step is reported on failure.'''
 	words = [tuple(d.start)]
-	for s in d.steps:
-		words.append(apply_step(p, words[-1], s))
+	for i, s in enumerate(d.steps):
+		try:
+			words.append(apply_step(p, words[-1], s))
+		except StepError as e:
+			raise StepError('step %d inapplicable: %s' % (i, e)) from None
 	return words
 
 

@@ -12,8 +12,10 @@ from collections import deque
 
 from artincalc import (parse_presentation_text, parse_word, parse_positive,
 	render_word, invert, free_reduce, Step, Derivation, applicable_steps,
-	apply_step)
+	apply_step, check_derivation)
 from artincalc.core import positive_to_word
+from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h, to_aug,
+	max_index, apply_aug_step, aug_derivation_words)
 
 
 def make(text, spherical=False):
@@ -200,3 +202,169 @@ def reference_search(p, w, target, kinds, limits):
 				return 'found', Derivation(w, steps[::-1]), visited, False, cuts
 			queue.append((nxt, depth + 1, ins + cost))
 	return 'exhausted', None, visited, emptied, cuts
+
+
+# ---------------------------------------------------------------------------
+# reference elimination: the lift, the projection and the elimination as
+# first written.  The lift replays the plain word beside the augmented one;
+# every stage replays its derivation with aug_derivation_words, reads h off
+# every word, and projects each step with reference_project_step, which
+# checks regularity, recomputes the next word and projects both words itself.
+
+def reference_is_regular(p, w):
+	by_index = {}
+	for pos, (g, i, e) in enumerate(w):
+		if i >= 1:
+			by_index.setdefault(i, []).append(pos)
+	for h, positions in sorted(by_index.items()):
+		if len(positions) != 2:
+			return False, 'index %d occurs %d times' % (h, len(positions))
+		a, b = positions
+		(g1, _, e1), (g2, _, e2) = w[a], w[b]
+		if g1 != g2:
+			return False, 'index %d letters have different generators' % h
+		if e1 != -e2:
+			return False, 'index %d letters do not have opposite signs' % h
+		for g, i, e in w[a + 1:b]:
+			if i <= h and g != g1 and not p.commutes(g1, g):
+				return False, 'index %d pair encloses non-commuting %s' % (h, g)
+			if i <= h and g == g1:
+				return False, 'index %d pair encloses its own generator' % h
+	return True, 'regular'
+
+
+def reference_lift(p, d):
+	if not p.right_angled:
+		raise AugError('lifting requires a right-angled presentation')
+	aw = to_aug(tuple(d.start))
+	aug_steps = []
+	w = tuple(d.start)
+	for step in d.steps:
+		if step.kind == '0':
+			a = AugStep('0', step.pos)
+		elif step.kind == '1':
+			if len(p.relations[step.rel][0]) != 2:
+				raise AugError('lifting requires a right-angled presentation')
+			a = AugStep('1', step.pos)
+		elif step.kind in ('2r', '2l'):
+			a = AugStep('2', step.pos)
+		elif step.kind == 'inf':
+			a = AugStep('inf', step.pos, letter=step.letter,
+				index=max(max_index(aw), 0) + 1, sign=step.sign)
+		else:
+			raise AugError('unknown plain step kind %r' % step.kind)
+		new_aw = apply_aug_step(p, aw, a)
+		w = apply_step(p, w, step)
+		if phi(new_aw) != w:
+			raise AugError('lift does not project back to the plain word')
+		aw = new_aw
+		aug_steps.append(a)
+	return AugDerivation(to_aug(tuple(d.start)), aug_steps)
+
+
+def _reference_swap_block(p, pw, target):
+	if pw == target:
+		return []
+	if len(pw) != len(target):
+		raise AugError('projection diff is not a single move')
+	a = 0
+	while pw[a] == target[a]:
+		a += 1
+	b = len(pw)
+	while b > a and pw[b - 1] == target[b - 1]:
+		b -= 1
+	mid_w, mid_t = pw[a:b], target[a:b]
+	if len(mid_w) != len(mid_t) or sorted(mid_w) != sorted(mid_t):
+		raise AugError('projection diff is not a single move')
+	if mid_w[-1] == mid_t[0] and mid_w[:-1] == mid_t[1:]:
+		x = mid_w[-1]
+		crossings = zip(range(b - 2, a - 1, -1), reversed(mid_w[:-1]))
+	elif mid_w[0] == mid_t[-1] and mid_w[1:] == mid_t[:-1]:
+		x = mid_w[0]
+		crossings = zip(range(a, b - 1), mid_w[1:])
+	else:
+		raise AugError('projection diff is not a single move')
+	steps = []
+	for cur, let in crossings:
+		if let[0] == x[0] or not p.commutes(let[0], x[0]):
+			raise AugError('projection needs %s and %s to commute' % (let[0], x[0]))
+		steps.append(AugStep('1' if let[2] == x[2] else '2', cur))
+	return steps
+
+
+def reference_project_step(p, w, s, h):
+	ok, diag = reference_is_regular(p, w)
+	if not ok:
+		raise AugError('projection needs a regular word: ' + diag)
+	w2 = apply_aug_step(p, w, s)
+	pw, pw2 = pi_h(w, h), pi_h(w2, h)
+	if s.kind == 'inf':
+		if s.index < h:
+			return [AugStep('inf', sum(1 for let in w[:s.pos] if let[1] < h),
+				letter=s.letter, index=s.index, sign=s.sign)]
+	else:
+		i1, i2 = w[s.pos][1], w[s.pos + 1][1]
+		if i1 < h and i2 < h:
+			return [AugStep(s.kind, sum(1 for let in w[:s.pos] if let[1] < h))]
+	if s.kind != '0' or (i1 >= h and i2 >= h):
+		if pw != pw2:
+			raise AugError('step on letters of index >= %d changed the projection' % h)
+		return []
+	steps = _reference_swap_block(p, pw, pw2)
+	cur = pw
+	for st in steps:
+		cur = apply_aug_step(p, cur, st)
+	if cur != pw2:
+		raise AugError('projected block does not replay')
+	return steps
+
+
+def _reference_plain_step(p, w, s):
+	if s.kind == '0':
+		return Step('0', s.pos, sign=w[s.pos][2])
+	(g1, _, e1), (g2, _, e2) = w[s.pos], w[s.pos + 1]
+	if s.kind == '1':
+		pair = (g1, g2) if e1 == 1 else (g2, g1)
+		if pair in p.first_pairs:
+			ri, orient = p.first_pairs[pair]
+			return Step('1', s.pos, rel=ri, orient=orient, sign=e1)
+	elif s.kind == '2':
+		kind, pairs = ('2r', p.first_pairs) if e1 == -1 else ('2l', p.last_pairs)
+		if (g1, g2) in pairs:
+			ri, orient = pairs[g1, g2]
+			return Step(kind, s.pos, rel=ri, orient=orient, lv=1, lvp=1)
+	raise AugError('no relation realizes the swap %s %s' % (g1, g2))
+
+
+def reference_eliminate(p, d, validate=True):
+	if not p.right_angled:
+		raise AugError('elimination requires a right-angled presentation')
+	for st in d.steps:
+		if st.kind in ('2r', '2l'):
+			raise AugError('input derivation contains a type 2 step')
+	if check_derivation(p, d) != ():
+		raise AugError('input derivation does not end at the empty word')
+	nd = reference_lift(p, d)
+	stage = 'lifted'
+	while True:
+		words = aug_derivation_words(p, nd)
+		for w in words:
+			ok, diag = reference_is_regular(p, w)
+			if not ok:
+				raise AugError('%s word not regular: %s' % (stage, diag))
+		steps = nd.steps
+		h = max(max_index(w) for w in words)
+		if h < 1:
+			break
+		nd = AugDerivation(pi_h(words[0], h), [])
+		for w, s in zip(words, steps):
+			nd.steps.extend(reference_project_step(p, w, s, h))
+		stage = 'projected'
+	out = Derivation(tuple(d.start),
+		[_reference_plain_step(p, w, s) for w, s in zip(words, steps)])
+	if validate:
+		if any(st.kind == 'inf' for st in out.steps):
+			raise AugError('elimination left an insertion step')
+		if check_derivation(p, out) != ():
+			raise AugError('eliminated derivation does not replay to empty')
+	return out

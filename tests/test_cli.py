@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -116,6 +117,10 @@ def test_search_exit_codes(capsys):
 	code, _ = run(capsys, 'search', '-p', A2, '-w', 'aba', '--kinds', '0,1',
 		'--max-steps', '4')
 	assert code == 2
+	# a small node cap ends the search before it finds the derivation
+	code, out = run(capsys, 'search', '-p', A2, '-w', 'abaBAB', '--kinds', '0,1,inf',
+		'--max-visited', '3')
+	assert code == 2 and out.startswith('exhausted (visited 4,')
 
 
 def test_dehn(capsys):
@@ -175,6 +180,25 @@ def test_usage_and_file_errors(capsys, tmp_path):
 				('eliminate-inf', '--in', str(f), '--out', str(tmp_path / 'o.json'))):
 			code, _ = run(capsys, argv[0], '-p', 'ra3.txt', *argv[1:])
 			assert code == want, (argv[0], text)
+	# right-angled preconditions on user input are usage errors too: a trace
+	# that replays but does not end at the empty word or uses type 2, and a
+	# presentation that is not right-angled
+	out_json = str(tmp_path / 'o.json')
+	for i, blob in enumerate([{'schema': 1, 'start': 'ab', 'steps': [], 'end': 'ab'},
+			{'schema': 1, 'start': 'Ba', 'steps': [{'kind': '2r', 'pos': 0, 'rel': 0,
+				'orient': 'bwd', 'split': 0}], 'end': 'aB'}]):
+		f = tmp_path / ('pre%d.json' % i)
+		f.write_text(json.dumps(blob))
+		assert run(capsys, 'replay', '-p', 'ra3.txt', '--in', str(f))[0] == 0
+		code, out = run(capsys, 'eliminate-inf', '-p', 'ra3.txt', '--in', str(f),
+			'--out', out_json)
+		assert code == 64 and out == ''
+	f = tmp_path / 'ok.json'
+	f.write_text(json.dumps({'schema': 1, 'start': 'aA', 'steps': [step], 'end': ''}))
+	code, _ = run(capsys, 'eliminate-inf', '-p', A2, '--in', str(f), '--out', out_json)
+	assert code == 64
+	code, out = run(capsys, 'wp-raag', '-p', A2, '-w', 'abAB')
+	assert code == 64 and out == ''
 
 
 def test_replay_and_eliminate_round_trip(tmp_path, capsys):
@@ -218,6 +242,10 @@ def test_json_output_deterministic(capsys):
 
 
 def test_console_script_subprocess():
+	# the child imports the same artincalc as this process, installed or not
+	src = os.path.dirname(os.path.dirname(climod.__file__))
+	env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+		filter(None, (src, os.environ.get('PYTHONPATH')))))
 	r = subprocess.run([sys.executable, '-m', 'artincalc.cli', 'wp-spherical',
-		'-p', 'a2.txt', '-w', 'abaBAB'], capture_output=True, text=True)
+		'-p', 'a2.txt', '-w', 'abaBAB'], capture_output=True, text=True, env=env)
 	assert r.returncode == 0 and r.stdout.strip() == 'true'

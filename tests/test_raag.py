@@ -1,16 +1,19 @@
+import dataclasses
 import random
 
 import pytest
 
 from artincalc import (parse_word, render_word, free_reduce, check_derivation,
 	applicable_steps, apply_step, Step, Derivation)
+from artincalc.rewrite import StepError
 from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h,
 	to_aug, max_index, apply_aug_step, check_aug_derivation,
 	aug_derivation_words, applicable_aug_steps, lift_derivation, is_regular,
 	project_step, eliminate_infinity, raag_word_problem,
 	generate_01inf_derivation, random_right_angled, random_trivial_word)
 
-from helpers import RA2, RA3, A2, FREE2, abelianized, random_word
+from helpers import (RA2, RA3, A2, FREE2, abelianized, random_word,
+	reference_lift, reference_project_step, reference_eliminate)
 
 
 def aw(spec):
@@ -182,6 +185,100 @@ def test_eliminate_infinity_rejections():
 		eliminate_infinity(RA2, Derivation(w, [s]))
 	with pytest.raises(AugError):
 		eliminate_infinity(RA2, Derivation(parse_word('a', RA2), []))
+
+
+def _hoisted(p, d, rng):
+	'''d with one insertion made some steps earlier, and with a second pair
+	inserted inside it at once and cancelled where the first was inserted:
+	every insertion in between, and the inner pair, lands while that pair is
+	still open, so the lift has nested indices.  None when nothing can move.'''
+	steps = list(d.steps)
+	for k in rng.sample(range(len(steps)), len(steps)):
+		if steps[k].kind != 'inf':
+			continue
+		q, j, moved = steps[k].pos, k, []
+		# walk back while no step acts across the pair's place
+		while j > 0 and rng.random() < 0.9:
+			s = steps[j - 1]
+			if s.kind != '0' and q == s.pos + 1:
+				break
+			moved.append(dataclasses.replace(s, pos=s.pos + 4) if q <= s.pos else s)
+			if s.kind == '0' and q > s.pos:
+				q += 2
+			elif s.kind == 'inf' and q >= s.pos + 2:
+				q -= 2
+			j -= 1
+		if j == k:
+			continue
+		outer, inner = steps[k], Step('inf', q + 1,
+			letter=rng.choice(p.generators), sign=rng.choice((1, -1)))
+		return Derivation(d.start, steps[:j] + [dataclasses.replace(outer, pos=q), inner]
+			+ moved[::-1] + [Step('0', steps[k].pos + 1, sign=inner.sign)] + steps[k + 1:])
+	return None
+
+
+def _outcome(f, *args):
+	try:
+		return 'ok', f(*args)
+	except (AugError, StepError) as e:
+		return type(e).__name__, str(e)
+
+
+def _elimination_cases():
+	'''(presentation, derivation) pairs: derivations of long words like the
+	benchmark's, nested ones from _hoisted, single insertions, and inputs
+	that elimination rejects.'''
+	rng = random.Random(107)
+	cases, nested = [], 0
+	while len(cases) < 24:
+		p = random_right_angled(rng, rng.randrange(3, 8))
+		w = random_trivial_word(p, rng, 120)
+		if len(w) >= 60:
+			cases.append((p, generate_01inf_derivation(p, w)))
+	while nested < 40:
+		p = random_right_angled(rng, rng.randrange(2, 6))
+		d = _hoisted(p, generate_01inf_derivation(p, random_trivial_word(p, rng, 16)), rng)
+		if d is not None:
+			cases.append((p, d))
+			nested += 1
+	ba = parse_word('Ba', RA2)
+	cases += [
+		# one insertion, made by the first step
+		(RA2, generate_01inf_derivation(RA2, parse_word('abAB', RA2))),
+		(RA2, Derivation((), [Step('inf', 0, letter='a', sign=1), Step('0', 0, sign=1)])),
+		(A2, Derivation((), [])),
+		(RA2, Derivation(parse_word('a', RA2), [])),
+		(RA2, Derivation(ba, applicable_steps(RA2, ba, {'2r'}))),
+		(RA2, Derivation(parse_word('ab', RA2), [Step('0', 0, sign=1)])),
+		# the augmented insertion applies, the plain one does not
+		(RA2, Derivation((), [Step('inf', 0, letter='z', sign=1)])),
+	]
+	return cases
+
+
+def test_eliminate_infinity_matches_reference():
+	cases = _elimination_cases()
+	tops, nested_ok = [], 0
+	for p, d in cases:
+		got, want = _outcome(eliminate_infinity, p, d), _outcome(reference_eliminate, p, d)
+		if got[0] == 'ok' and want[0] == 'ok':
+			assert got[1].start == want[1].start
+			assert [s.to_json() for s in got[1].steps] == [s.to_json() for s in want[1].steps]
+		else:
+			assert got == want
+		lifted = _outcome(lift_derivation, p, d)
+		assert lifted == _outcome(reference_lift, p, d)
+		if lifted[0] == 'ok':
+			words = aug_derivation_words(p, lifted[1])
+			tops.append(max(map(max_index, words)))
+			if len(d.steps) < 60:  # the public projection, by the top index
+				for w, s in zip(words, lifted[1].steps):
+					assert _outcome(project_step, p, w, s, tops[-1]) == \
+						_outcome(reference_project_step, p, w, s, tops[-1])
+			nested_ok += got[0] == 'ok' and tops[-1] >= 2
+	# nested inputs are eliminated in more than one projection round
+	assert nested_ok >= 30 and max(tops) >= 3
+	assert sum(_outcome(eliminate_infinity, p, d)[0] != 'ok' for p, d in cases) >= 5
 
 
 def test_raag_word_problem_free_group():
