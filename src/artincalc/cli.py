@@ -3,13 +3,12 @@
 the uppercase-inverse convention, and emits either text or one-line JSON.
 
 Exit codes: 64 usage error (a malformed step or derivation file, a step
-that does not apply, and the right-angled preconditions of wp-raag and
-eliminate-inf included), 66 file error, 70 broken internal invariant;
-the search-style subcommands use 0 = found/true, 1 = not/false,
-2 = exhausted.
+that does not apply, a negative search limit and the right-angled
+preconditions of wp-raag and eliminate-inf included), 66 file error, 70
+broken internal invariant; the search-style subcommands use 0 = found/true,
+1 = not/false, 2 = exhausted, and a reached cap (an equivalence class past
+100,000 members) exits 2 with nothing on stdout.
 '''
-
-from __future__ import annotations
 
 import dataclasses
 import json
@@ -20,7 +19,7 @@ import sys
 import click
 
 from .core import (WordError, PresentationError, load_presentation, parse_word,
-	parse_positive, render_word, validate as validate_p)
+	parse_positive, positive_to_word, invert, render_word, validate as validate_p)
 from .rewrite import (Step, Derivation, StepError, FormatError, applicable_steps,
 	apply_step, derivation_words)
 from .reversing import (ReversingError, right_reverse, left_reverse,
@@ -53,30 +52,36 @@ def _derivation(p, path):
 			raise click.UsageError('malformed derivation file %s: %s' % (path, e))
 
 
-def _right_angled(p):
-	if not p.right_angled:
-		raise click.UsageError('the presentation is not right-angled')
-	return p
-
-
-def _word(text, p, parse=parse_word):
+# Option parsers: each takes the option's text and the presentation.
+def _parse(parser, text, p):
 	try:
-		return parse(text, p)
+		return parser(text, p)
 	except WordError as e:
 		raise click.UsageError(str(e))
 
 
-def _kinds(text):
+def _kinds(text, p):
 	out = set()
-	for tok in text.split(','):
-		tok = tok.strip()
-		if tok == '2':
-			out |= {'2r', '2l'}
-		elif tok in ('0', '1', '2r', '2l', 'inf'):
-			out.add(tok)
-		elif tok:
+	for tok in filter(None, (t.strip() for t in text.split(','))):
+		if tok not in ('0', '1', '2', '2r', '2l', 'inf'):
 			raise click.UsageError('unknown step kind %r' % tok)
+		out |= {'2r', '2l'} if tok == '2' else {tok}
 	return out
+
+
+def _finite_kinds(text, p):
+	out = _kinds(text, p)
+	if 'inf' in out:
+		raise click.UsageError('kind inf is an infinite family; use search')
+	return out
+
+
+def _subset(text, p):
+	sub = {s.strip() for s in text.split(',') if s.strip()}
+	bad = sub - set(p.generators)
+	if bad:
+		raise click.UsageError('unknown generator(s) %s' % ', '.join(sorted(bad)))
+	return sub
 
 
 def _fmt(w, p):
@@ -87,187 +92,149 @@ def _pfmt(u):
 	return ''.join(u) or 'e'
 
 
-def _emit(obj):
-	click.echo(json.dumps(obj, sort_keys=True))
-
-
-_popt = click.option('-p', '--presentation', 'ppath', required=True,
-	help='presentation file (bundled names like i24.txt also work)')
-_jopt = click.option('--json', 'as_json', is_flag=True, help='JSON output')
-
-
 @click.group()
 def cli():
 	'''Special-transformation calculus on positive group presentations.'''
 
 
-@cli.command()
-@_popt
-@_jopt
-def validate(ppath, as_json):
+def _command(name, load=True, json_out=True, spherical=False, right_angled=False, **parse):
+	'''Register the body as subcommand name, with -p first and --json last.
+	It loads p (declared spherical, or checked right-angled, on request),
+	parses the options named in parse by their parsers, in that order, and
+	calls the body with p and the options.  The body returns (JSON object,
+	text, exit code), either of the first two maybe a function called only
+	in its mode, or None when it printed its own output.'''
+	def wrap(body):
+		def run(ppath=None, as_json=False, **kw):
+			if load:
+				p = _load(ppath)
+				if spherical:
+					p = dataclasses.replace(p, declared_spherical=True)
+				if right_angled and not p.right_angled:
+					raise click.UsageError('the presentation is not right-angled')
+				kw.update({key: _parse(parser, kw[key], p) for key, parser in parse.items()
+					if kw[key] is not None}, p=p)
+			res = body(**kw)
+			if res is None:
+				return
+			out = res[0] if as_json else res[1]
+			out = out() if callable(out) else out
+			click.echo(json.dumps(out, sort_keys=True) if as_json else out)
+			sys.exit(res[2])
+
+		params = [click.Option(['-p', '--presentation', 'ppath'], required=True,
+			help='presentation file (bundled names like i24.txt also work)')] * load
+		params += getattr(body, '__click_params__', [])[::-1]
+		params += [click.Option(['--json', 'as_json'], is_flag=True, help='JSON output')] * json_out
+		return cli.command(name, help=body.__doc__, params=params)(run)
+	return wrap
+
+
+@_command('validate')
+def validate(p):
 	'''Check a presentation file and report its computed flags.'''
-	p = _load(ppath)
 	rep = validate_p(p)
-	if as_json:
-		_emit(rep)
-	else:
-		for k in ('valid', 'right_angled', 'length_preserving'):
-			click.echo('%s: %s' % (k, rep[k]))
-		for e in rep['errors']:
-			click.echo('error: %s' % e)
-	sys.exit(0 if rep['valid'] else 1)
+	text = ['%s: %s' % (k, rep[k]) for k in ('valid', 'right_angled', 'length_preserving')]
+	text += ['error: %s' % e for e in rep['errors']]
+	return rep, '\n'.join(text), 0 if rep['valid'] else 1
 
 
-@cli.command()
-@_popt
+@_command('steps', kinds=_finite_kinds, word=parse_word)
 @click.option('-w', '--word', required=True)
 @click.option('--kinds', default='0,1,2', show_default=True)
-@_jopt
-def steps(ppath, word, kinds, as_json):
+def steps(p, word, kinds):
 	'''List every applicable step of the requested kinds.'''
-	p = _load(ppath)
-	ks = _kinds(kinds)
-	if 'inf' in ks:
-		raise click.UsageError('kind inf is an infinite family; use search')
-	w = _word(word, p)
-	found = applicable_steps(p, w, ks)
-	if as_json:
-		_emit([s.to_json() for s in found])
-	else:
-		for s in found:
-			click.echo('%s -> %s' % (s.to_json(), _fmt(apply_step(p, w, s), p)))
-		click.echo('%d applicable step(s)' % len(found))
+	found = applicable_steps(p, word, kinds)
+	return [s.to_json() for s in found], lambda: '\n'.join(['%s -> %s' % (s.to_json(),
+		_fmt(apply_step(p, word, s), p)) for s in found]
+		+ ['%d applicable step(s)' % len(found)]), 0
 
 
-@cli.command()
-@_popt
+@_command('apply', word=parse_word)
 @click.option('-w', '--word', required=True)
 @click.option('--step', 'step_json', required=True, help='step as JSON')
-@_jopt
-def apply(ppath, word, step_json, as_json):
+def apply(p, word, step_json):
 	'''Apply one step (given as JSON) to a word.'''
-	p = _load(ppath)
-	w = _word(word, p)
 	try:
-		out = apply_step(p, w, Step.from_json(json.loads(step_json)))
+		out = apply_step(p, word, Step.from_json(json.loads(step_json)))
 	except (ValueError, KeyError) as e:  # StepError included
 		raise click.UsageError('bad step: %s' % e)
-	_emit({'word': render_word(out, p)}) if as_json else click.echo(_fmt(out, p))
+	return {'word': render_word(out, p)}, _fmt(out, p), 0
 
 
-@cli.command()
-@_popt
+@_command('replay')
 @click.option('--in', 'inpath', required=True, type=click.Path())
-@_jopt
-def replay(ppath, inpath, as_json):
+def replay(p, inpath):
 	'''Replay a derivation trace file and print the final word.'''
-	p = _load(ppath)
 	d, end = _derivation(p, inpath)
-	blob = d.to_json(p, end)
-	if as_json:
-		_emit(blob)
-	else:
-		click.echo('%d step(s): %s -> %s'
-			% (len(d.steps), _fmt(d.start, p), blob['end'] or 'e'))
+	return d.to_json(p, end), '%d step(s): %s -> %s' % (len(d.steps), _fmt(d.start, p),
+		_fmt(end, p)), 0
 
 
-@cli.command()
-@_popt
+@_command('reverse', word=parse_word)
 @click.option('-w', '--word', required=True)
 @click.option('--side', type=click.Choice(['right', 'left']), default='right',
 	show_default=True)
-@_jopt
-def reverse(ppath, word, side, as_json):
+def reverse(p, word, side):
 	'''Subword-reverse a word to positive-negative (or negative-positive) form.'''
-	p = _load(ppath)
-	w = _word(word, p)
-	res = right_reverse(p, w) if side == 'right' else left_reverse(p, w)
-	if as_json:
-		_emit({'word': render_word(res.word, p), 'converged': res.converged,
-			'blocked': res.blocked, 'trace': res.trace.to_json(p)})
-	else:
-		click.echo(_fmt(res.word, p))
-		if res.blocked:
-			click.echo('blocked: no relation applies')
-	sys.exit(0 if res.converged else 1)
+	res = right_reverse(p, word) if side == 'right' else left_reverse(p, word)
+	text = _fmt(res.word, p) + ('\nblocked: no relation applies' if res.blocked else '')
+	return {'word': render_word(res.word, p), 'converged': res.converged,
+		'blocked': res.blocked, 'trace': res.trace.to_json(p, res.word)}, \
+		text, 0 if res.converged else 1
 
 
-@cli.command()
-@_popt
+@_command('fraction', word=parse_word)
 @click.option('-w', '--word', required=True)
-@_jopt
-def fraction(ppath, word, as_json):
+def fraction(p, word):
 	'''Right fraction n d^-1 of a word, via left then right reversing.'''
-	p = _load(ppath)
-	w = _word(word, p)
-	f = right_fraction(p, w)
-	if as_json:
-		_emit({'numerator': _pfmt(f.numerator), 'denominator': _pfmt(f.denominator),
-			'trace': f.trace.to_json(p)})
-	else:
-		click.echo('numerator: %s' % _pfmt(f.numerator))
-		click.echo('denominator: %s' % _pfmt(f.denominator))
+	f = right_fraction(p, word)
+	end = positive_to_word(f.numerator) + invert(positive_to_word(f.denominator))
+	num, den = _pfmt(f.numerator), _pfmt(f.denominator)
+	return {'numerator': num, 'denominator': den, 'trace': f.trace.to_json(p, end)}, \
+		'numerator: %s\ndenominator: %s' % (num, den), 0
 
 
-@cli.command('wp-spherical')
-@_popt
+@_command('wp-spherical', spherical=True, word=parse_word)
 @click.option('-w', '--word', required=True)
-@_jopt
-def wp_spherical(ppath, word, as_json):
+def wp_spherical(p, word):
 	'''Spherical word problem: does the word represent 1?  (Invoking this
 	asserts the presentation is of spherical type.)'''
-	p = dataclasses.replace(_load(ppath), declared_spherical=True)
-	w = _word(word, p)
-	trivial, trace = word_problem_spherical(p, w)
-	if as_json:
-		_emit({'trivial': trivial, 'trace': trace.to_json(p)})
-	else:
-		click.echo(str(trivial).lower())
-	sys.exit(0 if trivial else 1)
+	trivial, trace = word_problem_spherical(p, word)
+	# the trace of a trivial word ends at e; any other trace is replayed
+	return lambda: {'trivial': trivial, 'trace': trace.to_json(p, () if trivial else None)}, \
+		str(trivial).lower(), 0 if trivial else 1
 
 
-@cli.command('wp-raag')
-@_popt
+@_command('wp-raag', right_angled=True, word=parse_word)
 @click.option('-w', '--word', required=True)
-@_jopt
-def wp_raag(ppath, word, as_json):
+def wp_raag(p, word):
 	'''Right-angled word problem; on success prints a {0,1,2} derivation.'''
-	p = _right_angled(_load(ppath))
-	w = _word(word, p)
-	d = raag_word_problem(p, w)
-	if as_json:
-		_emit({'trivial': d is not None,
-			'trace': d.to_json(p, ()) if d is not None else None})
-	else:
-		click.echo('trivial' if d is not None
-			else 'not trivial (no cancellable pair)')
-	sys.exit(0 if d is not None else 1)
+	d = raag_word_problem(p, word)
+	text = 'trivial' if d else 'not trivial (no cancellable pair)'
+	return {'trivial': d is not None, 'trace': d and d.to_json(p, ())}, text, 0 if d else 1
 
 
-@cli.command('eliminate-inf')
-@_popt
+@_command('eliminate-inf', json_out=False, right_angled=True)
 @click.option('--in', 'inpath', required=True, type=click.Path())
 @click.option('--out', 'outpath', required=True, type=click.Path())
-def eliminate_inf(ppath, inpath, outpath):
+def eliminate_inf(p, inpath, outpath):
 	'''Rewrite a {0,1,inf} trace to ε into an insertion-free {0,1,2} trace.'''
-	p = _right_angled(_load(ppath))
 	d, end = _derivation(p, inpath)
 	if end != () or any(s.kind in ('2r', '2l') for s in d.steps):
 		raise click.UsageError('not a {0,1,inf} derivation to the empty word: ' + inpath)
 	out = eliminate_infinity(p, d)
 	with open(outpath, 'w') as f:
-		json.dump(out.to_json(p, ()), f, sort_keys=True)
-		f.write('\n')
-	click.echo('%d step(s) -> %d step(s), no insertions'
-		% (len(d.steps), len(out.steps)))
+		f.write(json.dumps(out.to_json(p, ()), sort_keys=True) + '\n')
+	return None, '%d step(s) -> %d step(s), no insertions' % (len(d.steps),
+		len(out.steps)), 0
 
 
-@cli.command('fuzz-raag')
+@_command('fuzz-raag', load=False)
 @click.option('--gens', default=4, show_default=True)
 @click.option('--seed', default=0, show_default=True)
 @click.option('--count', default=20, show_default=True)
-@_jopt
-def fuzz_raag(gens, seed, count, as_json):
+def fuzz_raag(gens, seed, count):
 	'''Random elimination round-trips on right-angled presentations.'''
 	rng = random.Random(seed)
 	failures = []
@@ -279,217 +246,133 @@ def fuzz_raag(gens, seed, count, as_json):
 			eliminate_infinity(p, generate_01inf_derivation(p, w), validate=True)
 		except (AugError, StepError) as e:
 			failures.append({'case': i, 'word': render_word(w, p), 'error': str(e)})
-	report = {'count': count, 'failures': failures}
-	if as_json:
-		_emit(report)
-	else:
-		click.echo('%d/%d round-trips ok' % (count - len(failures), count))
-		for f in failures:
-			click.echo('FAIL case %(case)d word %(word)s: %(error)s' % f)
-	sys.exit(0 if not failures else 1)
+	text = ['%d/%d round-trips ok' % (count - len(failures), count)]
+	text += ['FAIL case %(case)d word %(word)s: %(error)s' % f for f in failures]
+	return {'count': count, 'failures': failures}, '\n'.join(text), 0 if not failures else 1
 
 
-@cli.command('class')
-@_popt
+@_command('class', word=parse_positive)
 @click.option('-w', '--word', required=True, help='positive word')
-@_jopt
-def class_(ppath, word, as_json):
+def class_(p, word):
 	'''Equivalence class of a positive word under the relations.'''
-	p = _load(ppath)
-	u = _word(word, p, parse_positive)
-	members = sorted(equiv_class(p, u))
-	if as_json:
-		_emit({'canonical': _pfmt(members[0]), 'members': [_pfmt(m) for m in members]})
-	else:
-		for m in members:
-			click.echo(_pfmt(m))
+	members = [_pfmt(m) for m in sorted(equiv_class(p, word))]
+	return {'canonical': members[0], 'members': members}, '\n'.join(members), 0
 
 
-@cli.command()
-@_popt
+@_command('divisors', element=parse_positive)
 @click.option('-g', '--element', required=True, help='positive word')
-@_jopt
-def divisors(ppath, element, as_json):
+def divisors(p, element):
 	'''Left divisors of a positive word, as canonical representatives.'''
-	p = _load(ppath)
-	g = _word(element, p, parse_positive)
-	divs = sorted(left_divisors(p, g))
-	if as_json:
-		_emit([_pfmt(d) for d in divs])
-	else:
-		for d in divs:
-			click.echo(_pfmt(d))
-		click.echo('%d divisor(s)' % len(divs))
+	divs = [_pfmt(d) for d in sorted(left_divisors(p, element))]
+	return divs, '\n'.join(divs + ['%d divisor(s)' % len(divs)]), 0
 
 
-@cli.command()
-@_popt
+@_command('lcm', spherical=True, u=parse_positive, v=parse_positive)
 @click.option('-u', required=True, help='positive word')
 @click.option('-v', required=True, help='positive word')
-@_jopt
-def lcm(ppath, u, v, as_json):
+def lcm(p, u, v):
 	'''Right lcm of two positive words, computed by reversing.  (Invoking
 	this asserts the presentation is of spherical type.)'''
-	p = dataclasses.replace(_load(ppath), declared_spherical=True)
-	m = right_lcm(p, _word(u, p, parse_positive), _word(v, p, parse_positive))
-	_emit({'lcm': _pfmt(m)}) if as_json else click.echo(_pfmt(m))
+	m = _pfmt(right_lcm(p, u, v))
+	return {'lcm': m}, m, 0
 
 
-@cli.command()
-@_popt
+@_command('minimal', element=parse_positive, s0=_subset)
 @click.option('-g', '--element', required=True, help='positive word')
 @click.option('--s0', required=True, help='comma-separated generators')
-@_jopt
-def minimal(ppath, element, s0, as_json):
+def minimal(p, element, s0):
 	'''Is the element S0-minimal (no nontrivial right divisor over S0)?'''
-	p = _load(ppath)
-	g = _word(element, p, parse_positive)
-	sub = _subset(p, s0)
-	ans = is_S0_minimal(p, g, sub)
-	_emit({'minimal': ans}) if as_json else click.echo(str(ans).lower())
-	sys.exit(0 if ans else 1)
+	ans = is_S0_minimal(p, element, s0)
+	return {'minimal': ans}, str(ans).lower(), 0 if ans else 1
 
 
-def _subset(p, s0):
-	sub = {s.strip() for s in s0.split(',') if s.strip()}
-	bad = sub - set(p.generators)
-	if bad:
-		raise click.UsageError('unknown generator(s) %s' % ', '.join(sorted(bad)))
-	return sub
-
-
-@cli.command('coset-head')
-@_popt
+@_command('coset-head', spherical=True, word=parse_word, s0=_subset)
 @click.option('-w', '--word', required=True)
 @click.option('--s0', required=True, help='comma-separated generators')
-@_jopt
-def coset_head(ppath, word, s0, as_json):
+def coset_head(p, word, s0):
 	'''Split a word as (S0-minimal head) * (word over S0) with a trace.
 	(Invoking this asserts the presentation is of spherical type.)'''
-	p = dataclasses.replace(_load(ppath), declared_spherical=True)
-	w = _word(word, p)
-	sub = _subset(p, s0)
-	v, u, trace = coset_head_spherical(p, w, sub)
-	if as_json:
-		_emit({'head': render_word(v, p), 'tail': render_word(u, p),
-			'trace': trace.to_json(p)})
-	else:
-		click.echo('head: %s' % _fmt(v, p))
-		click.echo('tail: %s' % _fmt(u, p))
+	v, u, trace = coset_head_spherical(p, word, s0)
+	# to_json replays the trace: the one check of its spliced reversing steps
+	return lambda: {'head': render_word(v, p), 'tail': render_word(u, p),
+		'trace': trace.to_json(p)}, 'head: %s\ntail: %s' % (_fmt(v, p), _fmt(u, p)), 0
 
 
-@cli.command('cayley-trace')
-@_popt
+@_command('cayley-trace', element=parse_positive)
 @click.option('-g', '--element', required=True, help='positive word')
 @click.option('-v', '--vertex', required=True, help='positive word')
 @click.option('-w', '--word', default=None)
 @click.option('--dot', 'as_dot', is_flag=True, help='emit the fragment as a graph')
-@_jopt
-def cayley_trace(ppath, element, vertex, word, as_dot, as_json):
+def cayley_trace(p, element, vertex, word, as_dot):
 	'''Trace a word inside the left-divisor fragment of an element.'''
-	p = _load(ppath)
-	f = divisor_fragment(p, _word(element, p, parse_positive))
+	f = divisor_fragment(p, element)
 	if as_dot:
 		click.echo(to_dot(f, p))
 		return
 	if word is None:
 		raise click.UsageError('-w required unless --dot is given')
-	v = canonical(p, _word(vertex, p, parse_positive))
-	traced, info = traced_from(f, v, _word(word, p))
-	if as_json:
-		_emit({'traced': traced, 'vertices': len(f.vertices),
-			'path': [_pfmt(x) for x in info] if traced else None,
-			'failed_at': None if traced else info})
-	elif traced:
-		click.echo('traced: ' + ' -> '.join(_pfmt(x) for x in info))
-	else:
-		click.echo('not traced (fails at letter %d)' % info)
-	sys.exit(0 if traced else 1)
+	v = canonical(p, _parse(parse_positive, vertex, p))
+	traced, info = traced_from(f, v, _parse(parse_word, word, p))
+	path = [_pfmt(x) for x in info] if traced else None
+	text = 'traced: ' + ' -> '.join(path) if traced else 'not traced (fails at letter %d)' % info
+	return {'traced': traced, 'vertices': len(f.vertices), 'path': path,
+		'failed_at': None if traced else info}, text, 0 if traced else 1
 
 
-@cli.command()
-@_popt
+@_command('search', word=parse_word, target=parse_word, kinds=_kinds)
 @click.option('-w', '--word', required=True)
 @click.option('--target', default='', show_default=True)
 @click.option('--kinds', default='0,1,2', show_default=True)
-@click.option('--max-steps', default=20, show_default=True)
-@click.option('--max-len', default=24, show_default=True)
-@click.option('--max-ins', default=4, show_default=True)
+@click.option('--max-steps', default=20, show_default=True, type=click.IntRange(0))
+@click.option('--max-len', default=24, show_default=True, type=click.IntRange(0))
+@click.option('--max-ins', default=4, show_default=True, type=click.IntRange(0))
 @click.option('--max-visited', default=SearchLimits.max_visited, show_default=True,
 	type=click.IntRange(0), help='nodes expanded before giving up')
-@_jopt
-def search(ppath, word, target, kinds, max_steps, max_len, max_ins, max_visited, as_json):
+def search(p, word, target, kinds, max_steps, max_len, max_ins, max_visited):
 	'''Bounded breadth-first derivation search from a word to a target.'''
-	p = _load(ppath)
-	w = _word(word, p)
-	t = _word(target, p)
-	limits = SearchLimits(max_steps=max_steps, max_word_length=max_len,
-		max_insertions=max_ins, max_visited=max_visited)
-	out = bounded_derivation_search(p, w, t, _kinds(kinds), limits)
-	if as_json:
-		_emit({'result': out.result, 'visited': out.visited,
-			'conclusive': out.conclusive,
-			'trace': out.derivation.to_json(p, t) if out.derivation else None})
-	else:
-		click.echo('%s (visited %d, conclusive: %s)'
-			% (out.result, out.visited, out.conclusive))
-		if out.derivation:
-			words = derivation_words(p, out.derivation)
-			for s, cur in zip(out.derivation.steps, words[1:]):
-				click.echo('  %s  %s' % (s.kind.ljust(2), _fmt(cur, p)))
-	sys.exit({'found': 0, 'dead': 1, 'exhausted': 2}[out.result])
+	out = bounded_derivation_search(p, word, target, kinds,
+		SearchLimits(max_steps, max_len, max_ins, max_visited))
+	d = out.derivation
+
+	def text():
+		path = zip(d.steps, derivation_words(p, d)[1:]) if d else ()
+		return '\n'.join(['%s (visited %d, conclusive: %s)' % (out.result, out.visited,
+			out.conclusive)] + ['  %s  %s' % (s.kind.ljust(2), _fmt(w, p)) for s, w in path])
+	return {'result': out.result, 'visited': out.visited, 'conclusive': out.conclusive,
+		'trace': d.to_json(p, target) if d else None}, text, \
+		{'found': 0, 'dead': 1, 'exhausted': 2}[out.result]
 
 
-@cli.command()
-@_popt
+@_command('dead', word=parse_word, kinds=_kinds)
 @click.option('-w', '--word', required=True)
 @click.option('--kinds', default='0,1,2', show_default=True)
-@_jopt
-def dead(ppath, word, kinds, as_json):
+def dead(p, word, kinds):
 	'''Is the word eligible for no step at all of the given kinds?'''
-	p = _load(ppath)
-	w = _word(word, p)
-	ans = is_dead(p, w, _kinds(kinds))
-	_emit({'dead': ans}) if as_json else click.echo(str(ans).lower())
-	sys.exit(0 if ans else 1)
+	ans = is_dead(p, word, kinds)
+	return {'dead': ans}, str(ans).lower(), 0 if ans else 1
 
 
-@cli.command()
-@_popt
+@_command('dehn', word=parse_word)
 @click.option('-w', '--word', required=True)
-@_jopt
-def dehn(ppath, word, as_json):
+def dehn(p, word):
 	'''Greedy run of free reduction and length-decreasing factor
 	replacements; exit 0 iff the empty word is reached.'''
-	p = _load(ppath)
-	w = _word(word, p)
-	end, trace = dehn_run(p, w)
-	if as_json:
-		_emit({'end': render_word(end, p), 'steps': len(trace)})
-	else:
-		click.echo('%s (%d step(s))' % (_fmt(end, p), len(trace)))
-	sys.exit(0 if end == () else 1)
+	end, trace = dehn_run(p, word)
+	return {'end': render_word(end, p), 'steps': len(trace)}, \
+		'%s (%d step(s))' % (_fmt(end, p), len(trace)), 0 if end == () else 1
 
 
-@cli.command('paper-examples')
-@_jopt
-def paper_examples(as_json):
+@_command('paper-examples', load=False)
+def paper_examples():
 	'''Replay the bundled worked examples and report pass/fail each.'''
 	results = examples.run_all()
-	if as_json:
-		_emit(results)
-	else:
-		for r in results:
-			click.echo('%s %s - %s'
-				% ('PASS' if r['ok'] else 'FAIL', r['name'], r['detail']))
-	sys.exit(0 if all(r['ok'] for r in results) else 1)
+	return results, '\n'.join('%s %s - %s' % ('PASS' if r['ok'] else 'FAIL', r['name'],
+		r['detail']) for r in results), 0 if all(r['ok'] for r in results) else 1
 
 
 def main(argv=None):
 	try:
 		cli.main(args=argv, standalone_mode=False)
-	except click.exceptions.Exit as e:
-		sys.exit(e.exit_code)
 	except click.UsageError as e:
 		click.echo('usage error: %s' % e.format_message(), err=True)
 		sys.exit(64)
@@ -504,7 +387,11 @@ def main(argv=None):
 	except (WordError, PresentationError) as e:
 		click.echo('input error: %s' % e, err=True)
 		sys.exit(64)
-	except (StepError, ReversingError, AugError, FragmentError, CapExceeded) as e:
+	except CapExceeded as e:
+		# a limit reached, not a broken invariant: the "exhausted" code
+		click.echo('limit reached: %s' % e, err=True)
+		sys.exit(2)
+	except (StepError, ReversingError, AugError, FragmentError) as e:
 		click.echo('internal error: %s' % e, err=True)
 		sys.exit(70)
 

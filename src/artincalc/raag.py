@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from .core import Presentation
 from .rewrite import (Step, Derivation, apply_step, check_derivation,
-	derivation_words, simulate_type2)
+	derivation_words, oriented_relation, simulate_type2)
 
 
 class AugError(ValueError):
@@ -154,7 +154,7 @@ def _plain_step_to_aug(p, aw, step):
 	if step.kind == '0':
 		return AugStep('0', step.pos)
 	if step.kind == '1':
-		l, r = p.relations[step.rel]
+		l, r = oriented_relation(p, step)
 		if len(l) != 2:
 			raise AugError('lifting requires a right-angled presentation')
 		return AugStep('1', step.pos)

@@ -144,6 +144,10 @@ def test_usage_and_file_errors(capsys, tmp_path):
 	assert code == 64
 	code, _ = run(capsys, 'validate', '-p', '/nonexistent/file.txt')
 	assert code == 66
+	# search limits are nonnegative
+	for opt in ('--max-steps', '--max-len', '--max-ins', '--max-visited'):
+		code, out = run(capsys, 'search', '-p', A2, '-w', 'a', opt, '-1')
+		assert code == 64 and out == ''
 	# a step that would pair the last letter with the first is refused
 	code, out = run(capsys, 'apply', '-p', 'ra3.txt', '-w', 'abA',
 		'--step', '{"kind": "0l", "pos": -1}')

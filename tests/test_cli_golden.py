@@ -62,6 +62,7 @@ FILES = {
 
 CASES = {
 	'group-help': ['--help'],
+	'no-arguments': [],
 	'no-command': ['frobnicate'],
 	'missing-option': ['steps', '-p', 'a2.txt'],
 	'missing-presentation': ['validate', '-p', 'missing.txt'],
@@ -205,6 +206,9 @@ CASES = {
 	'search-visited-cap-json': ['search', '-p', 'a2.txt', '-w', 'abaBAB', '--kinds',
 		'0,1,inf', '--max-visited', '3', '--json'],
 	'search-bad-visited': ['search', '-p', 'a2.txt', '-w', 'a', '--max-visited', '-1'],
+	'search-negative-steps': ['search', '-p', 'a2.txt', '-w', 'a', '--max-steps', '-1'],
+	'search-negative-len': ['search', '-p', 'a2.txt', '-w', 'a', '--max-len', '-1'],
+	'search-negative-ins': ['search', '-p', 'a2.txt', '-w', 'a', '--max-ins', '-1'],
 	'search-word-before-kinds': ['search', '-p', 'a2.txt', '-w', 'ax', '--kinds', 'zap'],
 	'search-bad-target': ['search', '-p', 'a2.txt', '-w', 'a', '--target', 'x'],
 
@@ -233,7 +237,8 @@ def run_case(argv):
 		except SystemExit as e:
 			code = e.code or 0
 	# click puts the detected program name (pytest's, say) in usage lines
-	usage = re.compile(r'^Usage: .*? (?=(%s )?\[OPTIONS\])' % re.escape(argv[0]), re.M)
+	usage = re.compile(r'Usage: .*? (?=(%s )?\[OPTIONS\])'
+		% re.escape(argv[0] if argv else ''))
 	written = pathlib.Path(OUTFILE)
 	return {'argv': list(argv), 'code': code,
 		'stdout': usage.sub('Usage: artincalc ', out.getvalue()),
@@ -257,7 +262,7 @@ def test_golden(case, tmp_path, monkeypatch):
 
 
 def test_corpus_covers_every_subcommand():
-	ran = {argv[0] for argv in CASES.values() if '--help' not in argv}
+	ran = {argv[0] for argv in CASES.values() if argv and '--help' not in argv}
 	assert ran >= set(climod.cli.commands)
 	assert sorted(EXPECTED) == sorted(CASES)
 

@@ -122,6 +122,12 @@ def test_lift_requires_right_angled():
 		lift_derivation(A2, Derivation((), []))
 
 
+def test_lift_rejects_relation_out_of_range():
+	d = Derivation(parse_word('ab', RA2), [Step('1', 0, rel=7, orient='fwd', sign=1)])
+	with pytest.raises(StepError, match='out of range'):
+		lift_derivation(RA2, d)
+
+
 def test_lift_insertion_gets_fresh_index():
 	d = Derivation((), [Step('inf', 0, letter='a', sign=1),
 		Step('inf', 1, letter='b', sign=-1)])
