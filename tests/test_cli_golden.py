@@ -28,9 +28,8 @@ GOLDEN = pathlib.Path(__file__).with_name('cli_golden.json')
 OUTFILE = 'out.json'
 
 
-def _trace(start, steps, end='', schema=1, **extra):
-	return json.dumps(dict({'schema': schema, 'start': start, 'steps': steps,
-		'end': end}, **extra))
+def _trace(start, steps, end='', schema=1):
+	return json.dumps({'schema': schema, 'start': start, 'steps': steps, 'end': end})
 
 
 CANCEL = {'kind': '0r', 'pos': 0}
@@ -246,11 +245,7 @@ def run_case(argv):
 		'outfile': written.read_text() if written.exists() else None}
 
 
-def _expected():
-	return json.loads(GOLDEN.read_text(encoding='utf-8')) if GOLDEN.exists() else {}
-
-
-EXPECTED = _expected()
+EXPECTED = json.loads(GOLDEN.read_text(encoding='utf-8')) if GOLDEN.exists() else {}
 
 
 @pytest.mark.parametrize('case', sorted(CASES))
@@ -272,14 +267,13 @@ def regenerate():
 	os.environ.pop('ARTIN_CACHE_DIR', None)
 	here = os.getcwd()
 	records = {}
-	try:
-		for case in sorted(CASES):
-			with tempfile.TemporaryDirectory() as d:
-				os.chdir(d)
+	for case in sorted(CASES):
+		with tempfile.TemporaryDirectory() as d:
+			os.chdir(d)
+			try:
 				records[case] = run_case(CASES[case])
+			finally:
 				os.chdir(here)
-	finally:
-		os.chdir(here)
 	GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True, ensure_ascii=False)
 		+ '\n', encoding='utf-8')
 	print('%d cases written to %s' % (len(records), GOLDEN), file=sys.stderr)
