@@ -312,6 +312,9 @@ def cayley_trace(p, element, vertex, word, as_dot):
 	if word is None:
 		raise click.UsageError('-w required unless --dot is given')
 	v = canonical(p, _parse(parse_positive, vertex, p))
+	if v not in f.vertices:
+		raise click.UsageError('vertex %s is not a left divisor of %s'
+			% (vertex, _pfmt(element)))
 	traced, info = traced_from(f, v, _parse(parse_word, word, p))
 	path = [_pfmt(x) for x in info] if traced else None
 	text = 'traced: ' + ' -> '.join(path) if traced else 'not traced (fails at letter %d)' % info

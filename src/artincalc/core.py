@@ -383,7 +383,12 @@ def parse_presentation_text(text):
 			if len(triple) != 3:
 				raise PresentationError('malformed coxeter triple %r' % (triple,))
 			s, t, val = triple
-			m.set(s, t, None if val in ('inf', 'oo') else int(val))
+			try:
+				val = None if val in ('inf', 'oo') else int(val)
+			except ValueError:
+				raise PresentationError('Coxeter entry %r is not a number or inf'
+					% val) from None
+			m.set(s, t, val)
 		relations.extend(artin_presentation(m).relations)
 	return Presentation(gens, tuple(relations))
 

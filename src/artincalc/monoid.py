@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import hashlib
+import tempfile
 from collections import deque
 from dataclasses import replace
 
@@ -48,6 +49,17 @@ def _disk_path(p, w):
 	return os.path.join(root, key + '.json')
 
 
+def _read_class(path, w):
+	'''The class stored at path, or None when there is none or it is not
+	a class of w: a damaged file, or one written for another word.'''
+	try:
+		with open(path) as f:
+			cls = frozenset(tuple(m) for m in json.load(f))
+	except (FileNotFoundError, ValueError, TypeError):
+		return None
+	return cls if w in cls else None
+
+
 def equiv_class(p, w, cap=DEFAULT_CAP):
 	'''BFS closure of a positive word under relation rewrites.  Complete
 	for length-preserving presentations; the cap guards the general case.'''
@@ -57,9 +69,8 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	if hit is not None:
 		return hit
 	path = _disk_path(p, w)
-	if path and os.path.exists(path):
-		with open(path) as f:
-			cls = frozenset(tuple(m) for m in json.load(f))
+	cls = path and _read_class(path, w)
+	if cls:
 		_class_cache[key] = cls
 		return cls
 	seen = {w}
@@ -76,9 +87,16 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	for m in cls:
 		_class_cache[(p.fingerprint, m)] = cls
 	if path:
+		# through a temp file, so a reader never sees a partial class
 		os.makedirs(os.path.dirname(path), exist_ok=True)
-		with open(path, 'w') as f:
-			json.dump(sorted(list(m) for m in cls), f)
+		fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix='.tmp')
+		try:
+			with os.fdopen(fd, 'w') as f:
+				json.dump(sorted(list(m) for m in cls), f)
+			os.replace(tmp, path)
+		except BaseException:
+			os.unlink(tmp)
+			raise
 	return cls
 
 

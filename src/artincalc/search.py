@@ -52,7 +52,20 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 	letter is the letter before q is skipped: it makes the word that the
 	opposite pair at q - 1 made just before, at the same insertion count,
 	so dedupe would drop it.  Inside, words are strings, w and target
-	encoded together (Presentation._encode).'''
+	encoded together (Presentation._encode).
+
+	Once max_visited + 1 entries with depth < max_steps have been queued
+	(the start counts as one), the search is certain to stop at the node
+	cap, and nothing queued after that is ever expanded.  From then on a
+	successor within the length cap is only compared with the target, and
+	is not stored or queued; a node whose length is not one step (type 0,
+	an insertion or a table row) from the target's builds no successors;
+	insertions are built only when they make the target's length.  A word
+	that the search would have stored there can still change the path to
+	the target (reached again with fewer insertions, it takes the new
+	parent), so a target met in that phase is searched for again without
+	it.  The answer, node count and derivation are those of the full
+	search.'''
 	w, target = tuple(w), tuple(target)
 	use_inf = 'inf' in kinds
 	if w == target:
@@ -74,37 +87,55 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 				yield 'inf', pos, fields, head + pair + tail
 
 	max_len = limits.max_word_length
-	# word -> (fewest insertions, previous word, kind, pos, step fields);
-	# the start word holds its count only
-	seen = {start: (0,)}
-	queue = deque([(start, 0, 0)])
-	visited = 0
-	emptied = True
-	while queue:
-		cur, depth, ins = queue.popleft()
-		if depth >= limits.max_steps:
-			emptied = False
-			continue
-		visited += 1
-		if visited > limits.max_visited:
-			emptied = False
-			break
-		grow = use_inf and ins < limits.max_insertions and len(cur) + 2 <= max_len
-		for succs, nins in ((_successors(p, cur, kinds), ins),
-				(insertions(cur) if grow else (), ins + 1)):
-			for kind, pos, fields, nxt in succs:
-				if len(nxt) > max_len:
-					emptied = False
-					continue
-				old = seen.get(nxt)
-				if old is not None and old[0] <= nins:
-					continue
-				seen[nxt] = (nins, cur, kind, pos, fields)
-				if nxt == goal:
-					return SearchOutcome('found', unwind(seen, w, nxt),
-						visited=visited)
-				queue.append((nxt, depth + 1, nins))
-	return SearchOutcome('exhausted', visited=visited, frontier_emptied=emptied)
+	# length changes of one step: type 0, insertion, each table row
+	reach = {len(new) - len(fac) for rows in p._step_table(kinds).values()
+		for _, fac, new, _ in rows} | {-2, 2}
+
+	def bfs(prune):
+		# word -> (fewest insertions, previous word, kind, pos, step fields);
+		# the start word holds its count only
+		seen = {start: (0,)}
+		queue = deque([(start, 0, 0)])
+		visited = 0
+		emptied = True
+		live = 1  # queued entries with depth < max_steps, the start included
+		capped = prune and live > limits.max_visited
+		while queue:
+			cur, depth, ins = queue.popleft()
+			if depth >= limits.max_steps:
+				emptied = False
+				continue
+			visited += 1
+			if visited > limits.max_visited:
+				emptied = False
+				break
+			if capped and len(goal) - len(cur) not in reach:
+				continue
+			grow = use_inf and ins < limits.max_insertions and len(cur) + 2 <= max_len \
+				and (not capped or len(cur) + 2 == len(goal))
+			for succs, nins in ((_successors(p, cur, kinds), ins),
+					(insertions(cur) if grow else (), ins + 1)):
+				for kind, pos, fields, nxt in succs:
+					if len(nxt) > max_len:
+						emptied = False
+						continue
+					if capped and nxt != goal:
+						continue
+					old = seen.get(nxt)
+					if old is not None and old[0] <= nins:
+						continue
+					seen[nxt] = (nins, cur, kind, pos, fields)
+					if nxt == goal:
+						# past the cap, the unpruned search may have given a
+						# word on this path a parent with fewer insertions
+						return bfs(False) if capped else SearchOutcome('found',
+							unwind(seen, w, nxt), visited=visited)
+					queue.append((nxt, depth + 1, nins))
+					live += depth + 1 < limits.max_steps
+					capped = prune and live > limits.max_visited
+		return SearchOutcome('exhausted', visited=visited, frontier_emptied=emptied)
+
+	return bfs(True)
 
 
 def is_dead(p, w, kinds):

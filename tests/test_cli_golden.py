@@ -38,6 +38,7 @@ FILES = {
 	'dup.txt': 'gens: a a\n',
 	'bad.txt': 'gens: a b\nrel ab = ba\n',
 	'unknown.txt': 'gens: a b\nrel: ab = bx\n',
+	'cox.txt': 'gens: a b\ncoxeter:\n  a b x\n',
 	'ok.json': _trace('aA', [CANCEL]),
 	# a {0,1,inf} derivation over ra3.txt: insert and cancel a pair, then
 	# commute and cancel
@@ -68,6 +69,7 @@ CASES = {
 	'missing-presentation-before-word': ['steps', '-p', 'missing.txt', '-w', 'ax'],
 	'malformed-presentation': ['validate', '-p', 'bad.txt'],
 	'presentation-unknown-generator': ['steps', '-p', 'unknown.txt', '-w', 'a'],
+	'presentation-coxeter-not-a-number': ['validate', '-p', 'cox.txt'],
 	'local-presentation': ['wp-raag', '-p', 'ra2.txt', '-w', 'abAB'],
 
 	'validate': ['validate', '-p', 'a2.txt'],

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 
@@ -10,7 +11,7 @@ from artincalc.core import positive_to_word
 from artincalc.monoid import (equiv_class, canonical, pos_equal, rewrite_path,
 	left_divisors, right_divides, right_lcm, brute_right_lcm,
 	right_is_multiple, is_S0_minimal, strip_S0, coset_head_spherical,
-	CapExceeded, _class_cache)
+	CapExceeded, _class_cache, _disk_path)
 from artincalc.reversing import ReversingError
 
 from helpers import (A2, I24, RA2, RA3, FIG2, FREE2, brute_class,
@@ -211,3 +212,37 @@ def test_disk_cache_identical_results(tmp_path, monkeypatch):
 	_class_cache.clear()
 	cached = equiv_class(A2, w)
 	assert fresh == first == cached
+
+
+def test_disk_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
+	w = W('abab')
+	fresh = equiv_class(A2, w)
+	monkeypatch.setenv('ARTIN_CACHE_DIR', str(tmp_path))
+	_class_cache.clear()
+
+	def dump_then_fail(obj, f):
+		f.write('[["a"')
+		raise OSError('no space left on device')
+	with monkeypatch.context() as m:
+		m.setattr(json, 'dump', dump_then_fail)
+		with pytest.raises(OSError):
+			equiv_class(A2, w)
+	assert os.listdir(tmp_path) == []
+	_class_cache.clear()
+	assert equiv_class(A2, w) == fresh
+	assert [f[-5:] for f in os.listdir(tmp_path)] == ['.json']
+
+
+def test_disk_cache_ignores_a_class_without_the_word(tmp_path, monkeypatch):
+	w = W('abab')
+	fresh = equiv_class(A2, w)
+	monkeypatch.setenv('ARTIN_CACHE_DIR', str(tmp_path))
+	path = _disk_path(A2, w)
+	# another word's class, and a file cut short
+	for stored in ('[["b", "a"]]', '[["a", "b"'):
+		with open(path, 'w') as f:
+			f.write(stored)
+		_class_cache.clear()
+		assert equiv_class(A2, w) == fresh
+		_class_cache.clear()
+		assert equiv_class(A2, w) == fresh  # now read from the rewritten file

@@ -103,6 +103,52 @@ def test_search_matches_reference():
 	assert found >= 50 and ins_found >= 10
 
 
+def test_search_past_the_cap_matches_reference():
+	# a small node cap is certain to be reached after a few expansions; the
+	# target, two or three steps away and two letters longer or shorter, is
+	# then often met in the phase where successors are only compared with it
+	rng = random.Random(808)
+	cases = [(I24, parse_word('BaAbAb', I24), parse_word('aABaAbBbAb', I24),
+		K01INF | K012, SearchLimits(max_steps=4, max_word_length=12,
+			max_insertions=2, max_visited=26)),
+		# ab -> ba, then type 0, from the second node expanded
+		(RA3, parse_word('abA', RA3), parse_word('b', RA3), K01INF,
+			SearchLimits(max_steps=3, max_word_length=5, max_insertions=1,
+				max_visited=2))]
+	for i in range(300):
+		p = rng.choice((A2, I24, RA3, FIG2, SIDE1, MULTI))
+		kinds = rng.choice((K01INF, K012, K01INF | K012))
+		shorter = rng.random() < 0.5
+		w = random_word(p, rng, rng.randrange(1, 8))
+		for _ in range(20):
+			target = w
+			for _ in range(rng.randrange(2, 4)):
+				steps = applicable_steps(p, target, kinds - {'inf'} if shorter
+					else kinds, inf_letters=p.generators)
+				if steps:
+					target = apply_step(p, target, rng.choice(steps))
+			if len(target) == len(w) + (-2 if shorter else 2):
+				break
+		cases.append((p, w, target, kinds, SearchLimits(max_steps=rng.randrange(2, 6),
+			max_word_length=max(len(w), len(target)) + rng.randrange(0, 3),
+			max_insertions=rng.randrange(1, 3), max_visited=rng.randrange(1, 31))))
+	found = 0
+	for p, w, target, kinds, limits in cases:
+		out = bounded_derivation_search(p, w, target, kinds, limits)
+		result, der, visited, emptied, _ = reference_search(p, w, target,
+			kinds, limits)
+		assert (out.result, out.visited, out.frontier_emptied) == \
+			(result, visited, emptied)
+		assert (out.derivation and out.derivation.to_json(p)) == \
+			(der and der.to_json(p))
+		found += result == 'found'
+	# the first case: after the cap is certain, the word after the first
+	# step is reached again with no insertion, and that path is the answer
+	assert [s.kind for s in bounded_derivation_search(*cases[0]).derivation.steps] \
+		== ['2r', '2l', 'inf']
+	assert found >= 150
+
+
 def test_foreign_letters():
 	# letters outside the presentation take part in type 0 and block every
 	# factor, as they always have; w and target share their codes
