@@ -22,8 +22,7 @@ from .core import (WordError, PresentationError, load_presentation, parse_word,
 	parse_positive, positive_to_word, invert, render_word, validate as validate_p)
 from .rewrite import (Step, Derivation, StepError, FormatError, applicable_steps,
 	apply_step, derivation_words)
-from .reversing import (ReversingError, right_reverse, left_reverse,
-	right_fraction, word_problem_spherical)
+from .reversing import ReversingError, right_reverse, left_reverse, right_fraction
 from .monoid import (CapExceeded, equiv_class, left_divisors, right_lcm,
 	is_S0_minimal, coset_head_spherical, canonical)
 from .cayley import FragmentError, divisor_fragment, traced_from, to_dot
@@ -133,10 +132,10 @@ def _command(name, load=True, json_out=True, spherical=False, right_angled=False
 @_command('validate')
 def validate(p):
 	'''Check a presentation file and report its computed flags.'''
+	# loading already raised on every fault the report could name
 	rep = validate_p(p)
-	text = ['%s: %s' % (k, rep[k]) for k in ('valid', 'right_angled', 'length_preserving')]
-	text += ['error: %s' % e for e in rep['errors']]
-	return rep, '\n'.join(text), 0 if rep['valid'] else 1
+	return rep, '\n'.join('%s: %s' % (k, rep[k])
+		for k in ('valid', 'right_angled', 'length_preserving')), 0
 
 
 @_command('steps', kinds=_finite_kinds, word=parse_word)
@@ -189,10 +188,14 @@ def reverse(p, word, side):
 def fraction(p, word):
 	'''Right fraction n d^-1 of a word, via left then right reversing.'''
 	f = right_fraction(p, word)
-	end = positive_to_word(f.numerator) + invert(positive_to_word(f.denominator))
 	num, den = _pfmt(f.numerator), _pfmt(f.denominator)
-	return {'numerator': num, 'denominator': den, 'trace': f.trace.to_json(p, end)}, \
+	return {'numerator': num, 'denominator': den, 'trace': f.trace.to_json(p, _end(f))}, \
 		'numerator: %s\ndenominator: %s' % (num, den), 0
+
+
+def _end(f):
+	'''The word n d^-1 a fraction's trace ends at.'''
+	return positive_to_word(f.numerator) + invert(positive_to_word(f.denominator))
 
 
 @_command('wp-spherical', spherical=True, word=parse_word)
@@ -200,10 +203,11 @@ def fraction(p, word):
 def wp_spherical(p, word):
 	'''Spherical word problem: does the word represent 1?  (Invoking this
 	asserts the presentation is of spherical type.)'''
-	trivial, trace = word_problem_spherical(p, word)
-	# the trace of a trivial word ends at e; any other trace is replayed
-	return lambda: {'trivial': trivial, 'trace': trace.to_json(p, () if trivial else None)}, \
-		str(trivial).lower(), 0 if trivial else 1
+	# word_problem_spherical on the fraction, keeping the end word of its trace
+	f = right_fraction(p, word)
+	end = _end(f)
+	return lambda: {'trivial': not end, 'trace': f.trace.to_json(p, end)}, \
+		str(not end).lower(), 1 if end else 0
 
 
 @_command('wp-raag', right_angled=True, word=parse_word)

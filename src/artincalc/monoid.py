@@ -3,9 +3,10 @@ length-preserving relation rewrites: equivalence classes, divisibility,
 right lcm via reversing, S0-minimality, and the spherical coset-head
 construction.
 
-Classes are memoized per presentation in-process; setting ARTIN_CACHE_DIR
-adds a JSON file cache keyed by a presentation fingerprint.  Results are
-identical with or without the cache.
+Classes are memoized per presentation in-process, the newest
+CACHED_CLASSES of them; setting ARTIN_CACHE_DIR adds a JSON file cache
+keyed by a presentation fingerprint.  Results are identical with or
+without either cache.
 '''
 
 from __future__ import annotations
@@ -22,8 +23,31 @@ from .rewrite import Derivation, unwind
 from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError
 
 DEFAULT_CAP = 100000
+CACHED_CLASSES = 256
 
-_class_cache = {}
+
+class _Classes(dict):
+	'''(fingerprint, word) -> class, for every member of the newest
+	CACHED_CLASSES classes; adding one more evicts the oldest.'''
+
+	def __init__(self):
+		super().__init__()
+		self.order = deque()
+
+	def add(self, fingerprint, cls):
+		self.update(((fingerprint, m), cls) for m in cls)
+		self.order.append((fingerprint, cls))
+		if len(self.order) > CACHED_CLASSES:
+			fingerprint, old = self.order.popleft()
+			for m in old:
+				self.pop((fingerprint, m), None)
+
+	def clear(self):
+		super().clear()
+		self.order.clear()
+
+
+_class_cache = _Classes()
 
 
 class CapExceeded(RuntimeError):
@@ -71,7 +95,7 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	path = _disk_path(p, w)
 	cls = path and _read_class(path, w)
 	if cls:
-		_class_cache[key] = cls
+		_class_cache.add(p.fingerprint, cls)
 		return cls
 	seen = {w}
 	queue = deque([w])
@@ -84,8 +108,7 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 				seen.add(nxt)
 				queue.append(nxt)
 	cls = frozenset(seen)
-	for m in cls:
-		_class_cache[(p.fingerprint, m)] = cls
+	_class_cache.add(p.fingerprint, cls)
 	if path:
 		# through a temp file, so a reader never sees a partial class
 		os.makedirs(os.path.dirname(path), exist_ok=True)

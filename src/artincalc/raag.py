@@ -15,14 +15,21 @@ letters of index >= h.  Augmented transformations:
 Lifting a {0,1,inf} derivation gives an augmented derivation whose
 intermediate words are all regular; projecting by descending top index
 yields a {0,1,2} derivation on plain words.
+
+The public functions take and return words of triples.  Inside, a word is
+split into a pair (letters, indices): letters is the plain word, a tuple
+of (gen, sign), and indices the tuple of indices, so phi is the first half
+of the pair.  Each operation has one private core on pairs (_apply,
+_regular, _drop, _aug_words, _project); the public functions split, call
+it and join.  eliminate_infinity never builds a triple.
 '''
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate
-from operator import itemgetter
+from functools import lru_cache, partial
+from itertools import accumulate, compress, count
+from operator import itemgetter, ne
 
 from .core import Presentation
 from .rewrite import (Step, Derivation, apply_step, check_derivation,
@@ -38,9 +45,37 @@ def phi(w):
 	return tuple((g, e) for g, i, e in w)
 
 
+def _split(w):
+	'''The pair (letters, indices) of a word of triples.'''
+	return phi(w), tuple(map(itemgetter(1), w))
+
+
+def _join(letters, indices):
+	return tuple((g, i, e) for (g, e), i in zip(letters, indices))
+
+
 def pi_h(w, h):
 	'''Delete letters of index >= h.'''
-	return tuple(let for let in w if let[1] < h)
+	return _join(*_drop(*_split(w), h))
+
+
+def _drop(letters, indices, h):
+	'''pi_h on a pair.'''
+	if max(indices, default=h - 1) < h:
+		return letters, indices
+	keep = [i < h for i in indices]
+	return tuple(compress(letters, keep)), tuple(compress(indices, keep))
+
+
+def _below(indices, pos, h):
+	'''len(pi_h(w[:pos], h)), counted on the indices.'''
+	head = indices[:pos]
+	return len(head) - sum(map(h.__le__, head))
+
+
+def _fresh(indices):
+	'''The index an insertion into the word receives: max + 1, at least 1.'''
+	return max(max(indices, default=0), 0) + 1
 
 
 def to_aug(w):
@@ -78,37 +113,50 @@ class AugDerivation:
 
 
 def apply_aug_step(p, w, s):
-	n = len(w)
+	return _join(*_apply(p, *_split(w), s))
+
+
+def _apply(p, letters, indices, s):
+	'''apply_aug_step on a pair.'''
+	n, k = len(letters), s.pos
 	if s.kind == '0':
-		if s.pos + 2 > n:
+		if k + 2 > n:
 			raise AugError('aug type 0 out of range')
-		(g1, i1, e1), (g2, i2, e2) = w[s.pos], w[s.pos + 1]
+		(g1, e1), (g2, e2) = letters[k], letters[k + 1]
 		if g1 != g2 or e1 != -e2:
-			raise AugError('no trivial pair at %d' % s.pos)
-		lo = min(i1, i2)
-		rest = w[:s.pos] + w[s.pos + 2:]
+			raise AugError('no trivial pair at %d' % k)
+		i1, i2 = indices[k], indices[k + 1]
+		letters, rest = letters[:k] + letters[k + 2:], indices[:k] + indices[k + 2:]
 		if i1 == i2:  # the relabelling keeps every index
-			return rest
-		return tuple((g, lo, e) if g == g1 and i in (i1, i2) else (g, i, e)
-			for g, i, e in rest)
+			return letters, rest
+		# only the letters on g1 that carry the larger index change
+		lo, hi = min(i1, i2), max(i1, i2)
+		out, j = list(rest), 0
+		for _ in range(rest.count(hi)):
+			j = rest.index(hi, j)
+			if letters[j][0] == g1:
+				out[j] = lo
+			j += 1
+		return letters, tuple(out)
 	if s.kind in ('1', '2'):
-		if s.pos + 2 > n:
+		if k + 2 > n:
 			raise AugError('aug swap out of range')
-		(g1, i1, e1), (g2, i2, e2) = w[s.pos], w[s.pos + 1]
+		(g1, e1), (g2, e2) = letters[k], letters[k + 1]
 		if not p.commutes(g1, g2):
 			raise AugError('%s and %s do not commute' % (g1, g2))
 		if s.kind == '1' and e1 != e2:
 			raise AugError('aug type 1 needs equal signs')
 		if s.kind == '2' and e1 != -e2:
 			raise AugError('aug type 2 needs opposite signs')
-		return w[:s.pos] + (w[s.pos + 1], w[s.pos]) + w[s.pos + 2:]
+		return (letters[:k] + (letters[k + 1], letters[k]) + letters[k + 2:],
+			indices[:k] + (indices[k + 1], indices[k]) + indices[k + 2:])
 	if s.kind == 'inf':
-		if not 0 <= s.pos <= n:
+		if not 0 <= k <= n:
 			raise AugError('insertion position out of range')
-		if s.index <= max_index(w):
+		if s.index <= max(indices, default=-1):
 			raise AugError('insertion index %d not fresh' % s.index)
-		pair = ((s.letter, s.index, s.sign), (s.letter, s.index, -s.sign))
-		return w[:s.pos] + pair + w[s.pos:]
+		return (letters[:k] + ((s.letter, s.sign), (s.letter, -s.sign)) + letters[k:],
+			indices[:k] + (s.index, s.index) + indices[k:])
 	raise AugError('unknown augmented step kind %r' % s.kind)
 
 
@@ -118,10 +166,15 @@ def check_aug_derivation(p, d):
 
 def aug_derivation_words(p, d):
 	'''All intermediate words; a failure names the first bad step.'''
-	words = [tuple(d.start)]
-	for i, s in enumerate(d.steps):
+	return [_join(*w) for w in _aug_words(p, _split(tuple(d.start)), d.steps)]
+
+
+def _aug_words(p, w, steps):
+	'''aug_derivation_words from the pair w.'''
+	words = [w]
+	for i, s in enumerate(steps):
 		try:
-			words.append(apply_aug_step(p, words[-1], s))
+			words.append(_apply(p, *words[-1], s))
 		except AugError as e:
 			raise AugError('augmented step %d inapplicable: %s' % (i, e)) from None
 	return words
@@ -131,7 +184,7 @@ def applicable_aug_steps(p, w):
 	'''All applicable {0,1,2} augmented steps, plus the canonical fresh
 	insertions at every position (one index, every generator and sign).'''
 	out = []
-	fresh = max(max_index(w), 0) + 1
+	fresh = _fresh(map(itemgetter(1), w))
 	for pos in range(len(w) - 1):
 		(g1, i1, e1), (g2, i2, e2) = w[pos], w[pos + 1]
 		if g1 == g2 and e1 == -e2:
@@ -148,9 +201,9 @@ def applicable_aug_steps(p, w):
 # ---------------------------------------------------------------------------
 # lifting
 
-def _plain_step_to_aug(p, aw, step):
-	'''Translate one plain {0,1,2r,2l,inf} step on phi(aw) into an
-	augmented step at the same position.'''
+def _plain_step_to_aug(p, indices, step):
+	'''Translate one plain {0,1,2r,2l,inf} step on a word with these
+	indices into an augmented step at the same position.'''
 	if step.kind == '0':
 		return AugStep('0', step.pos)
 	if step.kind == '1':
@@ -162,7 +215,7 @@ def _plain_step_to_aug(p, aw, step):
 		return AugStep('2', step.pos)
 	if step.kind == 'inf':
 		return AugStep('inf', step.pos, letter=step.letter,
-			index=max(max_index(aw), 0) + 1, sign=step.sign)
+			index=_fresh(indices), sign=step.sign)
 	raise AugError('unknown plain step kind %r' % step.kind)
 
 
@@ -172,19 +225,22 @@ def lift_derivation(p, d):
 	if not p.right_angled:
 		raise AugError('lifting requires a right-angled presentation')
 	plain = accumulate(d.steps, partial(apply_step, p), initial=tuple(d.start))
-	return _lift(p, d, plain)[0]
+	steps, words = _lift(p, d, plain)
+	return AugDerivation(_join(*words[0]), steps)
 
 
 def _lift(p, d, plain):
-	'''The lift of d and its augmented words; plain iterates over the words
-	of d, start included, and is read one word per step lifted.'''
-	words, steps = [to_aug(next(plain))], []
+	'''The lifted steps of d and their words as pairs; plain iterates over
+	the words of d, start included, and is read one word per step lifted.
+	The lift projects back exactly when its letters are the plain word.'''
+	letters = tuple((g, e) for g, e in next(plain))
+	words, steps = [(letters, (0,) * len(letters))], []
 	for step in d.steps:
-		steps.append(_plain_step_to_aug(p, words[-1], step))
-		words.append(apply_aug_step(p, words[-1], steps[-1]))
-		if phi(words[-1]) != next(plain):
+		steps.append(_plain_step_to_aug(p, words[-1][1], step))
+		words.append(_apply(p, *words[-1], steps[-1]))
+		if words[-1][0] != next(plain):
 			raise AugError('lift does not project back to the plain word')
-	return AugDerivation(words[0], steps), words
+	return steps, words
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +250,27 @@ def is_regular(p, w):
 	'''Each positive index occurs 0 or 2 times, as a pair r[h]^e ... r[h]^-e
 	whose strictly enclosed letters of index <= h all commute with r.
 	Returns (bool, diagnosis).'''
-	by_index = {}
-	for pos, (g, i, e) in enumerate(w):
-		if i >= 1:
-			by_index.setdefault(i, []).append(pos)
-	for h, positions in sorted(by_index.items()):
-		if len(positions) != 2:
-			return False, 'index %d occurs %d times' % (h, len(positions))
-		a, b = positions
-		(g1, _, e1), (g2, _, e2) = w[a], w[b]
+	return _regular(p, *_split(w))
+
+
+def _regular(p, letters, indices):
+	'''is_regular on a pair.'''
+	if max(indices, default=0) < 1:  # no positive index
+		return True, 'regular'
+	for h in sorted(set(indices)):
+		if h < 1:
+			continue
+		times = indices.count(h)
+		if times != 2:
+			return False, 'index %d occurs %d times' % (h, times)
+		a = indices.index(h)
+		b = indices.index(h, a + 1)
+		(g1, e1), (g2, e2) = letters[a], letters[b]
 		if g1 != g2:
 			return False, 'index %d letters have different generators' % h
 		if e1 != -e2:
 			return False, 'index %d letters do not have opposite signs' % h
-		for g, i, e in w[a + 1:b]:
+		for (g, e), i in zip(letters[a + 1:b], indices[a + 1:b]):
 			if i <= h and g != g1 and not p.commutes(g1, g):
 				return False, 'index %d pair encloses non-commuting %s' % (h, g)
 			if i <= h and g == g1:
@@ -218,21 +281,25 @@ def is_regular(p, w):
 # ---------------------------------------------------------------------------
 # projection (one step, top index h)
 
+def _first_diff(u, v, n):
+	'''The first position where the iterables u and v differ, or n.'''
+	return next(compress(count(), map(ne, u, v)), n)
+
+
 def _swap_block(p, pw, target):
-	'''Steps moving one letter across a commuting block, turning pw into
-	target; both words must agree except for that one move.'''
+	'''Steps moving one letter across a commuting block, turning the pair pw
+	into the pair target; both words must agree except for that one move.'''
 	if pw == target:
 		return []
-	if len(pw) != len(target):
+	(lw, iw), (lt, it) = pw, target
+	n = len(lw)
+	if n != len(lt):
 		raise AugError('projection diff is not a single move')
-	a = 0
-	while pw[a] == target[a]:
-		a += 1
-	b = len(pw)
-	while b > a and pw[b - 1] == target[b - 1]:
-		b -= 1
-	mid_w, mid_t = pw[a:b], target[a:b]
-	if len(mid_w) != len(mid_t) or sorted(mid_w) != sorted(mid_t):
+	a = min(_first_diff(lw, lt, n), _first_diff(iw, it, n))
+	b = n - min(_first_diff(reversed(lw), reversed(lt), n),
+		_first_diff(reversed(iw), reversed(it), n))
+	mid_w, mid_t = _join(lw[a:b], iw[a:b]), _join(lt[a:b], it[a:b])
+	if sorted(mid_w) != sorted(mid_t):
 		raise AugError('projection diff is not a single move')
 	# pw and target differ, so mid_w is not empty
 	if mid_w[-1] == mid_t[0] and mid_w[:-1] == mid_t[1:]:
@@ -257,23 +324,27 @@ def project_step(p, w, s, h):
 	'''Augmented steps transforming pi_h(w) into pi_h(apply(w, s)), by case
 	analysis on how the step interacts with the index-h pair.  w must be
 	regular, and this checks it itself.'''
-	ok, diag = is_regular(p, w)
+	w = _split(w)
+	ok, diag = _regular(p, *w)
 	if not ok:
 		raise AugError('projection needs a regular word: ' + diag)
-	return _project(p, w, apply_aug_step(p, w, s), s, h)
+	w2 = _apply(p, *w, s)
+	return _project(p, w[1], s, h, lambda: (_drop(*w, h), _drop(*w2, h)))
 
 
-def _project(p, w, w2, s, h):
-	'''project_step on a regular w and its successor w2 = apply(w, s).'''
+def _project(p, indices, s, h, projections):
+	'''project_step on a regular word with these indices; projections()
+	gives the pairs pi_h(w) and pi_h(apply(w, s)), and is called only in
+	the cases that read them.'''
 	if s.kind == 'inf':
 		if s.index < h:
-			return [AugStep('inf', len(pi_h(w[:s.pos], h)),
+			return [AugStep('inf', _below(indices, s.pos, h),
 				letter=s.letter, index=s.index, sign=s.sign)]
 	else:
-		i1, i2 = w[s.pos][1], w[s.pos + 1][1]
+		i1, i2 = indices[s.pos], indices[s.pos + 1]
 		if i1 < h and i2 < h:
-			return [AugStep(s.kind, len(pi_h(w[:s.pos], h)))]
-	pw, pw2 = pi_h(w, h), pi_h(w2, h)
+			return [AugStep(s.kind, _below(indices, s.pos, h))]
+	pw, pw2 = projections()
 	if s.kind != '0' or (i1 >= h and i2 >= h):
 		# the step moves or cancels only letters that pi_h deletes
 		if pw != pw2:
@@ -282,10 +353,7 @@ def _project(p, w, w2, s, h):
 	# type 0 with one cancelled letter of index h: the surviving pair partner
 	# is relabelled below h and must cross the pair contents by commutations
 	steps = _swap_block(p, pw, pw2)
-	cur = pw
-	for st in steps:
-		cur = apply_aug_step(p, cur, st)
-	if cur != pw2:
+	if _aug_words(p, pw, steps)[-1] != pw2:
 		raise AugError('projected block does not replay')
 	return steps
 
@@ -294,7 +362,7 @@ def _project(p, w, w2, s, h):
 # elimination
 
 def _aug_to_plain_step(p, w, s):
-	'''A zero-index augmented step as a plain Step on phi(w), or on w plain.'''
+	'''A zero-index augmented step as a plain Step on the letters w.'''
 	if s.kind == '0':
 		return Step('0', s.pos, sign=w[s.pos][-1])
 	(g1, *_, e1), (g2, *_, e2) = w[s.pos], w[s.pos + 1]
@@ -319,7 +387,8 @@ def _aug_to_plain_step(p, w, s):
 def eliminate_infinity(p, d, validate=True):
 	'''Turn a valid {0,1,inf} derivation from w to the empty word into a
 	{0,1,2} derivation from w to the empty word (right-angled only).  Each
-	stage replays once, and checks each of its words for regularity once.'''
+	stage replays once on pairs, checks each of its words for regularity
+	once, and projects each word at most once.'''
 	if not p.right_angled:
 		raise AugError('elimination requires a right-angled presentation')
 	for st in d.steps:
@@ -328,26 +397,29 @@ def eliminate_infinity(p, d, validate=True):
 	plain = derivation_words(p, d)
 	if plain[-1] != ():
 		raise AugError('input derivation does not end at the empty word')
-	nd, words = _lift(p, d, iter(plain))
+	steps, words = _lift(p, d, iter(plain))
 	stage = 'lifted'
 	while True:
 		for w in words:
-			ok, diag = is_regular(p, w)
+			ok, diag = _regular(p, *w)
 			if not ok:
 				raise AugError('%s word not regular: %s' % (stage, diag))
 		# type 0 relabels to an index already present and swaps permute, so
 		# the indices of every word are those of the start and the insertions
-		h = max([max_index(nd.start)] + [s.index for s in nd.steps if s.kind == 'inf'])
+		h = max([max(words[0][1], default=-1)] + [s.index for s in steps if s.kind == 'inf'])
 		if h < 1:
 			break
-		steps = []
-		for w, w2, s in zip(words, words[1:], nd.steps):
-			steps += _project(p, w, w2, s, h)
-		nd = AugDerivation(pi_h(words[0], h), steps)
-		words = aug_derivation_words(p, nd)
-		stage = 'projected'
+		# word k is the successor of step k - 1 and the source of step k, so
+		# one cached word projects each word of the stage at most once
+		projection = lru_cache(maxsize=1)(lambda k: _drop(*words[k], h))
+		projected, start = [], projection(0)
+		for k, s in enumerate(steps):
+			projected += _project(p, words[k][1], s, h,
+				lambda: (projection(k), projection(k + 1)))
+		words = _aug_words(p, start, projected)
+		steps, stage = projected, 'projected'
 	out = Derivation(tuple(d.start),
-		[_aug_to_plain_step(p, w, s) for w, s in zip(words, nd.steps)])
+		[_aug_to_plain_step(p, w[0], s) for w, s in zip(words, steps)])
 	if validate:
 		if any(st.kind == 'inf' for st in out.steps):
 			raise AugError('elimination left an insertion step')

@@ -233,6 +233,40 @@ def reference_is_regular(p, w):
 	return True, 'regular'
 
 
+def reference_apply_aug_step(p, w, s):
+	'''apply_aug_step on words of triples, as first written.'''
+	n = len(w)
+	if s.kind == '0':
+		if s.pos + 2 > n:
+			raise AugError('aug type 0 out of range')
+		(g1, i1, e1), (g2, i2, e2) = w[s.pos], w[s.pos + 1]
+		if g1 != g2 or e1 != -e2:
+			raise AugError('no trivial pair at %d' % s.pos)
+		lo = min(i1, i2)
+		rest = w[:s.pos] + w[s.pos + 2:]
+		return tuple((g, lo, e) if g == g1 and i in (i1, i2) else (g, i, e)
+			for g, i, e in rest)
+	if s.kind in ('1', '2'):
+		if s.pos + 2 > n:
+			raise AugError('aug swap out of range')
+		(g1, i1, e1), (g2, i2, e2) = w[s.pos], w[s.pos + 1]
+		if not p.commutes(g1, g2):
+			raise AugError('%s and %s do not commute' % (g1, g2))
+		if s.kind == '1' and e1 != e2:
+			raise AugError('aug type 1 needs equal signs')
+		if s.kind == '2' and e1 != -e2:
+			raise AugError('aug type 2 needs opposite signs')
+		return w[:s.pos] + (w[s.pos + 1], w[s.pos]) + w[s.pos + 2:]
+	if s.kind == 'inf':
+		if not 0 <= s.pos <= n:
+			raise AugError('insertion position out of range')
+		if s.index <= max((i for _, i, _ in w), default=-1):
+			raise AugError('insertion index %d not fresh' % s.index)
+		pair = ((s.letter, s.index, s.sign), (s.letter, s.index, -s.sign))
+		return w[:s.pos] + pair + w[s.pos:]
+	raise AugError('unknown augmented step kind %r' % s.kind)
+
+
 def reference_lift(p, d):
 	if not p.right_angled:
 		raise AugError('lifting requires a right-angled presentation')

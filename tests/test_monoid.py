@@ -246,3 +246,24 @@ def test_disk_cache_ignores_a_class_without_the_word(tmp_path, monkeypatch):
 		assert equiv_class(A2, w) == fresh
 		_class_cache.clear()
 		assert equiv_class(A2, w) == fresh  # now read from the rewritten file
+
+
+def test_class_cache_keeps_the_newest_classes():
+	from artincalc.monoid import CACHED_CLASSES
+	_class_cache.clear()
+	first = equiv_class(A2, W('aba'))  # two members, cached under both
+	# each a^k is a class of its own: fill the cache past its bound
+	for k in range(1, CACHED_CLASSES + 6):
+		assert equiv_class(A2, W('a' * k)) == {W('a' * k)}
+	assert len({id(c) for c in _class_cache.values()}) == CACHED_CLASSES
+	assert (A2.fingerprint, W('aba')) not in _class_cache
+	assert (A2.fingerprint, W('bab')) not in _class_cache
+	for k in range(1, 6):  # the oldest went first
+		assert (A2.fingerprint, W('a' * k)) not in _class_cache
+	assert (A2.fingerprint, W('a' * 6)) in _class_cache
+	assert (A2.fingerprint, W('a' * (CACHED_CLASSES + 5))) in _class_cache
+	# an evicted class is computed again, equal to before
+	assert equiv_class(A2, W('bab')) == first
+	assert (A2.fingerprint, W('aba')) in _class_cache
+	assert (A2.fingerprint, W('a' * 6)) not in _class_cache
+	_class_cache.clear()

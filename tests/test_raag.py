@@ -12,8 +12,9 @@ from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h,
 	project_step, eliminate_infinity, raag_word_problem,
 	generate_01inf_derivation, random_right_angled, random_trivial_word)
 
-from helpers import (RA2, RA3, A2, FREE2, abelianized, random_word,
-	reference_lift, reference_project_step, reference_eliminate)
+from helpers import (RA2, RA3, A2, FREE2, abelianized, random_word, make,
+	reference_lift, reference_project_step, reference_eliminate,
+	reference_apply_aug_step, reference_is_regular)
 
 
 def aw(spec):
@@ -285,6 +286,68 @@ def test_eliminate_infinity_matches_reference():
 	# nested inputs are eliminated in more than one projection round
 	assert nested_ok >= 30 and max(tops) >= 3
 	assert sum(_outcome(eliminate_infinity, p, d)[0] != 'ok' for p, d in cases) >= 5
+
+
+RA5 = make('gens: a b c d e\nrel: ab = ba\nrel: bc = cb\nrel: cd = dc\n'
+	'rel: ae = ea\nrel: ce = ec')
+
+
+def _random_aug_word(p, rng):
+	'''A short augmented word, regular or not, with indices -1 to 3; half
+	the time a cancelling pair of two indices is planted, with more letters
+	of the larger index on its generator and on others.'''
+	gens = p.generators
+	w = [(rng.choice(gens), rng.choice((-1, 0, 0, 1, 1, 2, 2, 3)), rng.choice((1, -1)))
+		for _ in range(rng.randrange(0, 8))]
+	if rng.random() < 0.5:
+		g, e = rng.choice(gens), rng.choice((1, -1))
+		i1, i2 = rng.sample((-1, 0, 1, 2, 3), 2)
+		k = rng.randrange(len(w) + 1)
+		w[k:k] = [(g, i1, e), (g, i2, -e)]
+		for _ in range(rng.randrange(1, 4)):
+			w.insert(rng.randrange(len(w) + 1),
+				(rng.choice((g, g, rng.choice(gens))), max(i1, i2), rng.choice((1, -1))))
+	return tuple(w)
+
+
+def test_aug_word_ops_match_reference():
+	'''The pair-based cores behind apply_aug_step, is_regular, phi, pi_h and
+	project_step give the triple-form answers, errors included.'''
+	rng = random.Random(109)
+	seen = dict.fromkeys(('relabel several', 'relabel across generators',
+		'index on 3+ letters', 'negative index', 'not regular', 'top index 1, not regular'), 0)
+	for p in (RA3, RA5):
+		for _ in range(500):
+			w = _random_aug_word(p, rng)
+			indices = [i for _, i, _ in w]
+			seen['index on 3+ letters'] += any(indices.count(i) >= 3 for i in indices if i >= 1)
+			seen['negative index'] += min(indices, default=0) < 0
+			regular = reference_is_regular(p, w)
+			seen['not regular'] += not regular[0]
+			seen['top index 1, not regular'] += max(indices, default=0) == 1 and not regular[0]
+			assert is_regular(p, w) == regular
+			assert phi(w) == tuple((g, e) for g, i, e in w)
+			for h in range(-1, 5):
+				assert pi_h(w, h) == tuple(x for x in w if x[1] < h)
+			n = len(w)
+			steps = [s for s in applicable_aug_steps(p, w) if s.kind != 'inf'] + [
+				AugStep(rng.choice('012'), rng.randrange(-1, n + 1)),
+				AugStep('inf', rng.randrange(-1, n + 2), letter=rng.choice(p.generators),
+					index=rng.randrange(-1, 6), sign=rng.choice((1, -1))),
+				AugStep('3', 0)]
+			for s in steps:
+				if s.kind == '0' and 0 <= s.pos < n - 1 and w[s.pos][1] != w[s.pos + 1][1]:
+					g, hi = w[s.pos][0], max(w[s.pos][1], w[s.pos + 1][1])
+					rest = w[:s.pos] + w[s.pos + 2:]
+					seen['relabel several'] += sum(x[:2] == (g, hi) for x in rest) >= 2
+					seen['relabel across generators'] += any(
+						x[1] == hi and x[0] != g for x in rest) and (g, hi) in (x[:2] for x in rest)
+				assert _outcome(apply_aug_step, p, w, s) == \
+					_outcome(reference_apply_aug_step, p, w, s)
+				for h in (1, 2, 3):
+					assert _outcome(project_step, p, w, s, h) == \
+						_outcome(reference_project_step, p, w, s, h)
+	assert min(seen.values()) >= 20, seen
 
 
 def test_raag_word_problem_free_group():
