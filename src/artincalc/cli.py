@@ -22,7 +22,8 @@ from .core import (WordError, PresentationError, load_presentation, parse_word,
 	parse_positive, positive_to_word, invert, render_word, validate as validate_p)
 from .rewrite import (Step, Derivation, StepError, FormatError, applicable_steps,
 	apply_step, derivation_words)
-from .reversing import ReversingError, right_reverse, left_reverse, right_fraction
+from .reversing import (ReversingError, right_reverse, left_reverse,
+	right_fraction, _spherical_fraction)
 from .monoid import (CapExceeded, equiv_class, left_divisors, right_lcm,
 	is_S0_minimal, coset_head_spherical, canonical)
 from .cayley import FragmentError, divisor_fragment, traced_from, to_dot
@@ -203,11 +204,10 @@ def _end(f):
 def wp_spherical(p, word):
 	'''Spherical word problem: does the word represent 1?  (Invoking this
 	asserts the presentation is of spherical type.)'''
-	# word_problem_spherical on the fraction, keeping the end word of its trace
-	f = right_fraction(p, word)
-	end = _end(f)
-	return lambda: {'trivial': not end, 'trace': f.trace.to_json(p, end)}, \
-		str(not end).lower(), 1 if end else 0
+	# the trace ends at the fraction n d^-1, so it is not replayed
+	trivial, f = _spherical_fraction(p, word)
+	return lambda: {'trivial': trivial, 'trace': f.trace.to_json(p, _end(f))}, \
+		str(trivial).lower(), 0 if trivial else 1
 
 
 @_command('wp-raag', right_angled=True, word=parse_word)

@@ -3,9 +3,9 @@ length-preserving relation rewrites: equivalence classes, divisibility,
 right lcm via reversing, S0-minimality, and the spherical coset-head
 construction.
 
-Classes are memoized per presentation in-process, the newest
-CACHED_CLASSES of them; setting ARTIN_CACHE_DIR adds a JSON file cache
-keyed by a presentation fingerprint.  Results are identical with or
+Classes are memoized per presentation in-process, the newest ones up to
+CACHED_MEMBERS members together; setting ARTIN_CACHE_DIR adds a JSON file
+cache keyed by a presentation fingerprint.  Results are identical with or
 without either cache.
 '''
 
@@ -23,28 +23,38 @@ from .rewrite import Derivation, unwind
 from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError
 
 DEFAULT_CAP = 100000
-CACHED_CLASSES = 256
+# A round of the spherical-arith benchmark touches about 420 classes of
+# 23,000 members together, so this keeps all of them; one class at the cap
+# fills it alone.
+CACHED_MEMBERS = DEFAULT_CAP
 
 
 class _Classes(dict):
-	'''(fingerprint, word) -> class, for every member of the newest
-	CACHED_CLASSES classes; adding one more evicts the oldest.'''
+	'''(fingerprint, word) -> class.  Once the classes hold more than
+	CACHED_MEMBERS members together, the oldest are evicted; the newest
+	is always kept.'''
 
 	def __init__(self):
 		super().__init__()
 		self.order = deque()
+		self.members = 0
 
-	def add(self, fingerprint, cls):
-		self.update(((fingerprint, m), cls) for m in cls)
-		self.order.append((fingerprint, cls))
-		if len(self.order) > CACHED_CLASSES:
-			fingerprint, old = self.order.popleft()
-			for m in old:
-				self.pop((fingerprint, m), None)
+	def add(self, fingerprint, cls, words):
+		'''Cache cls under each of words, all of them members of cls.'''
+		self.update(((fingerprint, m), cls) for m in words)
+		self.order.append((fingerprint, cls, words))
+		self.members += len(cls)
+		while self.members > CACHED_MEMBERS and len(self.order) > 1:
+			fingerprint, old, words = self.order.popleft()
+			self.members -= len(old)
+			for m in words:
+				if self.get((fingerprint, m)) is old:  # not taken over since
+					del self[fingerprint, m]
 
 	def clear(self):
 		super().clear()
 		self.order.clear()
+		self.members = 0
 
 
 _class_cache = _Classes()
@@ -95,7 +105,8 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	path = _disk_path(p, w)
 	cls = path and _read_class(path, w)
 	if cls:
-		_class_cache.add(p.fingerprint, cls)
+		# only w: the file is trusted for w's class alone
+		_class_cache.add(p.fingerprint, cls, (w,))
 		return cls
 	seen = {w}
 	queue = deque([w])
@@ -108,7 +119,7 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 				seen.add(nxt)
 				queue.append(nxt)
 	cls = frozenset(seen)
-	_class_cache.add(p.fingerprint, cls)
+	_class_cache.add(p.fingerprint, cls, cls)
 	if path:
 		# through a temp file, so a reader never sees a partial class
 		os.makedirs(os.path.dirname(path), exist_ok=True)

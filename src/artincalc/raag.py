@@ -27,9 +27,9 @@ it and join.  eliminate_infinity never builds a triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import accumulate, compress, count
-from operator import itemgetter, ne
+from functools import partial
+from itertools import accumulate, compress
+from operator import itemgetter
 
 from .core import Presentation
 from .rewrite import (Step, Derivation, apply_step, check_derivation,
@@ -281,23 +281,20 @@ def _regular(p, letters, indices):
 # ---------------------------------------------------------------------------
 # projection (one step, top index h)
 
-def _first_diff(u, v, n):
-	'''The first position where the iterables u and v differ, or n.'''
-	return next(compress(count(), map(ne, u, v)), n)
-
-
 def _swap_block(p, pw, target):
 	'''Steps moving one letter across a commuting block, turning the pair pw
 	into the pair target; both words must agree except for that one move.'''
 	if pw == target:
 		return []
 	(lw, iw), (lt, it) = pw, target
-	n = len(lw)
-	if n != len(lt):
+	if len(lw) != len(lt):
 		raise AugError('projection diff is not a single move')
-	a = min(_first_diff(lw, lt, n), _first_diff(iw, it, n))
-	b = n - min(_first_diff(reversed(lw), reversed(lt), n),
-		_first_diff(reversed(iw), reversed(it), n))
+	a = 0
+	while lw[a] == lt[a] and iw[a] == it[a]:
+		a += 1
+	b = len(lw)
+	while b > a and lw[b - 1] == lt[b - 1] and iw[b - 1] == it[b - 1]:
+		b -= 1
 	mid_w, mid_t = _join(lw[a:b], iw[a:b]), _join(lt[a:b], it[a:b])
 	if sorted(mid_w) != sorted(mid_t):
 		raise AugError('projection diff is not a single move')
@@ -328,14 +325,12 @@ def project_step(p, w, s, h):
 	ok, diag = _regular(p, *w)
 	if not ok:
 		raise AugError('projection needs a regular word: ' + diag)
-	w2 = _apply(p, *w, s)
-	return _project(p, w[1], s, h, lambda: (_drop(*w, h), _drop(*w2, h)))
+	return _project(p, w[1], s, h, _drop(*w, h), _drop(*_apply(p, *w, s), h))
 
 
-def _project(p, indices, s, h, projections):
-	'''project_step on a regular word with these indices; projections()
-	gives the pairs pi_h(w) and pi_h(apply(w, s)), and is called only in
-	the cases that read them.'''
+def _project(p, indices, s, h, pw, pw2):
+	'''project_step on a regular word with these indices, given the pairs
+	pw = pi_h(w) and pw2 = pi_h(apply(w, s)).'''
 	if s.kind == 'inf':
 		if s.index < h:
 			return [AugStep('inf', _below(indices, s.pos, h),
@@ -344,7 +339,6 @@ def _project(p, indices, s, h, projections):
 		i1, i2 = indices[s.pos], indices[s.pos + 1]
 		if i1 < h and i2 < h:
 			return [AugStep(s.kind, _below(indices, s.pos, h))]
-	pw, pw2 = projections()
 	if s.kind != '0' or (i1 >= h and i2 >= h):
 		# the step moves or cancels only letters that pi_h deletes
 		if pw != pw2:
@@ -388,7 +382,7 @@ def eliminate_infinity(p, d, validate=True):
 	'''Turn a valid {0,1,inf} derivation from w to the empty word into a
 	{0,1,2} derivation from w to the empty word (right-angled only).  Each
 	stage replays once on pairs, checks each of its words for regularity
-	once, and projects each word at most once.'''
+	once, and projects each word once.'''
 	if not p.right_angled:
 		raise AugError('elimination requires a right-angled presentation')
 	for st in d.steps:
@@ -409,13 +403,14 @@ def eliminate_infinity(p, d, validate=True):
 		h = max([max(words[0][1], default=-1)] + [s.index for s in steps if s.kind == 'inf'])
 		if h < 1:
 			break
-		# word k is the successor of step k - 1 and the source of step k, so
-		# one cached word projects each word of the stage at most once
-		projection = lru_cache(maxsize=1)(lambda k: _drop(*words[k], h))
-		projected, start = [], projection(0)
-		for k, s in enumerate(steps):
-			projected += _project(p, words[k][1], s, h,
-				lambda: (projection(k), projection(k + 1)))
+		# word k is the successor of step k - 1 and the source of step k:
+		# each word of the stage is projected once
+		projected, start = [], _drop(*words[0], h)
+		pw = start
+		for w, w2, s in zip(words, words[1:], steps):
+			pw2 = _drop(*w2, h)
+			projected += _project(p, w[1], s, h, pw, pw2)
+			pw = pw2
 		words = _aug_words(p, start, projected)
 		steps, stage = projected, 'projected'
 	out = Derivation(tuple(d.start),

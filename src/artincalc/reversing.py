@@ -134,11 +134,17 @@ def left_fraction(p, w, budget=10000):
 def word_problem_spherical(p, w, budget=10000):
 	'''True iff the right fraction of w is (empty, empty); the trace is a
 	{0,2} derivation witnessing w ~> empty when true.'''
+	trivial, f = _spherical_fraction(p, w, budget)
+	return trivial, f.trace
+
+
+def _spherical_fraction(p, w, budget=10000):
+	'''word_problem_spherical, with the right fraction of w in place of its
+	trace.'''
 	if not p.declared_spherical:
 		raise ReversingError('presentation not declared spherical')
 	f = right_fraction(p, w, budget)
-	ok = not f.numerator and not f.denominator
-	return ok, f.trace
+	return not f.numerator and not f.denominator, f
 
 
 def completeness_check(p, u, v, budget=10000):

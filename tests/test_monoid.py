@@ -248,22 +248,46 @@ def test_disk_cache_ignores_a_class_without_the_word(tmp_path, monkeypatch):
 		assert equiv_class(A2, w) == fresh  # now read from the rewritten file
 
 
-def test_class_cache_keeps_the_newest_classes():
-	from artincalc.monoid import CACHED_CLASSES
+def test_class_cache_keeps_the_newest_classes(monkeypatch):
+	from artincalc import monoid
+	monkeypatch.setattr(monoid, 'CACHED_MEMBERS', 10)
 	_class_cache.clear()
 	first = equiv_class(A2, W('aba'))  # two members, cached under both
-	# each a^k is a class of its own: fill the cache past its bound
-	for k in range(1, CACHED_CLASSES + 6):
+	# each a^k is a class of one member: fill the cache past its bound
+	for k in range(1, 13):
 		assert equiv_class(A2, W('a' * k)) == {W('a' * k)}
-	assert len({id(c) for c in _class_cache.values()}) == CACHED_CLASSES
-	assert (A2.fingerprint, W('aba')) not in _class_cache
-	assert (A2.fingerprint, W('bab')) not in _class_cache
-	for k in range(1, 6):  # the oldest went first
-		assert (A2.fingerprint, W('a' * k)) not in _class_cache
-	assert (A2.fingerprint, W('a' * 6)) in _class_cache
-	assert (A2.fingerprint, W('a' * (CACHED_CLASSES + 5))) in _class_cache
-	# an evicted class is computed again, equal to before
+	# the oldest went first: aba and bab, then a and aa
+	assert _class_cache.members == 10
+	assert sorted(len(w) for _, w in _class_cache) == list(range(3, 13))
+	# an evicted class is computed again, equal to before, and evicts the
+	# two oldest one-member classes
 	assert equiv_class(A2, W('bab')) == first
 	assert (A2.fingerprint, W('aba')) in _class_cache
-	assert (A2.fingerprint, W('a' * 6)) not in _class_cache
+	assert sorted(len(w) for _, w in _class_cache) == [3, 3] + list(range(5, 13))
+	# a class larger than the bound is kept, alone
+	big = equiv_class(A2, W('abababab'))
+	assert len(big) > 10
+	assert set(_class_cache.values()) == {big}
+	assert _class_cache.members == len(big)
+	_class_cache.clear()
+
+
+def test_class_cache_trusts_a_disk_file_for_its_word_only(tmp_path, monkeypatch):
+	from artincalc import monoid
+	w, x, y = W('abab'), W('aabb'), W('aaba')
+	fresh_w, fresh_x = equiv_class(A2, w), equiv_class(A2, x)
+	assert x not in fresh_w and y in fresh_w and w != y
+	monkeypatch.setenv('ARTIN_CACHE_DIR', str(tmp_path))
+	_class_cache.clear()
+	# a damaged file for w that parses, holds w, and lists x as well
+	with open(_disk_path(A2, w), 'w') as f:
+		json.dump([list(w), list(x)], f)
+	assert equiv_class(A2, w) == {w, x}
+	assert equiv_class(A2, x) == fresh_x  # x's class is computed, not read
+	# y's class takes over the key of w; evicting the file's class later
+	# leaves that key to y's class
+	assert equiv_class(A2, y) == fresh_w
+	monkeypatch.setattr(monoid, 'CACHED_MEMBERS', len(fresh_w) + len(fresh_x))
+	assert equiv_class(A2, W('a')) == {W('a')}
+	assert _class_cache.get((A2.fingerprint, w)) == fresh_w
 	_class_cache.clear()
