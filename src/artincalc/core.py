@@ -88,9 +88,12 @@ class Presentation:
 	shift then |u| ascending (Dehn).  The pair maps keep the first hit in
 	that order: the lowest relation index wins, and 'fwd' beats 'bwd'.
 
-	Inside the search a word is a string, one character per letter:
-	generator i is chr(2i) and its inverse chr(2i + 1), so the two differ
-	in the lowest bit (_encode).  Each set of the kinds 1, 2r and 2l has
+	Inside the search, step replay, reversing and the right-angled
+	pipeline a word is a string, one character per letter: generator i is
+	chr(2i) and its inverse chr(2i + 1), so the two differ in the lowest
+	bit (_encode).  A generator outside the presentation gets the next
+	free pair in a table of one call's own (_Codes), and that call decodes
+	with the same table.  Each set of the kinds 1, 2r and 2l has
 	one step table of rows (kind, factor, replacement, step fields),
 	factor and replacement encoded, kind 1 before 2r before 2l, each in
 	the order above.  A row is keyed by the first two letters of its
@@ -150,21 +153,56 @@ class Presentation:
 		return {(g, e): chr(2 * i + (e < 0))
 			for i, g in enumerate(self.generators) for e in (1, -1)}
 
-	def _encode(self, w):
-		'''w as a string of letter codes; a generator outside the
-		presentation gets a fresh code pair for this call only.'''
-		codes = self._codes
-		if not all(x in codes for x in w):
-			codes, k = dict(codes), len(codes)
-			for g, e in w:
-				if (g, e) not in codes:
-					codes[g, abs(e)], codes[g, -abs(e)] = chr(k), chr(k + 1)
-					k += 2
+	def _fresh_codes(self):
+		'''A code table for one call, which may grow (_Codes).'''
+		return _Codes(self._codes)
+
+	def _encode(self, w, codes=None):
+		'''w as a string of letter codes in the table codes, or in a
+		fresh table for this call only.'''
+		codes = self._fresh_codes() if codes is None else codes
 		return ''.join([codes[x] for x in w])
 
-	def _decode(self, s):
-		letters = list(self._codes)
-		return tuple([letters[ord(c)] for c in s])
+	def _decode(self, s, codes=None):
+		'''The word of the code string s, read in the table that
+		encoded it (the presentation's own when none is given).'''
+		letters = list(self._codes if codes is None else codes)
+		return tuple(map(letters.__getitem__, map(ord, s)))
+
+	@cached_property
+	def _rules(self):
+		'''Step fields -> encoded (factor, replacement) of every type 1,
+		2r and 2l step checked so far (rewrite._rule).'''
+		return {}
+
+	@cached_property
+	def _commuting(self):
+		'''Code -> the codes of both signs of every generator that
+		commutes with its generator (commuting_pairs), as a string.'''
+		out = {}
+		for s, t in self.commuting_pairs:
+			both = self._codes[t, 1] + self._codes[t, -1]
+			for e in (1, -1):
+				out[self._codes[s, e]] = out.get(self._codes[s, e], '') + both
+		return out
+
+	@cached_property
+	def _swaps(self):
+		'''Two letter codes -> (kind, step fields) of the one step that
+		rewrites them through the first relation whose sides start (type 1
+		and 2r) or end (type 2l) with their generators: s^-1 t by type 2r
+		and s t^-1 by type 2l, the reversing steps with |v| = |v'| = 1, and
+		s t or t^-1 s^-1 by type 1, which swaps them when st = ts is that
+		relation.'''
+		c = self._codes
+		rows = {}
+		for (s, t), (ri, orient) in self.first_pairs.items():
+			rows[c[s, -1] + c[t, 1]] = ('2r', dict(rel=ri, orient=orient, lv=1, lvp=1))
+			rows[c[s, 1] + c[t, 1]] = ('1', dict(rel=ri, orient=orient, sign=1))
+			rows[c[t, -1] + c[s, -1]] = ('1', dict(rel=ri, orient=orient, sign=-1))
+		for (s, t), (ri, orient) in self.last_pairs.items():
+			rows[c[s, 1] + c[t, -1]] = ('2l', dict(rel=ri, orient=orient, lv=1, lvp=1))
+		return rows
 
 	def _step_table(self, kinds):
 		'''The step table of the kinds 1, 2r and 2l in kinds.'''
@@ -223,6 +261,19 @@ class Presentation:
 		'''Every (s, t) such that st = ts is a relation, either way round.'''
 		return frozenset((a[0], a[1]) for _, _, a, b in self._sides()
 			if len(a) == 2 and b == (a[1], a[0]))
+
+
+class _Codes(dict):
+	'''Letter -> code, for one call: a generator outside the presentation
+	gets the next free pair of codes when first seen, with the positive
+	letter even, so a letter and its inverse still differ in the lowest
+	bit.  Keys are in code order, so list(table)[ord(c)] decodes c.'''
+
+	def __missing__(self, letter):
+		g, e = letter
+		k = len(self) + len(self) % 2
+		self[g, abs(e)], self[g, -abs(e)] = chr(k), chr(k + 1)
+		return self[letter]
 
 
 def validate(p):

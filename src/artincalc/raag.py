@@ -17,23 +17,29 @@ intermediate words are all regular; projecting by descending top index
 yields a {0,1,2} derivation on plain words.
 
 The public functions take and return words of triples.  Inside, a word is
-split into a pair (letters, indices): letters is the plain word, a tuple
-of (gen, sign), and indices the tuple of indices, so phi is the first half
-of the pair.  Each operation has one private core on pairs (_apply,
-_regular, _drop, _aug_words, _project); the public functions split, call
-it and join.  eliminate_infinity never builds a triple.
+split into a pair (letters, indices): letters is the plain word encoded as
+a string (Presentation._encode: one character per signed letter, a letter
+and its inverse differing in the lowest bit), and indices the tuple of
+indices, so phi is the first half of the pair.  A call encodes with one
+code table (codes below), which gives a generator outside the
+presentation a fresh pair of codes and decodes the result.  Each operation
+has one private core on pairs (_apply, _regular, _drop, _aug_words,
+_project); the public functions split, call it and join.  Plain steps are
+applied and replayed on the same strings by rewrite._apply, so
+eliminate_infinity, raag_word_problem and generate_01inf_derivation
+encode their input once and build no triple.
 '''
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, compress
-from operator import itemgetter
+from itertools import accumulate, compress, count
+from operator import itemgetter, ne, or_
 
 from .core import Presentation
-from .rewrite import (Step, Derivation, apply_step, check_derivation,
-	derivation_words, oriented_relation, simulate_type2)
+from .rewrite import (Step, Derivation, oriented_relation, _apply as _apply_plain,
+	_replay, _end, _simulation)
 
 
 class AugError(ValueError):
@@ -45,18 +51,23 @@ def phi(w):
 	return tuple((g, e) for g, i, e in w)
 
 
-def _split(w):
+def _split(p, codes, w):
 	'''The pair (letters, indices) of a word of triples.'''
-	return phi(w), tuple(map(itemgetter(1), w))
+	return p._encode(phi(w), codes), tuple(map(itemgetter(1), w))
 
 
-def _join(letters, indices):
-	return tuple((g, i, e) for (g, e), i in zip(letters, indices))
+def _join(p, codes, letters, indices):
+	return tuple((g, i, e) for (g, e), i in zip(p._decode(letters, codes), indices))
+
+
+def _name(p, codes, c):
+	'''The generator of the code c.'''
+	return p._decode(c, codes)[0][0]
 
 
 def pi_h(w, h):
 	'''Delete letters of index >= h.'''
-	return _join(*_drop(*_split(w), h))
+	return tuple(x for x in w if x[1] < h)
 
 
 def _drop(letters, indices, h):
@@ -64,7 +75,7 @@ def _drop(letters, indices, h):
 	if max(indices, default=h - 1) < h:
 		return letters, indices
 	keep = [i < h for i in indices]
-	return tuple(compress(letters, keep)), tuple(compress(indices, keep))
+	return ''.join(compress(letters, keep)), tuple(compress(indices, keep))
 
 
 def _below(indices, pos, h):
@@ -113,50 +124,55 @@ class AugDerivation:
 
 
 def apply_aug_step(p, w, s):
-	return _join(*_apply(p, *_split(w), s))
+	codes = p._fresh_codes()
+	return _join(p, codes, *_apply(p, codes, *_split(p, codes, w), s))
 
 
-def _apply(p, letters, indices, s):
+def _apply(p, codes, letters, indices, s):
 	'''apply_aug_step on a pair.'''
 	n, k = len(letters), s.pos
+	if type(k) is not int or k < 0:
+		raise AugError('position %r out of range' % (k,))
 	if s.kind == '0':
 		if k + 2 > n:
 			raise AugError('aug type 0 out of range')
-		(g1, e1), (g2, e2) = letters[k], letters[k + 1]
-		if g1 != g2 or e1 != -e2:
+		c1, c2 = letters[k], letters[k + 1]
+		if ord(c1) ^ ord(c2) != 1:
 			raise AugError('no trivial pair at %d' % k)
 		i1, i2 = indices[k], indices[k + 1]
 		letters, rest = letters[:k] + letters[k + 2:], indices[:k] + indices[k + 2:]
 		if i1 == i2:  # the relabelling keeps every index
 			return letters, rest
-		# only the letters on g1 that carry the larger index change
+		# only the letters on the cancelled generator that carry the larger
+		# index change
 		lo, hi = min(i1, i2), max(i1, i2)
 		out, j = list(rest), 0
 		for _ in range(rest.count(hi)):
 			j = rest.index(hi, j)
-			if letters[j][0] == g1:
+			if letters[j] in (c1, c2):
 				out[j] = lo
 			j += 1
 		return letters, tuple(out)
 	if s.kind in ('1', '2'):
 		if k + 2 > n:
 			raise AugError('aug swap out of range')
-		(g1, e1), (g2, e2) = letters[k], letters[k + 1]
-		if not p.commutes(g1, g2):
-			raise AugError('%s and %s do not commute' % (g1, g2))
-		if s.kind == '1' and e1 != e2:
+		c1, c2 = letters[k], letters[k + 1]
+		if c2 not in p._commuting.get(c1, ''):
+			raise AugError('%s and %s do not commute'
+				% (_name(p, codes, c1), _name(p, codes, c2)))
+		if s.kind == '1' and (ord(c1) ^ ord(c2)) & 1:
 			raise AugError('aug type 1 needs equal signs')
-		if s.kind == '2' and e1 != -e2:
+		if s.kind == '2' and not (ord(c1) ^ ord(c2)) & 1:
 			raise AugError('aug type 2 needs opposite signs')
-		return (letters[:k] + (letters[k + 1], letters[k]) + letters[k + 2:],
+		return (letters[:k] + c2 + c1 + letters[k + 2:],
 			indices[:k] + (indices[k + 1], indices[k]) + indices[k + 2:])
 	if s.kind == 'inf':
-		if not 0 <= k <= n:
+		if k > n:
 			raise AugError('insertion position out of range')
 		if s.index <= max(indices, default=-1):
 			raise AugError('insertion index %d not fresh' % s.index)
-		return (letters[:k] + ((s.letter, s.sign), (s.letter, -s.sign)) + letters[k:],
-			indices[:k] + (s.index, s.index) + indices[k:])
+		pair = codes[s.letter, s.sign] + codes[s.letter, -s.sign]
+		return letters[:k] + pair + letters[k:], indices[:k] + (s.index, s.index) + indices[k:]
 	raise AugError('unknown augmented step kind %r' % s.kind)
 
 
@@ -166,15 +182,17 @@ def check_aug_derivation(p, d):
 
 def aug_derivation_words(p, d):
 	'''All intermediate words; a failure names the first bad step.'''
-	return [_join(*w) for w in _aug_words(p, _split(tuple(d.start)), d.steps)]
+	codes = p._fresh_codes()
+	words = _aug_words(p, codes, _split(p, codes, tuple(d.start)), d.steps)
+	return [_join(p, codes, *w) for w in words]
 
 
-def _aug_words(p, w, steps):
+def _aug_words(p, codes, w, steps):
 	'''aug_derivation_words from the pair w.'''
 	words = [w]
 	for i, s in enumerate(steps):
 		try:
-			words.append(_apply(p, *words[-1], s))
+			words.append(_apply(p, codes, *words[-1], s))
 		except AugError as e:
 			raise AugError('augmented step %d inapplicable: %s' % (i, e)) from None
 	return words
@@ -224,20 +242,23 @@ def lift_derivation(p, d):
 	presentation; insertion steps receive the fresh index max + 1.'''
 	if not p.right_angled:
 		raise AugError('lifting requires a right-angled presentation')
-	plain = accumulate(d.steps, partial(apply_step, p), initial=tuple(d.start))
-	steps, words = _lift(p, d, plain)
-	return AugDerivation(_join(*words[0]), steps)
+	codes = p._fresh_codes()
+	plain = accumulate(d.steps, partial(_apply_plain, p),
+		initial=p._encode(d.start, codes))
+	steps, words = _lift(p, codes, d, plain)
+	return AugDerivation(_join(p, codes, *words[0]), steps)
 
 
-def _lift(p, d, plain):
+def _lift(p, codes, d, plain):
 	'''The lifted steps of d and their words as pairs; plain iterates over
-	the words of d, start included, and is read one word per step lifted.
-	The lift projects back exactly when its letters are the plain word.'''
-	letters = tuple((g, e) for g, e in next(plain))
+	the encoded words of d, start included, and is read one word per step
+	lifted.  The lift projects back exactly when its letters are the plain
+	word.'''
+	letters = next(plain)
 	words, steps = [(letters, (0,) * len(letters))], []
 	for step in d.steps:
 		steps.append(_plain_step_to_aug(p, words[-1][1], step))
-		words.append(_apply(p, *words[-1], steps[-1]))
+		words.append(_apply(p, codes, *words[-1], steps[-1]))
 		if words[-1][0] != next(plain):
 			raise AugError('lift does not project back to the plain word')
 	return steps, words
@@ -250,12 +271,13 @@ def is_regular(p, w):
 	'''Each positive index occurs 0 or 2 times, as a pair r[h]^e ... r[h]^-e
 	whose strictly enclosed letters of index <= h all commute with r.
 	Returns (bool, diagnosis).'''
-	return _regular(p, *_split(w))
+	codes = p._fresh_codes()
+	return _regular(p, codes, *_split(p, codes, w))
 
 
-def _regular(p, letters, indices):
+def _regular(p, codes, letters, indices):
 	'''is_regular on a pair.'''
-	if max(indices, default=0) < 1:  # no positive index
+	if indices.count(0) == len(indices):  # no positive index
 		return True, 'regular'
 	for h in sorted(set(indices)):
 		if h < 1:
@@ -265,23 +287,25 @@ def _regular(p, letters, indices):
 			return False, 'index %d occurs %d times' % (h, times)
 		a = indices.index(h)
 		b = indices.index(h, a + 1)
-		(g1, e1), (g2, e2) = letters[a], letters[b]
-		if g1 != g2:
+		c1, c2 = letters[a], letters[b]
+		if ord(c1) >> 1 != ord(c2) >> 1:
 			return False, 'index %d letters have different generators' % h
-		if e1 != -e2:
+		if c1 == c2:
 			return False, 'index %d letters do not have opposite signs' % h
-		for (g, e), i in zip(letters[a + 1:b], indices[a + 1:b]):
-			if i <= h and g != g1 and not p.commutes(g1, g):
-				return False, 'index %d pair encloses non-commuting %s' % (h, g)
-			if i <= h and g == g1:
+		commuting = p._commuting.get(c1, '')
+		for c, i in zip(letters[a + 1:b], indices[a + 1:b]):
+			if i <= h and c in (c1, c2):
 				return False, 'index %d pair encloses its own generator' % h
+			if i <= h and c not in commuting:
+				return False, 'index %d pair encloses non-commuting %s' % (
+					h, _name(p, codes, c))
 	return True, 'regular'
 
 
 # ---------------------------------------------------------------------------
 # projection (one step, top index h)
 
-def _swap_block(p, pw, target):
+def _swap_block(p, codes, pw, target):
 	'''Steps moving one letter across a commuting block, turning the pair pw
 	into the pair target; both words must agree except for that one move.'''
 	if pw == target:
@@ -289,46 +313,50 @@ def _swap_block(p, pw, target):
 	(lw, iw), (lt, it) = pw, target
 	if len(lw) != len(lt):
 		raise AugError('projection diff is not a single move')
-	a = 0
-	while lw[a] == lt[a] and iw[a] == it[a]:
-		a += 1
-	b = len(lw)
-	while b > a and lw[b - 1] == lt[b - 1] and iw[b - 1] == it[b - 1]:
-		b -= 1
-	mid_w, mid_t = _join(lw[a:b], iw[a:b]), _join(lt[a:b], it[a:b])
-	if sorted(mid_w) != sorted(mid_t):
-		raise AugError('projection diff is not a single move')
-	# pw and target differ, so mid_w is not empty
-	if mid_w[-1] == mid_t[0] and mid_w[:-1] == mid_t[1:]:
+	# the moved block is lw[a:b], from the first to the last difference
+	a = _first_difference(lw, lt, iw, it)
+	b = len(lw) - _first_difference(*map(reversed, (lw, lt, iw, it)))
+	# pw and target differ, so the block lw[a:b] is not empty
+	if lw[b - 1] == lt[a] and iw[b - 1] == it[a] and \
+			lw[a:b - 1] == lt[a + 1:b] and iw[a:b - 1] == it[a + 1:b]:
 		# the last letter moves left, crossing the block from its right end
-		x = mid_w[-1]
-		crossings = zip(range(b - 2, a - 1, -1), reversed(mid_w[:-1]))
-	elif mid_w[0] == mid_t[-1] and mid_w[1:] == mid_t[:-1]:
+		x = lw[b - 1]
+		crossings = zip(range(b - 2, a - 1, -1), reversed(lw[a:b - 1]))
+	elif lw[a] == lt[b - 1] and iw[a] == it[b - 1] and \
+			lw[a + 1:b] == lt[a:b - 1] and iw[a + 1:b] == it[a:b - 1]:
 		# the first letter moves right, crossing the block from its left end
-		x = mid_w[0]
-		crossings = zip(range(a, b - 1), mid_w[1:])
+		x = lw[a]
+		crossings = zip(range(a, b - 1), lw[a + 1:b])
 	else:
 		raise AugError('projection diff is not a single move')
 	steps = []
-	for cur, let in crossings:
-		if let[0] == x[0] or not p.commutes(let[0], x[0]):
-			raise AugError('projection needs %s and %s to commute' % (let[0], x[0]))
-		steps.append(AugStep('1' if let[2] == x[2] else '2', cur))
+	for cur, c in crossings:
+		if ord(c) >> 1 == ord(x) >> 1 or c not in p._commuting.get(x, ''):
+			raise AugError('projection needs %s and %s to commute'
+				% (_name(p, codes, c), _name(p, codes, x)))
+		steps.append(AugStep('2' if (ord(c) ^ ord(x)) & 1 else '1', cur))
 	return steps
+
+
+def _first_difference(x, y, u, v):
+	'''The first k with (x[k], u[k]) != (y[k], v[k]), which must exist.'''
+	return next(compress(count(), map(or_, map(ne, x, y), map(ne, u, v))))
 
 
 def project_step(p, w, s, h):
 	'''Augmented steps transforming pi_h(w) into pi_h(apply(w, s)), by case
 	analysis on how the step interacts with the index-h pair.  w must be
 	regular, and this checks it itself.'''
-	w = _split(w)
-	ok, diag = _regular(p, *w)
+	codes = p._fresh_codes()
+	w = _split(p, codes, w)
+	ok, diag = _regular(p, codes, *w)
 	if not ok:
 		raise AugError('projection needs a regular word: ' + diag)
-	return _project(p, w[1], s, h, _drop(*w, h), _drop(*_apply(p, *w, s), h))
+	return _project(p, codes, w[1], s, h, _drop(*w, h),
+		_drop(*_apply(p, codes, *w, s), h))
 
 
-def _project(p, indices, s, h, pw, pw2):
+def _project(p, codes, indices, s, h, pw, pw2):
 	'''project_step on a regular word with these indices, given the pairs
 	pw = pi_h(w) and pw2 = pi_h(apply(w, s)).'''
 	if s.kind == 'inf':
@@ -346,8 +374,8 @@ def _project(p, indices, s, h, pw, pw2):
 		return []
 	# type 0 with one cancelled letter of index h: the surviving pair partner
 	# is relabelled below h and must cross the pair contents by commutations
-	steps = _swap_block(p, pw, pw2)
-	if _aug_words(p, pw, steps)[-1] != pw2:
+	steps = _swap_block(p, codes, pw, pw2)
+	if _aug_words(p, codes, pw, steps)[-1] != pw2:
 		raise AugError('projected block does not replay')
 	return steps
 
@@ -355,47 +383,43 @@ def _project(p, indices, s, h, pw, pw2):
 # ---------------------------------------------------------------------------
 # elimination
 
-def _aug_to_plain_step(p, w, s):
-	'''A zero-index augmented step as a plain Step on the letters w.'''
-	if s.kind == '0':
-		return Step('0', s.pos, sign=w[s.pos][-1])
-	(g1, *_, e1), (g2, *_, e2) = w[s.pos], w[s.pos + 1]
+def _plain_step(p, codes, letters, kind, pos):
+	'''The plain Step of a zero-index augmented step of this kind ('0',
+	'1' or '2') at pos on the encoded letters.'''
+	if kind == '0':
+		return Step('0', pos, sign=-1 if ord(letters[pos]) & 1 else 1)
 	# a right-angled side s t is the one that starts with s while the other
-	# side starts with t, so the pair maps name every relation needed here
-	if s.kind == '1':
-		# g1 g2 -> g2 g1, or (g2 g1)^-1 -> (g1 g2)^-1 on negative letters
-		pair = (g1, g2) if e1 == 1 else (g2, g1)
-		if pair in p.first_pairs:
-			ri, orient = p.first_pairs[pair]
-			return Step('1', s.pos, rel=ri, orient=orient, sign=e1)
-	elif s.kind == '2':
-		# g1^-1 g2 -> g2 g1^-1 is type 2r, g1 g2^-1 -> g2^-1 g1 is type 2l,
-		# both with v = g1, v' = g2: the reversing step of that pattern
-		kind, pairs = ('2r', p.first_pairs) if e1 == -1 else ('2l', p.last_pairs)
-		if (g1, g2) in pairs:
-			ri, orient = pairs[g1, g2]
-			return Step(kind, s.pos, rel=ri, orient=orient, lv=1, lvp=1)
-	raise AugError('no relation realizes the swap %s %s' % (g1, g2))
+	# side starts with t, so Presentation._swaps names every relation needed
+	# here: type 1 for equal signs, 2r or 2l (the reversing step) otherwise
+	pair = letters[pos:pos + 2]
+	row = p._swaps.get(pair)
+	if row is None or row[0][0] != kind:
+		g1, g2 = (_name(p, codes, c) for c in pair)
+		raise AugError('no relation realizes the swap %s %s' % (g1, g2))
+	return Step(row[0], pos, **row[1])
 
 
-def eliminate_infinity(p, d, validate=True):
+def eliminate_infinity(p, d):
 	'''Turn a valid {0,1,inf} derivation from w to the empty word into a
-	{0,1,2} derivation from w to the empty word (right-angled only).  Each
-	stage replays once on pairs, checks each of its words for regularity
-	once, and projects each word once.'''
+	{0,1,2} derivation from w to the empty word (right-angled only).  The
+	input replays once on encoded words, which the lift checks itself
+	against; each stage replays once on pairs, checks each of its words for
+	regularity once, and projects each word once; the result is replayed.'''
 	if not p.right_angled:
 		raise AugError('elimination requires a right-angled presentation')
 	for st in d.steps:
 		if st.kind in ('2r', '2l'):
 			raise AugError('input derivation contains a type 2 step')
-	plain = derivation_words(p, d)
-	if plain[-1] != ():
+	codes = p._fresh_codes()
+	start = p._encode(d.start, codes)
+	plain = list(_replay(p, start, d.steps))
+	if plain[-1]:
 		raise AugError('input derivation does not end at the empty word')
-	steps, words = _lift(p, d, iter(plain))
+	steps, words = _lift(p, codes, d, iter(plain))
 	stage = 'lifted'
 	while True:
 		for w in words:
-			ok, diag = _regular(p, *w)
+			ok, diag = _regular(p, codes, *w)
 			if not ok:
 				raise AugError('%s word not regular: %s' % (stage, diag))
 		# type 0 relabels to an index already present and swaps permute, so
@@ -405,21 +429,20 @@ def eliminate_infinity(p, d, validate=True):
 			break
 		# word k is the successor of step k - 1 and the source of step k:
 		# each word of the stage is projected once
-		projected, start = [], _drop(*words[0], h)
-		pw = start
+		projected, first = [], _drop(*words[0], h)
+		pw = first
 		for w, w2, s in zip(words, words[1:], steps):
 			pw2 = _drop(*w2, h)
-			projected += _project(p, w[1], s, h, pw, pw2)
+			projected += _project(p, codes, w[1], s, h, pw, pw2)
 			pw = pw2
-		words = _aug_words(p, start, projected)
+		words = _aug_words(p, codes, first, projected)
 		steps, stage = projected, 'projected'
 	out = Derivation(tuple(d.start),
-		[_aug_to_plain_step(p, w[0], s) for w, s in zip(words, steps)])
-	if validate:
-		if any(st.kind == 'inf' for st in out.steps):
-			raise AugError('elimination left an insertion step')
-		if check_derivation(p, out) != ():
-			raise AugError('eliminated derivation does not replay to empty')
+		[_plain_step(p, codes, w[0], s.kind, s.pos) for w, s in zip(words, steps)])
+	if any(st.kind == 'inf' for st in out.steps):
+		raise AugError('elimination left an insertion step')
+	if _end(p, start, out.steps):
+		raise AugError('eliminated derivation does not replay to empty')
 	return out
 
 
@@ -431,61 +454,65 @@ def raag_word_problem(p, w):
 	in the right-angled group, else None.  Repeatedly finds a letter pair
 	s^e ... s^-e whose enclosed letters all commute with s, commutes the
 	partner leftward, and cancels.'''
+	shuffled = _shuffle(p, w)
+	return None if shuffled is None else Derivation(tuple(w), shuffled[1])
+
+
+def _shuffle(p, w):
+	'''raag_word_problem on w encoded: (encoded w, its steps, step index
+	-> encoded word before it for each type 2 step), or None.  Each step is
+	applied by rewrite._apply as it is made, which checks it.'''
 	if not p.right_angled:
 		raise AugError('shuffle algorithm requires a right-angled presentation')
-	steps = []
-	cur = tuple(w)
+	codes = p._fresh_codes()
+	cur = start = p._encode(w, codes)
+	steps, before = [], {}
 	while cur:
 		pair = _find_cancellable_pair(p, cur)
 		if pair is None:
 			return None
 		i, j = pair
 		for k in range(j - 1, i, -1):
-			steps.append(_swap_plain(p, cur, k))
-			cur = apply_step(p, cur, steps[-1])
-		steps.append(Step('0', i, sign=cur[i][1]))
-		cur = apply_step(p, cur, steps[-1])
-	return Derivation(tuple(w), steps)
+			step = _plain_step(p, codes, cur,
+				'2' if (ord(cur[k]) ^ ord(cur[k + 1])) & 1 else '1', k)
+			if step.kind != '1':
+				before[len(steps)] = cur
+			steps.append(step)
+			cur = _apply_plain(p, cur, step)
+		steps.append(_plain_step(p, codes, cur, '0', i))
+		cur = _apply_plain(p, cur, steps[-1])
+	return start, steps, before
 
 
 def _find_cancellable_pair(p, w):
-	for i in range(len(w)):
-		g, e = w[i]
-		for j in range(i + 1, len(w)):
-			g2, e2 = w[j]
-			if g2 == g:
-				if e2 == -e and all(x != g and p.commutes(g, x) for x, _ in w[i + 1:j]):
-					return i, j
-				break  # nearer same-generator letter blocks the pair
-			if not p.commutes(g, g2):
-				break
+	'''The first i, with its j, such that w[j] is the inverse of w[i] and
+	every letter between commutes with w[i]: the first letter after i
+	that does not commute with it is w[j].  In a right-angled presentation
+	no generator commutes with itself, so that letter is also the first
+	on the generator of w[i].'''
+	for i, c in enumerate(w):
+		rest = w[i + 1:].lstrip(p._commuting.get(c, ''))
+		if rest and ord(rest[0]) == ord(c) ^ 1:
+			return i, len(w) - len(rest)
 	return None
-
-
-def _swap_plain(p, w, pos):
-	'''Plain step swapping w[pos] and w[pos + 1] (commuting generators).'''
-	(g1, e1), (g2, e2) = w[pos], w[pos + 1]
-	return _aug_to_plain_step(p, w, AugStep('1' if e1 == e2 else '2', pos))
 
 
 def generate_01inf_derivation(p, w):
 	'''A {0,1,inf} derivation from w to the empty word, built from the
 	shuffle derivation by simulating every type 2 step.'''
-	d = raag_word_problem(p, w)
-	if d is None:
+	shuffled = _shuffle(p, w)
+	if shuffled is None:
 		raise AugError('word does not represent 1')
+	start, shuffle_steps, before = shuffled
 	steps = []
-	cur = tuple(d.start)
-	for s in d.steps:
-		if s.kind in ('2r', '2l'):
-			steps.extend(simulate_type2(p, cur, s).steps)
+	for k, s in enumerate(shuffle_steps):
+		if k in before:
+			steps.extend(_simulation(p, before[k], s))
 		else:
 			steps.append(s)
-		cur = apply_step(p, cur, s)
-	out = Derivation(tuple(d.start), steps)
-	if check_derivation(p, out) != ():
+	if _end(p, start, steps):
 		raise AugError('simulated derivation does not replay to empty')
-	return out
+	return Derivation(tuple(w), steps)
 
 
 # ---------------------------------------------------------------------------

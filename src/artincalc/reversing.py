@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import invert, word_to_positive, positive_to_word
-from .rewrite import Step, Derivation, apply_step
+from .rewrite import Step, Derivation, _apply
 
 
 class ReversingError(ValueError):
@@ -31,39 +31,42 @@ class ReversalResult:
 
 
 # Right reversing rewrites the leftmost s^-1 t, left reversing the
-# rightmost s t^-1: per side, the sign of s, the step kind and the pair map
-# that names its relation, and the wording of a block.
+# rightmost s t^-1: per side, the sign of s, where that pattern is in the
+# signs of the word ('1' for an inverse letter), and the wording of a block.
 _SIDES = {
-	'right': (-1, '2r', 'first_pairs', 'no relation reverses %s^-1 %s'),
-	'left': (1, '2l', 'last_pairs', 'no relation reverses %s %s^-1'),
+	'right': (-1, lambda signs: signs.find('10'), 'no relation reverses %s^-1 %s'),
+	'left': (1, lambda signs: signs.rfind('01'), 'no relation reverses %s %s^-1'),
 }
 
 
 def _reverse(p, w, budget, side):
+	'''Reversing on the word encoded once; a type 2 step comes from
+	Presentation._swaps, and every step is applied by rewrite._apply.'''
 	if budget <= 0:
 		raise ReversingError('budget must be positive')
-	e, kind, pairs, blocked = _SIDES[side]
-	pairs = getattr(p, pairs)
+	e, find, blocked = _SIDES[side]
+	codes = p._fresh_codes()
+	cur = p._encode(w, codes)
+	signs = {ord(c): '01'[ord(c) & 1] for c in codes.values()}
 	steps = []
-	cur = tuple(w)
 	for _ in range(budget):
-		at = range(len(cur) - 1) if side == 'right' else range(len(cur) - 2, -1, -1)
-		i = next((j for j in at if cur[j][1] == e and cur[j + 1][1] == -e), None)
-		if i is None:
-			return ReversalResult(cur, True, trace=Derivation(tuple(w), steps),
-				step_count=len(steps))
-		s, t = cur[i][0], cur[i + 1][0]
-		if s == t:
-			step = Step('0', i, sign=e)
-		elif (s, t) in pairs:
-			ri, orient = pairs[s, t]
-			step = Step(kind, i, rel=ri, orient=orient, lv=1, lvp=1)
-		else:
-			return ReversalResult(cur, False, blocked=blocked % (s, t),
+		i = find(cur.translate(signs))
+		if i < 0:
+			return ReversalResult(p._decode(cur, codes), True,
 				trace=Derivation(tuple(w), steps), step_count=len(steps))
-		cur = apply_step(p, cur, step)
+		pair = cur[i:i + 2]
+		if ord(pair[0]) ^ ord(pair[1]) == 1:
+			step = Step('0', i, sign=e)
+		elif pair in p._swaps:
+			kind, fields = p._swaps[pair]
+			step = Step(kind, i, **fields)
+		else:
+			(s, _), (t, _) = p._decode(pair, codes)
+			return ReversalResult(p._decode(cur, codes), False, blocked=blocked % (s, t),
+				trace=Derivation(tuple(w), steps), step_count=len(steps))
+		cur = _apply(p, cur, step)
 		steps.append(step)
-	return ReversalResult(cur, False, trace=Derivation(tuple(w), steps),
+	return ReversalResult(p._decode(cur, codes), False, trace=Derivation(tuple(w), steps),
 		step_count=len(steps))
 
 

@@ -12,6 +12,15 @@ Positions index letter boundaries 0..len(w); a step's position is the start
 of the affected factor.  For type 2 the orientation 'fwd' reads the stored
 relation as (lhs, rhs) = (v side, v' side); 'bwd' swaps them.  lv and lvp
 are |v| and |v'|.
+
+Every step is checked and applied in one place, _apply, on words encoded
+as strings (Presentation._encode), and every derivation is replayed by
+_replay on top of it.  apply_step, check_derivation and derivation_words
+encode their word once, run there and decode; reversing, the shuffle and
+the elimination in raag run there on the words they have already
+encoded.  The encoded factor and replacement of a type 1 or 2 step are
+checked the first time its fields are met on a presentation and then
+read from that presentation's cache (_rule).
 '''
 
 from __future__ import annotations
@@ -93,34 +102,63 @@ def oriented_relation(p, step):
 
 def apply_step(p, w, s):
 	'''Apply one step; raises StepError on any pattern mismatch.'''
-	n = len(w)
-	if type(s.pos) is not int or s.pos < 0:
-		raise StepError('position %r out of range' % (s.pos,))
-	if s.kind == '0':
-		if s.pos + 2 > n:
+	codes = p._fresh_codes()
+	return p._decode(_apply(p, p._encode(w, codes), s), codes)
+
+
+def _apply(p, w, s):
+	'''apply_step on a word encoded by Presentation._encode: the one
+	place where a step is checked against a word.'''
+	pos, kind = s.pos, s.kind
+	if type(pos) is not int or pos < 0:
+		raise StepError('position %r out of range' % (pos,))
+	if kind == '0':
+		if pos + 2 > len(w):
 			raise StepError('type 0 out of range')
-		(g1, e1), (g2, e2) = w[s.pos], w[s.pos + 1]
-		if g1 != g2 or e1 != -e2 or e1 != s.sign:
-			raise StepError('no trivial pair at %d' % s.pos)
-		return w[:s.pos] + w[s.pos + 2:]
-	if s.kind == 'inf':
-		if not 0 <= s.pos <= n:
+		c = ord(w[pos])
+		if c ^ ord(w[pos + 1]) != 1 or (-1 if c & 1 else 1) != s.sign:
+			raise StepError('no trivial pair at %d' % pos)
+		return w[:pos] + w[pos + 2:]
+	if kind == 'inf':
+		if pos > len(w):
 			raise StepError('insertion position out of range')
 		if s.letter not in p.generators:
 			raise StepError('unknown letter %r' % s.letter)
 		if s.sign not in (1, -1):
 			raise StepError('insertion sign must be 1 or -1, got %r' % (s.sign,))
-		pair = ((s.letter, s.sign), (s.letter, -s.sign))
-		return w[:s.pos] + pair + w[s.pos:]
-	if s.kind in ('1', '2r', '2l'):
-		a, b = oriented_relation(p, s)
-		if s.kind != '1' and not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
-			raise StepError('bad type %s split' % s.kind)
-		factor, new = step_factor(s.kind, a, b, s.sign, s.lv, s.lvp)
-		if w[s.pos:s.pos + len(factor)] != factor:
-			raise StepError('type %s factor mismatch at %d' % (s.kind, s.pos))
-		return w[:s.pos] + new + w[s.pos + len(factor):]
-	raise StepError('unknown step kind %r' % s.kind)
+		codes = p._codes
+		return w[:pos] + codes[s.letter, s.sign] + codes[s.letter, -s.sign] + w[pos:]
+	if kind in ('1', '2r', '2l'):
+		factor, new = _rule(p, s)
+		if not w.startswith(factor, pos):
+			raise StepError('type %s factor mismatch at %d' % (kind, pos))
+		return w[:pos] + new + w[pos + len(factor):]
+	raise StepError('unknown step kind %r' % kind)
+
+
+def _rule(p, s):
+	'''The encoded (factor, replacement) of a type 1, 2r or 2l step,
+	checked when first met on p and then read from p._rules.  The key
+	holds the fields the step reads, with the types of the numeric ones,
+	so that rel=True, which the check rejects, cannot hit rel=1.'''
+	if s.kind == '1':
+		key = ('1', s.rel, type(s.rel), s.orient, s.sign == -1)
+	else:
+		key = (s.kind, s.rel, type(s.rel), s.orient, s.lv, type(s.lv), s.lvp, type(s.lvp))
+	try:
+		return p._rules[key]
+	except KeyError:
+		pass
+	except TypeError:  # an unhashable field: check it, keep nothing
+		key = None
+	a, b = oriented_relation(p, s)
+	if s.kind != '1' and not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
+		raise StepError('bad type %s split' % s.kind)
+	factor, new = step_factor(s.kind, a, b, s.sign, s.lv, s.lvp)
+	row = p._encode(factor, p._codes), p._encode(new, p._codes)
+	if key is not None:
+		p._rules[key] = row
+	return row
 
 
 def _successors(p, w, kinds):
@@ -195,19 +233,35 @@ class Derivation:
 
 def check_derivation(p, d):
 	'''Replay a derivation to its final word, failing as derivation_words.'''
-	return derivation_words(p, d)[-1]
+	codes = p._fresh_codes()
+	return p._decode(_end(p, p._encode(d.start, codes), d.steps), codes)
 
 
 def derivation_words(p, d):
 	'''All intermediate words, start included; the index of the first
 	inapplicable step is reported on failure.'''
-	words = [tuple(d.start)]
-	for i, s in enumerate(d.steps):
+	codes = p._fresh_codes()
+	words = list(_replay(p, p._encode(d.start, codes), d.steps))
+	return [tuple(d.start)] + [p._decode(w, codes) for w in words[1:]]
+
+
+def _replay(p, w, steps):
+	'''The encoded words of a derivation from the encoded word w, start
+	included, one at a time; a failure names the first inapplicable step.'''
+	yield w
+	for i, s in enumerate(steps):
 		try:
-			words.append(apply_step(p, words[-1], s))
+			w = _apply(p, w, s)
 		except StepError as e:
 			raise StepError('step %d inapplicable: %s' % (i, e)) from None
-	return words
+		yield w
+
+
+def _end(p, w, steps):
+	'''The last word of _replay(p, w, steps).'''
+	for w in _replay(p, w, steps):
+		pass
+	return w
 
 
 def unwind(tree, start, end):
@@ -264,9 +318,14 @@ def simulate_type2(p, w, s):
 	'''A derivation from w to apply_step(p, w, s) using only insertion,
 	type 1, and type 0 steps.  Used to manufacture {0,1,inf} derivations
 	when exercising the elimination algorithm.'''
+	return Derivation(w, _simulation(p, p._encode(w), s))
+
+
+def _simulation(p, w, s):
+	'''simulate_type2's steps on the encoded word w, checked by replay.'''
 	if s.kind not in ('2r', '2l'):
 		raise StepError('simulate_type2 needs a type 2 step')
-	want = apply_step(p, w, s)  # also the applicability check
+	want = _apply(p, w, s)  # also the applicability check
 	l, r = oriented_relation(p, s)
 	steps = []
 	if s.kind == '2r':
@@ -289,7 +348,6 @@ def simulate_type2(p, w, s):
 		off = s.pos + len(u) + len(r)
 		for i in range(s.lvp):
 			steps.append(Step('0', off - 1 - i, sign=1))
-	d = Derivation(w, steps)
-	if check_derivation(p, d) != want:
+	if _end(p, w, steps) != want:
 		raise StepError('type 2 simulation mismatch')
-	return d
+	return steps

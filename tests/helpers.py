@@ -13,7 +13,8 @@ from collections import deque
 from artincalc import (parse_presentation_text, parse_word, parse_positive,
 	render_word, invert, free_reduce, Step, Derivation, applicable_steps,
 	apply_step, check_derivation)
-from artincalc.core import positive_to_word
+from artincalc.core import positive_to_word, step_factor
+from artincalc.rewrite import StepError
 from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h, to_aug,
 	max_index, apply_aug_step, aug_derivation_words)
 
@@ -234,8 +235,11 @@ def reference_is_regular(p, w):
 
 
 def reference_apply_aug_step(p, w, s):
-	'''apply_aug_step on words of triples, as first written.'''
+	'''apply_aug_step on words of triples, as first written, with the
+	position check that rewrite.apply_step makes.'''
 	n = len(w)
+	if type(s.pos) is not int or s.pos < 0:
+		raise AugError('position %r out of range' % (s.pos,))
 	if s.kind == '0':
 		if s.pos + 2 > n:
 			raise AugError('aug type 0 out of range')
@@ -401,4 +405,136 @@ def reference_eliminate(p, d, validate=True):
 			raise AugError('elimination left an insertion step')
 		if check_derivation(p, out) != ():
 			raise AugError('eliminated derivation does not replay to empty')
+	return out
+
+
+# ---------------------------------------------------------------------------
+# reference step core: apply_step and derivation replay on words of
+# (generator, sign) tuples, as they were before words were encoded, and the
+# shuffle word problem and its {0,1,inf} factory on top of them.
+
+def reference_apply_step(p, w, s):
+	n = len(w)
+	if type(s.pos) is not int or s.pos < 0:
+		raise StepError('position %r out of range' % (s.pos,))
+	if s.kind == '0':
+		if s.pos + 2 > n:
+			raise StepError('type 0 out of range')
+		(g1, e1), (g2, e2) = w[s.pos], w[s.pos + 1]
+		if g1 != g2 or e1 != -e2 or e1 != s.sign:
+			raise StepError('no trivial pair at %d' % s.pos)
+		return w[:s.pos] + w[s.pos + 2:]
+	if s.kind == 'inf':
+		if not 0 <= s.pos <= n:
+			raise StepError('insertion position out of range')
+		if s.letter not in p.generators:
+			raise StepError('unknown letter %r' % s.letter)
+		if s.sign not in (1, -1):
+			raise StepError('insertion sign must be 1 or -1, got %r' % (s.sign,))
+		pair = ((s.letter, s.sign), (s.letter, -s.sign))
+		return w[:s.pos] + pair + w[s.pos:]
+	if s.kind in ('1', '2r', '2l'):
+		if type(s.rel) is not int or not 0 <= s.rel < len(p.relations):
+			raise StepError('relation index %r out of range' % (s.rel,))
+		if s.orient not in ('fwd', 'bwd'):
+			raise StepError('unknown orientation %r' % (s.orient,))
+		l, r = p.relations[s.rel]
+		a, b = (l, r) if s.orient == 'fwd' else (r, l)
+		if s.kind != '1' and not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
+			raise StepError('bad type %s split' % s.kind)
+		factor, new = step_factor(s.kind, a, b, s.sign, s.lv, s.lvp)
+		if w[s.pos:s.pos + len(factor)] != factor:
+			raise StepError('type %s factor mismatch at %d' % (s.kind, s.pos))
+		return w[:s.pos] + new + w[s.pos + len(factor):]
+	raise StepError('unknown step kind %r' % s.kind)
+
+
+def reference_derivation_words(p, d):
+	words = [tuple(d.start)]
+	for i, s in enumerate(d.steps):
+		try:
+			words.append(reference_apply_step(p, words[-1], s))
+		except StepError as e:
+			raise StepError('step %d inapplicable: %s' % (i, e)) from None
+	return words
+
+
+def reference_simulate_type2(p, w, s):
+	if s.kind not in ('2r', '2l'):
+		raise StepError('simulate_type2 needs a type 2 step')
+	want = reference_apply_step(p, w, s)
+	l, r = p.relations[s.rel] if s.orient == 'fwd' else p.relations[s.rel][::-1]
+	steps = []
+	if s.kind == '2r':
+		up = r[s.lvp:]
+		end = s.pos + s.lv + s.lvp
+		for i, g in enumerate(up):
+			steps.append(Step('inf', end + i, letter=g, sign=1))
+		steps.append(Step('1', s.pos + s.lv, rel=s.rel,
+			orient='bwd' if s.orient == 'fwd' else 'fwd', sign=1))
+		for i in range(s.lv):
+			steps.append(Step('0', s.pos + s.lv - 1 - i, sign=-1))
+	else:
+		u = l[:len(l) - s.lv]
+		for i in range(len(u)):
+			steps.append(Step('inf', s.pos + i, letter=u[len(u) - 1 - i], sign=-1))
+		steps.append(Step('1', s.pos + len(u), rel=s.rel, orient=s.orient, sign=1))
+		off = s.pos + len(u) + len(r)
+		for i in range(s.lvp):
+			steps.append(Step('0', off - 1 - i, sign=1))
+	d = Derivation(w, steps)
+	if reference_derivation_words(p, d)[-1] != want:
+		raise StepError('type 2 simulation mismatch')
+	return d
+
+
+def _reference_cancellable_pair(p, w):
+	for i in range(len(w)):
+		g, e = w[i]
+		for j in range(i + 1, len(w)):
+			g2, e2 = w[j]
+			if g2 == g:
+				if e2 == -e and all(x != g and p.commutes(g, x) for x, _ in w[i + 1:j]):
+					return i, j
+				break  # nearer same-generator letter blocks the pair
+			if not p.commutes(g, g2):
+				break
+	return None
+
+
+def reference_raag_word_problem(p, w):
+	if not p.right_angled:
+		raise AugError('shuffle algorithm requires a right-angled presentation')
+	steps = []
+	cur = tuple(w)
+	while cur:
+		pair = _reference_cancellable_pair(p, cur)
+		if pair is None:
+			return None
+		i, j = pair
+		for k in range(j - 1, i, -1):
+			(g1, e1), (g2, e2) = cur[k], cur[k + 1]
+			steps.append(_reference_plain_step(p, to_aug(cur),
+				AugStep('1' if e1 == e2 else '2', k)))
+			cur = reference_apply_step(p, cur, steps[-1])
+		steps.append(Step('0', i, sign=cur[i][1]))
+		cur = reference_apply_step(p, cur, steps[-1])
+	return Derivation(tuple(w), steps)
+
+
+def reference_generate_01inf(p, w):
+	d = reference_raag_word_problem(p, w)
+	if d is None:
+		raise AugError('word does not represent 1')
+	steps = []
+	cur = tuple(d.start)
+	for s in d.steps:
+		if s.kind in ('2r', '2l'):
+			steps.extend(reference_simulate_type2(p, cur, s).steps)
+		else:
+			steps.append(s)
+		cur = reference_apply_step(p, cur, s)
+	out = Derivation(tuple(d.start), steps)
+	if reference_derivation_words(p, out)[-1] != ():
+		raise AugError('simulated derivation does not replay to empty')
 	return out

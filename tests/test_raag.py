@@ -14,7 +14,8 @@ from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h,
 
 from helpers import (RA2, RA3, A2, FREE2, abelianized, random_word, make,
 	reference_lift, reference_project_step, reference_eliminate,
-	reference_apply_aug_step, reference_is_regular)
+	reference_apply_aug_step, reference_is_regular, reference_raag_word_problem,
+	reference_generate_01inf)
 
 
 def aw(spec):
@@ -414,3 +415,54 @@ def test_random_trivial_word_is_trivial():
 		w = random_trivial_word(p, rng, 12)
 		assert len(w) <= 12
 		assert raag_word_problem(p, w) is not None
+
+
+def test_apply_aug_step_rejects_negative_position():
+	# a negative position used to splice from the other end of the word
+	p = make('gens: a b\nrel: ab = ba')
+	for w, s in ((aw('a0+ b0+'), AugStep('1', -1)), (aw('a0+ b0+ a0-'), AugStep('0', -1)),
+			(aw('a0+ b0+'), AugStep('2', 0.0)), (aw('a0+'), AugStep('inf', None,
+				letter='a', index=1, sign=1))):
+		with pytest.raises(AugError, match='^position .* out of range$'):
+			apply_aug_step(p, w, s)
+		with pytest.raises(AugError, match='^position .* out of range$'):
+			reference_apply_aug_step(p, w, s)
+
+
+def _shuffle_words(rng):
+	'''(presentation, word) pairs: trivial words, random words (nearly all
+	nontrivial), and either kind with letters outside the presentation.'''
+	for _ in range(250):
+		p = random_right_angled(rng, rng.randrange(2, 6))
+		if rng.random() < 0.5:
+			w = list(random_trivial_word(p, rng, rng.randrange(2, 40)))
+		else:
+			w = list(random_word(p, rng, rng.randrange(0, 14)))
+		if rng.random() < 0.25:
+			g, e = rng.choice('yz'), rng.choice((1, -1))
+			k = rng.randrange(len(w) + 1)
+			w[k:k] = [(g, e), (g, -e)] if rng.random() < 0.7 else [(g, e)]
+		yield p, tuple(w)
+
+
+def test_shuffle_matches_reference():
+	'''raag_word_problem and generate_01inf_derivation, which shuffle
+	encoded words, give the steps, or the errors, of the tuple versions.'''
+	rng = random.Random(127)
+	found = none = outside = 0
+	for p, w in _shuffle_words(rng):
+		for f, ref in ((raag_word_problem, reference_raag_word_problem),
+				(generate_01inf_derivation, reference_generate_01inf)):
+			got, want = _outcome(f, p, w), _outcome(ref, p, w)
+			if got[0] == 'ok' and want[0] == 'ok' and want[1] is not None:
+				assert got[1].start == want[1].start
+				assert [s.to_json() for s in got[1].steps] == \
+					[s.to_json() for s in want[1].steps]
+			else:
+				assert got == want
+		found += want[0] == 'ok'
+		none += want[0] == 'AugError'
+		outside += any(g not in p.generators for g, _ in w) and want[0] == 'ok'
+	assert _outcome(raag_word_problem, A2, ()) == \
+		_outcome(reference_raag_word_problem, A2, ())
+	assert found >= 80 and none >= 80 and outside >= 20

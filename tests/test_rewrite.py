@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from artincalc.rewrite import StepError, derivation_words
 from artincalc.core import positive_to_word
 
 from helpers import (A2, I24, RA2, RA3, F2XF2, FIG2, SIDE1, MULTI, HomOracle,
-	random_word)
+	random_word, reference_apply_step, reference_derivation_words)
 
 ALL = {'0', '1', '2r', '2l'}
 
@@ -311,3 +312,111 @@ def test_step_json_rejects_what_schema_1_cannot_carry():
 	# the largest split still round-trips byte for byte
 	d = {'kind': '2l', 'pos': 0, 'rel': 0, 'orient': 'bwd', 'split': 64 * 64 - 1}
 	assert Step.from_json(d).to_json() == d
+
+
+def _result(f, *args):
+	'''The value of f(*args), or the type and message of what it raised:
+	the step core must fail exactly as the tuple version did.'''
+	try:
+		return 'ok', f(*args)
+	except Exception as e:
+		return type(e).__name__, str(e)
+
+
+def _malformed(p, s, rng, n):
+	'''Variants of the step s that the checks must reject, or that must give
+	the tuple version's answer: bad relation, orientation, split, sign and
+	position fields, booleans and floats that equal valid ints, and an
+	unknown kind.'''
+	pos = rng.randrange(-1, n + 2)
+	out = [dataclasses.replace(s, pos=x) for x in (-1, -2, 1.0, None, '0', True)]
+	out += [dataclasses.replace(s, sign=x) for x in (0, 2, None, True, -1.0)]
+	out += [Step('3', pos), Step('inf', pos, letter='z', sign=1),
+		Step('inf', pos, letter=p.generators[0], sign=rng.choice((0, 2, None)))]
+	if s.kind in ('1', '2r', '2l'):
+		out += [dataclasses.replace(s, rel=x) for x in (True, False, -1,
+			len(p.relations), 1.0 * s.rel, None)]
+		out += [dataclasses.replace(s, orient=x) for x in ('up', None, ['fwd'])]
+	if s.kind in ('2r', '2l'):
+		a, b = p.relations[s.rel] if s.orient == 'fwd' else p.relations[s.rel][::-1]
+		out += [dataclasses.replace(s, lv=x) for x in (0, len(a) + 1, None, True, 1.0)]
+		out += [dataclasses.replace(s, lvp=x) for x in (0, len(b) + 1, True)]
+	return out
+
+
+def test_step_core_matches_reference():
+	'''apply_step, check_derivation and derivation_words, which run on
+	encoded words, give the word, or the error type and message, of the
+	tuple apply_step they replace; malformed steps and letters outside the
+	presentation included.'''
+	rng = random.Random(113)
+	outside = (('z', 1), ('z', -1), ('y', -1))
+	replayed = failed = 0
+	for p in (A2, I24, RA2, RA3, F2XF2, MULTI):
+		for _ in range(60):
+			w = list(random_word(p, rng, rng.randrange(0, 9)))
+			if rng.random() < 0.3:
+				x = rng.choice(outside)
+				k = rng.randrange(len(w) + 1)
+				w[k:k] = [x, (x[0], -x[1])] if rng.random() < 0.5 else [x]
+			w = tuple(w)
+			steps = applicable_steps(p, w, ALL, inf_letters=p.generators[:1],
+				inf_positions={0, len(w)})
+			for s in steps[:12]:
+				for t in [s] + _malformed(p, s, rng, len(w)):
+					assert _result(apply_step, p, w, t) == _result(reference_apply_step, p, w, t)
+			# a random walk, sometimes broken by one malformed step
+			cur, walk = w, []
+			for _ in range(rng.randrange(1, 8)):
+				nxt = applicable_steps(p, cur, ALL, inf_letters=p.generators,
+					inf_positions={rng.randrange(len(cur) + 1)})
+				if not nxt:
+					break
+				walk.append(rng.choice(nxt))
+				cur = reference_apply_step(p, cur, walk[-1])
+			if walk and rng.random() < 0.4:
+				k = rng.randrange(len(walk))
+				walk[k] = rng.choice(_malformed(p, walk[k], rng, len(cur)))
+			d = Derivation(w, walk)
+			want = _result(reference_derivation_words, p, d)
+			assert _result(derivation_words, p, d) == want
+			assert _result(check_derivation, p, d) == (
+				('ok', want[1][-1]) if want[0] == 'ok' else want)
+			replayed += want[0] == 'ok'
+			failed += want[0] == 'StepError'
+	assert replayed >= 100 and failed >= 20
+
+
+def test_step_core_per_presentation_cache():
+	'''A checked step is remembered per presentation, by fields and their
+	types: rel=True still fails after rel=1 applied, and one Step gives
+	each presentation its own answer, a copy made by dataclasses.replace
+	included.'''
+	w = parse_word('abcBA', RA3)
+	one = Step('1', 1, rel=1, orient='fwd', sign=1)
+	assert render_word(apply_step(RA3, w, one), RA3) == 'acbBA'
+	for s, msg in ((dataclasses.replace(one, rel=True), 'relation index True out of range'),
+			(dataclasses.replace(one, rel=1.0), 'relation index 1.0 out of range'),
+			(dataclasses.replace(one, pos=True), 'position True out of range')):
+		with pytest.raises(StepError, match='^%s$' % msg.replace('.', r'\.')):
+			apply_step(RA3, w, s)
+	r2l = Step('2l', 0, rel=0, orient='fwd', lv=1, lvp=1)
+	with pytest.raises(TypeError):
+		apply_step(A2, parse_word('aB', A2), dataclasses.replace(r2l, lv=1.0))
+	assert apply_step(A2, parse_word('aB', A2), dataclasses.replace(r2l, lv=True)) == \
+		apply_step(A2, parse_word('aB', A2), r2l)
+	s = Step('1', 0, rel=0, orient='fwd', sign=1)
+	copy = dataclasses.replace(RA2, declared_spherical=not RA2.declared_spherical)
+	assert apply_step(RA2, parse_word('ab', RA2), s) == parse_word('ba', RA2)
+	assert apply_step(copy, parse_word('ab', copy), s) == parse_word('ba', RA2)
+	assert apply_step(A2, parse_word('aba', A2), s) == parse_word('bab', A2)
+	with pytest.raises(StepError, match='factor mismatch'):
+		apply_step(A2, parse_word('ab', A2), s)
+	with pytest.raises(StepError, match='relation index 1 out of range'):
+		apply_step(RA2, parse_word('ba', RA2), one)
+	# letters outside the presentation decode with the table that coded them
+	z = (('z', 1), ('a', 1), ('a', -1), ('z', -1))
+	assert check_derivation(RA2, Derivation(z, [Step('0', 1, sign=1),
+		Step('0', 0, sign=1)])) == ()
+	assert apply_step(RA2, z, Step('inf', 4, letter='b', sign=-1)) == \
+		z + (('b', -1), ('b', 1))

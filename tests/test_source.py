@@ -12,3 +12,33 @@ def test_no_assert_statements():
 			if isinstance(node, ast.Assert):
 				found.append('%s:%d' % (path.name, node.lineno))
 	assert SRC.is_dir() and not found
+
+
+# the messages of the step checks in rewrite._apply, _rule, oriented_relation
+# and _replay, the one step core
+STEP_CHECKS = ('position %r out of range', 'type 0 out of range',
+	'no trivial pair at %d', 'insertion position out of range', 'unknown letter %r',
+	'insertion sign must be 1 or -1, got %r', 'relation index %r out of range',
+	'unknown orientation %r', 'bad type %s split', 'type %s factor mismatch at %d',
+	'unknown step kind %r', 'step %d inapplicable: %s')
+
+
+def _step_error_messages():
+	'''The format string of every StepError(...) made under src/artincalc.'''
+	for path in sorted(SRC.glob('*.py')):
+		for node in ast.walk(ast.parse(path.read_text(encoding='utf-8'))):
+			if isinstance(node, ast.Call) and getattr(node.func, 'id', None) == 'StepError' \
+					and node.args:
+				arg = node.args[0]
+				if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mod):
+					arg = arg.left
+				if isinstance(arg, ast.Constant):
+					yield arg.value
+
+
+def test_step_checks_live_once():
+	# a second copy of the step checks (one on tuples beside the one on
+	# encoded words, say) raises the same messages; the augmented steps of
+	# raag share some wording, but raise AugError
+	messages = list(_step_error_messages())
+	assert {m: messages.count(m) for m in STEP_CHECKS} == dict.fromkeys(STEP_CHECKS, 1)
