@@ -186,23 +186,28 @@ class Presentation:
 				out[self._codes[s, e]] = out.get(self._codes[s, e], '') + both
 		return out
 
-	@cached_property
-	def _swaps(self):
-		'''Two letter codes -> (kind, step fields) of the one step that
-		rewrites them through the first relation whose sides start (type 1
-		and 2r) or end (type 2l) with their generators: s^-1 t by type 2r
-		and s t^-1 by type 2l, the reversing steps with |v| = |v'| = 1, and
-		s t or t^-1 s^-1 by type 1, which swaps them when st = ts is that
-		relation.'''
-		c = self._codes
-		rows = {}
-		for (s, t), (ri, orient) in self.first_pairs.items():
-			rows[c[s, -1] + c[t, 1]] = ('2r', dict(rel=ri, orient=orient, lv=1, lvp=1))
-			rows[c[s, 1] + c[t, 1]] = ('1', dict(rel=ri, orient=orient, sign=1))
-			rows[c[t, -1] + c[s, -1]] = ('1', dict(rel=ri, orient=orient, sign=-1))
-		for (s, t), (ri, orient) in self.last_pairs.items():
-			rows[c[s, 1] + c[t, -1]] = ('2l', dict(rel=ri, orient=orient, lv=1, lvp=1))
-		return rows
+	def _swap(self, pair):
+		'''(kind, step fields) of the one step that rewrites the two
+		letters coded in pair through the first relation whose sides start
+		(type 1 and 2r) or end (type 2l) with their generators: s^-1 t by
+		type 2r and s t^-1 by type 2l, the reversing steps with |v| = |v'|
+		= 1, and s t or t^-1 s^-1 by type 1, which swaps them when st = ts
+		is that relation; None when no relation does.'''
+		c1, c2 = map(ord, pair)
+		if max(c1, c2) >= 2 * len(self.generators):  # outside the presentation
+			return None
+		s, t = self.generators[c1 >> 1], self.generators[c2 >> 1]
+		if (c1 ^ c2) & 1:
+			kind, pairs = ('2r', self.first_pairs) if c1 & 1 else ('2l', self.last_pairs)
+			fields = dict(lv=1, lvp=1)
+		else:
+			kind, pairs, fields = '1', self.first_pairs, dict(sign=-1 if c1 & 1 else 1)
+			if c1 & 1:
+				s, t = t, s
+		if (s, t) not in pairs:
+			return None
+		ri, orient = pairs[s, t]
+		return kind, dict(rel=ri, orient=orient, **fields)
 
 	def _step_table(self, kinds):
 		'''The step table of the kinds 1, 2r and 2l in kinds.'''

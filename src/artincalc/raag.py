@@ -389,10 +389,10 @@ def _plain_step(p, codes, letters, kind, pos):
 	if kind == '0':
 		return Step('0', pos, sign=-1 if ord(letters[pos]) & 1 else 1)
 	# a right-angled side s t is the one that starts with s while the other
-	# side starts with t, so Presentation._swaps names every relation needed
+	# side starts with t, so Presentation._swap names every relation needed
 	# here: type 1 for equal signs, 2r or 2l (the reversing step) otherwise
 	pair = letters[pos:pos + 2]
-	row = p._swaps.get(pair)
+	row = p._swap(pair)
 	if row is None or row[0][0] != kind:
 		g1, g2 = (_name(p, codes, c) for c in pair)
 		raise AugError('no relation realizes the swap %s %s' % (g1, g2))

@@ -41,7 +41,7 @@ _SIDES = {
 
 def _reverse(p, w, budget, side):
 	'''Reversing on the word encoded once; a type 2 step comes from
-	Presentation._swaps, and every step is applied by rewrite._apply.'''
+	Presentation._swap, and every step is applied by rewrite._apply.'''
 	if budget <= 0:
 		raise ReversingError('budget must be positive')
 	e, find, blocked = _SIDES[side]
@@ -57,9 +57,8 @@ def _reverse(p, w, budget, side):
 		pair = cur[i:i + 2]
 		if ord(pair[0]) ^ ord(pair[1]) == 1:
 			step = Step('0', i, sign=e)
-		elif pair in p._swaps:
-			kind, fields = p._swaps[pair]
-			step = Step(kind, i, **fields)
+		elif (row := p._swap(pair)) is not None:
+			step = Step(row[0], i, **row[1])
 		else:
 			(s, _), (t, _) = p._decode(pair, codes)
 			return ReversalResult(p._decode(cur, codes), False, blocked=blocked % (s, t),
