@@ -21,8 +21,9 @@ split into a pair (letters, indices): letters is the plain word encoded as
 a string (Presentation._encode: one character per signed letter, a letter
 and its inverse differing in the lowest bit), and indices the tuple of
 indices, so phi is the first half of the pair.  A call encodes with one
-code table (codes below), which gives a generator outside the
-presentation a fresh pair of codes and decodes the result.  Each operation
+code table, the codes argument of the cores, which gives a generator
+outside the presentation a fresh pair of codes and decodes the result
+and the generators named in errors.  Each operation
 has one private core on pairs (_apply, _regular, _drop, _aug_words,
 _project); the public functions split, call it and join.  Plain steps are
 applied and replayed on the same strings by rewrite._apply, so
@@ -277,7 +278,7 @@ def is_regular(p, w):
 
 def _regular(p, codes, letters, indices):
 	'''is_regular on a pair.'''
-	if indices.count(0) == len(indices):  # no positive index
+	if indices.count(0) == len(indices):  # every index 0: no pair to check
 		return True, 'regular'
 	for h in sorted(set(indices)):
 		if h < 1:
