@@ -22,7 +22,7 @@ from .core import (WordError, PresentationError, load_presentation, parse_word,
 	parse_positive, positive_to_word, invert, render_word, validate as validate_p)
 from .rewrite import (Step, Derivation, StepError, FormatError, applicable_steps,
 	apply_step, derivation_words)
-from .reversing import (ReversingError, right_reverse, left_reverse,
+from .reversing import (ReversingError, BudgetReached, right_reverse, left_reverse,
 	right_fraction, _spherical_fraction)
 from .monoid import (CapExceeded, equiv_class, left_divisors, right_lcm,
 	is_S0_minimal, coset_head_spherical, canonical)
@@ -394,7 +394,7 @@ def main(argv=None):
 	except (WordError, PresentationError) as e:
 		click.echo('input error: %s' % e, err=True)
 		sys.exit(64)
-	except CapExceeded as e:
+	except (CapExceeded, BudgetReached) as e:
 		# a limit reached, not a broken invariant: the "exhausted" code
 		click.echo('limit reached: %s' % e, err=True)
 		sys.exit(2)

@@ -79,27 +79,23 @@ class Presentation:
 	gives no finiteness algorithm); right_angled and length_preserving
 	are computed.
 
-	The rule table below answers every "which factor may a relation
-	rewrite" question.  Each piece is built on first use and cached on
-	the instance; dataclasses.replace starts a fresh table.  Row order is
-	the order of step lists, and so of search results: relation index,
-	then 'fwd' (the stored relation read lhs -> rhs) before 'bwd', then
-	sign +1 before -1 (type 1), |v| then |v'| ascending (type 2), or
-	shift then |u| ascending (Dehn).  The pair maps keep the first hit in
-	that order: the lowest relation index wins, and 'fwd' beats 'bwd'.
+	The rule source below (_oriented, _type1, _boundaries), of size
+	O(total relation length), answers every "which factor may a relation
+	rewrite" question; type 2 steps are matched in place from it.  Each
+	piece is built on first use and cached on the instance, and a copy
+	made by dataclasses.replace starts afresh.  Step order, and so the
+	order of search results, is: relation index, then 'fwd' (the stored
+	relation read lhs -> rhs) before 'bwd', then sign +1 before -1 (type
+	1), |v| then |v'| ascending (type 2), or shift then |u| ascending
+	(Dehn).  The pair maps keep the first hit in that order: the lowest
+	relation index wins, and 'fwd' beats 'bwd'.
 
 	Inside the search, step replay, reversing and the right-angled
 	pipeline a word is a string, one character per letter: generator i is
 	chr(2i) and its inverse chr(2i + 1), so the two differ in the lowest
 	bit (_encode).  A generator outside the presentation gets the next
 	free pair in a table of one call's own (_Codes), and that call decodes
-	with the same table.  Each set of the kinds 1, 2r and 2l has
-	one step table of rows (kind, factor, replacement, step fields),
-	factor and replacement encoded, kind 1 before 2r before 2l, each in
-	the order above.  A row is keyed by the first two letters of its
-	factor, a one-letter factor by its letter and by every two-letter key
-	that starts with it, so a position tests only the rows that can start
-	there (_step_table).
+	with the same table.
 	'''
 	generators: tuple
 	relations: tuple
@@ -109,7 +105,6 @@ class Presentation:
 		object.__setattr__(self, 'generators', tuple(self.generators))
 		object.__setattr__(self, 'relations',
 			tuple((tuple(l), tuple(r)) for l, r in self.relations))
-		object.__setattr__(self, '_step_tables', {})
 		rep = validate(self)
 		if rep['errors']:
 			raise PresentationError('; '.join(rep['errors']))
@@ -136,18 +131,6 @@ class Presentation:
 			yield ri, 'fwd', l, r
 			yield ri, 'bwd', r, l
 
-	def _factor_rows(self, kind):
-		'''Type 1: a side, or its formal inverse (sign -1), by the other.
-		Type 2r: v^-1 v' by u u'^-1, for each split v u = v' u'.
-		Type 2l: v v'^-1 by u^-1 u', for each split u v = u' v'.'''
-		for ri, orient, a, b in self._sides():
-			splits = [dict(sign=1), dict(sign=-1)] if kind == '1' else [
-				dict(lv=lv, lvp=lvp)
-				for lv in range(1, len(a) + 1) for lvp in range(1, len(b) + 1)]
-			for sp in splits:
-				factor, new = step_factor(kind, a, b, **sp)
-				yield factor, new, dict(rel=ri, orient=orient, **sp)
-
 	@cached_property
 	def _codes(self):
 		return {(g, e): chr(2 * i + (e < 0))
@@ -170,10 +153,37 @@ class Presentation:
 		return tuple(map(letters.__getitem__, map(ord, s)))
 
 	@cached_property
-	def _rules(self):
-		'''Step fields -> encoded (factor, replacement) of every type 1,
-		2r and 2l step checked so far (rewrite._rule).'''
-		return {}
+	def _oriented(self):
+		'''(rel, orient) -> the encoded a, b, a^-1 and b^-1 of the oriented
+		relation a = b; both orientations share the four strings.'''
+		out = {}
+		for i, (l, r) in enumerate(self.relations):
+			l, r = positive_to_word(l), positive_to_word(r)
+			l, r, li, ri = [self._encode(u, self._codes) for u in (l, r, invert(l), invert(r))]
+			out[i, 'fwd'], out[i, 'bwd'] = (l, r, li, ri), (r, l, ri, li)
+		return out
+
+	@cached_property
+	def _type1(self):
+		'''Code -> (factor, replacement, rel, orient, sign) of every type 1
+		step whose factor starts with it, in step order.'''
+		index = {}
+		for (ri, orient), (a, b, ai, bi) in self._oriented.items():
+			for sign, factor, new in ((1, a, b), (-1, ai, bi)):
+				index.setdefault(factor[0], []).append((factor, new, ri, orient, sign))
+		return {k: tuple(v) for k, v in index.items()}
+
+	@cached_property
+	def _boundaries(self):
+		'''The codes a[0]^-1 b[0] (2r) or a[-1] b[-1]^-1 (2l), where a type 2
+		factor changes sign -> (rel, orient, head, tail, left, right) of each
+		oriented relation a = b with them, in step order: the step rewrites
+		head[-|v|:] + tail[:|v'|] to left[|v|:] + right[:-|v'|].'''
+		out = {}
+		for (ri, orient), (a, b, ai, bi) in self._oriented.items():
+			for head, tail, left, right in ((ai, b, a, bi), (a, bi, ai, b)):
+				out.setdefault(head[-1] + tail[0], []).append((ri, orient, head, tail, left, right))
+		return {k: tuple(v) for k, v in out.items()}
 
 	@cached_property
 	def _commuting(self):
@@ -187,41 +197,16 @@ class Presentation:
 		return out
 
 	def _swap(self, pair):
-		'''(kind, step fields) of the one step that rewrites the two
-		letters coded in pair through the first relation whose sides start
-		(type 1 and 2r) or end (type 2l) with their generators: s^-1 t by
-		type 2r and s t^-1 by type 2l, the reversing steps with |v| = |v'|
-		= 1, and s t or t^-1 s^-1 by type 1, which swaps them when st = ts
-		is that relation; None when no relation does.'''
-		c1, c2 = map(ord, pair)
-		if max(c1, c2) >= 2 * len(self.generators):  # outside the presentation
-			return None
-		s, t = self.generators[c1 >> 1], self.generators[c2 >> 1]
-		if (c1 ^ c2) & 1:
-			kind, pairs = ('2r', self.first_pairs) if c1 & 1 else ('2l', self.last_pairs)
-			fields = dict(lv=1, lvp=1)
-		else:
-			kind, pairs, fields = '1', self.first_pairs, dict(sign=-1 if c1 & 1 else 1)
-			if c1 & 1:
-				s, t = t, s
-		if (s, t) not in pairs:
-			return None
-		ri, orient = pairs[s, t]
-		return kind, dict(rel=ri, orient=orient, **fields)
-
-	def _step_table(self, kinds):
-		'''The step table of the kinds 1, 2r and 2l in kinds.'''
-		kinds = frozenset(kinds) & {'1', '2r', '2l'}
-		if kinds not in self._step_tables:
-			table = self._step_tables[kinds] = {}
-			ends = ['', *self._codes.values()]
-			for kind in [k for k in ('1', '2r', '2l') if k in kinds]:
-				for f, r, fields in self._factor_rows(kind):
-					f = self._encode(f)
-					row = (kind, f, self._encode(r), fields)
-					for key in [f[:2]] if len(f) > 1 else [f + c for c in ends]:
-						table.setdefault(key, []).append(row)
-		return self._step_tables[kinds]
+		'''(kind, step fields) of the first step that rewrites just the two
+		letters coded in pair, or None: the reversing step (2r or 2l, |v| =
+		|v'| = 1), or type 1 through a side equal to them (a swap, st = ts).'''
+		rows = self._boundaries.get(pair)
+		if rows:  # only a pair of mixed signs has a boundary
+			return '2r' if ord(pair[0]) & 1 else '2l', dict(rel=rows[0][0],
+				orient=rows[0][1], lv=1, lvp=1)
+		for factor, _, ri, orient, sign in self._type1.get(pair[0], ()):
+			if factor == pair:
+				return '1', dict(rel=ri, orient=orient, sign=sign)
 
 	@cached_property
 	def positive_rows(self):
@@ -276,8 +261,10 @@ class _Codes(dict):
 
 	def __missing__(self, letter):
 		g, e = letter
+		if e not in (1, -1):
+			raise WordError('letter %r: the sign must be 1 or -1' % (letter,))
 		k = len(self) + len(self) % 2
-		self[g, abs(e)], self[g, -abs(e)] = chr(k), chr(k + 1)
+		self[g, 1], self[g, -1] = chr(k), chr(k + 1)
 		return self[letter]
 
 

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from .core import invert, positive_to_word
 from .rewrite import Derivation, unwind
-from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError
+from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError, _converged
 
 DEFAULT_CAP = 100000
 # A round of the spherical-arith benchmark touches about 420 classes of
@@ -186,9 +186,8 @@ def right_lcm(p, u, v, budget=10000, cap=DEFAULT_CAP):
 	a b^-1 and the lcm is u a (equivalently v b).  Returns the canonical
 	word of the lcm.'''
 	u, v = tuple(u), tuple(v)
-	res = right_reverse(p, invert(positive_to_word(u)) + positive_to_word(v), budget)
-	if not res.converged:
-		raise ReversingError(res.blocked or 'lcm reversal budget exhausted')
+	res = _converged(right_reverse(p, invert(positive_to_word(u)) + positive_to_word(v),
+		budget), 'lcm')
 	a, b = split_pos_neg(res.word)
 	lcm = canonical(p, u + a, cap)
 	if not pos_equal(p, lcm, v + b, cap):

@@ -226,8 +226,7 @@ def _plain_step_to_aug(p, indices, step):
 	if step.kind == '0':
 		return AugStep('0', step.pos)
 	if step.kind == '1':
-		l, r = oriented_relation(p, step)
-		if len(l) != 2:
+		if len(oriented_relation(p, step)[0]) != 2:
 			raise AugError('lifting requires a right-angled presentation')
 		return AugStep('1', step.pos)
 	if step.kind in ('2r', '2l'):
@@ -389,9 +388,8 @@ def _plain_step(p, codes, letters, kind, pos):
 	'1' or '2') at pos on the encoded letters.'''
 	if kind == '0':
 		return Step('0', pos, sign=-1 if ord(letters[pos]) & 1 else 1)
-	# a right-angled side s t is the one that starts with s while the other
-	# side starts with t, so Presentation._swap names every relation needed
-	# here: type 1 for equal signs, 2r or 2l (the reversing step) otherwise
+	# over a right-angled presentation Presentation._swap names every step
+	# needed: type 1 for equal signs, 2r or 2l (the reversing step) otherwise
 	pair = letters[pos:pos + 2]
 	row = p._swap(pair)
 	if row is None or row[0][0] != kind:

@@ -21,6 +21,10 @@ class ReversingError(ValueError):
 	pass
 
 
+class BudgetReached(ReversingError):
+	'''A reversing budget ran out: a limit reached, not a broken invariant.'''
+
+
 @dataclass
 class ReversalResult:
 	word: tuple
@@ -69,6 +73,15 @@ def _reverse(p, w, budget, side):
 		step_count=len(steps))
 
 
+def _converged(res, what):
+	'''res if it converged, else its blocked pattern or BudgetReached raised.'''
+	if res.converged:
+		return res
+	if res.blocked:
+		raise ReversingError(res.blocked)
+	raise BudgetReached('%s reversal budget exhausted' % what)
+
+
 def right_reverse(p, w, budget=10000):
 	'''Eliminate s^-1 t patterns by {0, 2r} steps.  Converged words have
 	the shape w1 w2^-1 with w1, w2 positive.'''
@@ -112,12 +125,8 @@ def right_fraction(p, w, budget=10000):
 	'''Left-reverse to v1^-1 v2, then right-reverse that to w1 w2^-1.  In
 	spherical type (w1, w2) represent the right numerator and denominator
 	and are right-coprime.'''
-	lr = left_reverse(p, w, budget)
-	if not lr.converged:
-		raise ReversingError(lr.blocked or 'left reversal budget exhausted')
-	rr = right_reverse(p, lr.word, budget)
-	if not rr.converged:
-		raise ReversingError(rr.blocked or 'right reversal budget exhausted')
+	lr = _converged(left_reverse(p, w, budget), 'left')
+	rr = _converged(right_reverse(p, lr.word, budget), 'right')
 	num, den = split_pos_neg(rr.word)
 	trace = Derivation(tuple(w), lr.trace.steps + rr.trace.steps)
 	return Fraction(num, den, 'right', trace)
@@ -126,9 +135,7 @@ def right_fraction(p, w, budget=10000):
 def left_fraction(p, w, budget=10000):
 	'''Single left reversal to g1^-1 g2; returns (denominator g1,
 	numerator g2) as the left fraction of w.'''
-	lr = left_reverse(p, w, budget)
-	if not lr.converged:
-		raise ReversingError(lr.blocked or 'left reversal budget exhausted')
+	lr = _converged(left_reverse(p, w, budget), 'left')
 	den, num = split_neg_pos(lr.word)
 	return Fraction(num, den, 'left', lr.trace)
 

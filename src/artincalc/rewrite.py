@@ -18,16 +18,15 @@ as strings (Presentation._encode), and every derivation is replayed by
 _replay on top of it.  apply_step, check_derivation and derivation_words
 encode their word once, run there and decode; reversing, the shuffle and
 the elimination in raag run there on the words they have already
-encoded.  The encoded factor and replacement of a type 1 or 2 step are
-checked the first time its fields are met on a presentation and then
-read from that presentation's cache (_rule).
+encoded.  A type 1 or 2 step is checked, and its encoded factor sliced
+from the sides of its relation, on every call (_rule).
 '''
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import render_word, parse_word, step_factor
+from .core import render_word, parse_word
 
 class StepError(ValueError):
 	pass
@@ -92,12 +91,12 @@ class Step:
 
 
 def oriented_relation(p, step):
+	'''Presentation._oriented of the step's checked relation and orientation.'''
 	if type(step.rel) is not int or not 0 <= step.rel < len(p.relations):
 		raise StepError('relation index %r out of range' % (step.rel,))
 	if step.orient not in ('fwd', 'bwd'):
 		raise StepError('unknown orientation %r' % (step.orient,))
-	l, r = p.relations[step.rel]
-	return (l, r) if step.orient == 'fwd' else (r, l)
+	return p._oriented[step.rel, step.orient]
 
 
 def apply_step(p, w, s):
@@ -138,44 +137,49 @@ def _apply(p, w, s):
 
 def _rule(p, s):
 	'''The encoded (factor, replacement) of a type 1, 2r or 2l step,
-	checked when first met on p and then read from p._rules.  The key
-	holds the fields the step reads, with the types of the numeric ones,
-	so that rel=True, which the check rejects, cannot hit rel=1.'''
+	checked, then sliced from the encoded sides of its relation.'''
+	a, b, ai, bi = oriented_relation(p, s)
 	if s.kind == '1':
-		key = ('1', s.rel, type(s.rel), s.orient, s.sign == -1)
-	else:
-		key = (s.kind, s.rel, type(s.rel), s.orient, s.lv, type(s.lv), s.lvp, type(s.lvp))
-	try:
-		return p._rules[key]
-	except KeyError:
-		pass
-	except TypeError:  # an unhashable field: check it, keep nothing
-		key = None
-	a, b = oriented_relation(p, s)
-	if s.kind != '1' and not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
+		return (ai, bi) if s.sign == -1 else (a, b)
+	if not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
 		raise StepError('bad type %s split' % s.kind)
-	factor, new = step_factor(s.kind, a, b, s.sign, s.lv, s.lvp)
-	row = p._encode(factor, p._codes), p._encode(new, p._codes)
-	if key is not None:
-		p._rules[key] = row
-	return row
+	if s.kind == '2l':  # the mirror image of 2r: each side swaps with its inverse
+		a, b, ai, bi = ai, bi, a, b
+	return ai[-s.lv:] + b[:s.lvp], a[s.lv:] + bi[:-s.lvp]
 
 
 def _successors(p, w, kinds):
 	'''(kind, pos, step fields, next word) of every applicable step of
-	the kinds 0, 1, 2r and 2l in kinds, in applicable_steps order, on
-	words encoded as strings (Presentation._encode): type 0 is two codes
-	that differ in the lowest bit, other kinds are looked up by the two
-	letters at a position in the step table.'''
-	table = p._step_table(kinds)
+	the kinds 0, 1, 2r and 2l in kinds, in applicable_steps order, on an
+	encoded word.  A type 2 factor changes sign once, at the end of the
+	sign run it starts in: that end fixes |v| and the relations that may
+	apply (Presentation._boundaries), and |v'| grows to the first mismatch.'''
 	zero = '0' in kinds
-	for pos in range(len(w)):
-		key = w[pos:pos + 2]
-		if zero and len(key) == 2 and ord(key[0]) ^ ord(key[1]) == 1:
-			yield '0', pos, {'sign': -1 if ord(key[0]) & 1 else 1}, w[:pos] + w[pos + 2:]
-		for kind, factor, new, fields in table.get(key) or table.get(key[0], ()):
+	type1 = p._type1 if '1' in kinds else {}
+	two = [k for k in ('2r', '2l') if k in kinds]
+	n, end, rows = len(w), 0, ()
+	for pos, c in enumerate(w):
+		if two and pos == end:  # a new sign run: its end and the type 2 rows there
+			odd = ord(c) & 1
+			end = pos + 1
+			while end < n and ord(w[end]) & 1 == odd:
+				end += 1
+			kind = '2r' if odd else '2l'
+			rows = p._boundaries.get(w[end - 1:end + 1], ()) if end < n and kind in two else ()
+		if zero and pos + 1 < n and ord(c) ^ ord(w[pos + 1]) == 1:
+			yield '0', pos, {'sign': -1 if ord(c) & 1 else 1}, w[:pos] + w[pos + 2:]
+		for factor, new, ri, orient, sign in type1.get(c, ()):
 			if w.startswith(factor, pos):
-				yield kind, pos, fields, w[:pos] + new + w[pos + len(factor):]
+				yield '1', pos, {'rel': ri, 'orient': orient, 'sign': sign}, \
+					w[:pos] + new + w[pos + len(factor):]
+		for ri, orient, head, tail, left, right in rows:
+			if head.endswith(w[pos:end]):
+				lv = end - pos
+				for lvp in range(1, min(len(tail), n - end) + 1):
+					if w[end + lvp - 1] != tail[lvp - 1]:
+						break
+					yield kind, pos, {'rel': ri, 'orient': orient, 'lv': lv, 'lvp': lvp}, \
+						w[:pos] + left[lv:] + right[:-lvp] + w[end + lvp:]
 
 
 def applicable_steps(p, w, kinds, inf_letters=None, inf_positions=None):
@@ -326,7 +330,7 @@ def _simulation(p, w, s):
 	if s.kind not in ('2r', '2l'):
 		raise StepError('simulate_type2 needs a type 2 step')
 	want = _apply(p, w, s)  # also the applicability check
-	l, r = oriented_relation(p, s)
+	l, r = p.relations[s.rel][::1 if s.orient == 'fwd' else -1]
 	steps = []
 	if s.kind == '2r':
 		# ... v^-1 v' ...  ->  ... v^-1 v' u' u'^-1 ...  ->  ... v^-1 v u u'^-1 ...

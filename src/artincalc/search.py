@@ -59,7 +59,7 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 	cap, and nothing queued after that is ever expanded.  From then on a
 	successor within the length cap is only compared with the target, and
 	is not stored or queued; a node whose length is not one step (type 0,
-	an insertion or a table row) from the target's builds no successors;
+	an insertion, type 1 or type 2) from the target's builds no successors;
 	insertions are built only when they make the target's length.  A word
 	that the search would have stored there can still change the path to
 	the target (reached again with fewer insertions, it takes the new
@@ -87,9 +87,13 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 				yield 'inf', pos, fields, head + pair + tail
 
 	max_len = limits.max_word_length
-	# length changes of one step: type 0, insertion, each table row
-	reach = {len(new) - len(fac) for rows in p._step_table(kinds).values()
-		for _, fac, new, _ in rows} | {-2, 2}
+	# a step changes the length by 2, |l| - |r| (type 1) or |l| + |r| - 2(|v| + |v'|) (type 2)
+	reach = {-2, 2}
+	for l, r in p.relations:
+		if '1' in kinds:
+			reach |= {len(l) - len(r), len(r) - len(l)}
+		if '2r' in kinds or '2l' in kinds:
+			reach.update(range(len(l) + len(r) - 4, -len(l) - len(r) - 1, -2))
 
 	def bfs(prune):
 		# word -> (fewest insertions, previous word, kind, pos, step fields);
@@ -173,10 +177,10 @@ def dehn_to_special(p, w, ds, fallback_depth=3):
 		raise StepError('presentation violates the length-2 hypothesis')
 	u, up = ds.factor, ds.replacement
 	# whole relation side, positive or inverse orientation: one type 1
-	u_code, up_code, table = p._encode(u), p._encode(up), p._step_table({'1'})
-	for _, fac, new, fields in table.get(u_code[:2]) or table.get(u_code[:1], ()):
+	u_code, up_code = p._encode(u), p._encode(up)
+	for fac, new, rel, orient, sign in p._type1.get(u_code[:1], ()):
 		if u_code == fac and up_code == new:
-			return Derivation(tuple(w), [Step('1', ds.pos, **fields)])
+			return Derivation(tuple(w), [Step('1', ds.pos, rel=rel, orient=orient, sign=sign)])
 	limits = SearchLimits(max_steps=fallback_depth,
 		max_word_length=len(u) + 2, max_visited=100000)
 	out = bounded_derivation_search(p, u, up, {'0', '1', '2r', '2l'}, limits)

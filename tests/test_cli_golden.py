@@ -39,6 +39,8 @@ FILES = {
 	'bad.txt': 'gens: a b\nrel ab = ba\n',
 	'unknown.txt': 'gens: a b\nrel: ab = bx\n',
 	'cox.txt': 'gens: a b\ncoxeter:\n  a b x\n',
+	# spherical, but (Ba)^10 (aB)^10 needs more than the reversing budget
+	'cox120.txt': 'gens: a b\ncoxeter: a b 120\n',
 	'ok.json': _trace('aA', [CANCEL]),
 	# a {0,1,inf} derivation over ra3.txt: insert and cancel a pair, then
 	# commute and cancel
@@ -124,6 +126,7 @@ CASES = {
 	'wp-spherical-false': ['wp-spherical', '-p', 'a2.txt', '-w', 'abAB'],
 	'wp-spherical-json': ['wp-spherical', '-p', 'i24.txt', '-w', 'ababBABA', '--json'],
 	'wp-spherical-false-json': ['wp-spherical', '-p', 'a2.txt', '-w', 'abAB', '--json'],
+	'wp-spherical-budget': ['wp-spherical', '-p', 'cox120.txt', '-w', 'Ba' * 10 + 'aB' * 10],
 
 	'wp-raag': ['wp-raag', '-p', 'ra3.txt', '-w', 'abcACB'],
 	'wp-raag-json': ['wp-raag', '-p', 'ra3.txt', '-w', 'abcACB', '--json'],

@@ -7,7 +7,9 @@ from artincalc import (Presentation, CoxeterMatrix, artin_presentation,
 from artincalc.core import (WordError, PresentationError, alternating,
 	positive_to_word, word_to_positive, is_positive)
 
-from helpers import A2, I24, RA3, FIG2, FREE2
+from artincalc import Step, apply_step, right_reverse, raag_word_problem
+
+from helpers import A2, I24, RA2, RA3, FIG2, FREE2
 
 letters = st.tuples(st.sampled_from('ab'), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=20).map(tuple)
@@ -25,6 +27,16 @@ def test_parse_basic():
 def test_parse_unknown_generator():
 	with pytest.raises(WordError):
 		parse_word('ax', A2)
+
+
+def test_letter_sign_must_be_one_or_minus_one():
+	# a hand-built letter with sign 2 is no letter: every entry point that
+	# encodes the word says so, rather than reading a sign from its code
+	w = (('a', 2), ('a', -2))
+	for call in (lambda: apply_step(RA2, w, Step('0', 0, sign=2)),
+			lambda: right_reverse(RA2, w), lambda: raag_word_problem(RA2, w)):
+		with pytest.raises(WordError, match='sign must be 1 or -1'):
+			call()
 
 
 def test_parse_multichar_tokens():

@@ -6,8 +6,9 @@ from artincalc import (Presentation, Step, parse_word, parse_positive,
 	render_word, free_reduce,
 	right_reverse, left_reverse, right_fraction, left_fraction,
 	word_problem_spherical, completeness_check, completeness_sample,
-	check_derivation)
-from artincalc.reversing import (ReversingError, split_neg_pos, split_pos_neg)
+	check_derivation, right_lcm)
+from artincalc.reversing import (ReversingError, BudgetReached, split_neg_pos,
+	split_pos_neg)
 from artincalc.core import positive_to_word
 from artincalc.rewrite import derivation_words
 
@@ -75,6 +76,20 @@ def test_budget_exhaustion_reported():
 	# fig-2 type reversing can spin; a tiny budget must come back unconverged
 	r = right_reverse(FIG2, parse_word('AcAcAc', FIG2), budget=3)
 	assert not r.converged
+
+
+def test_reached_budget_is_a_limit():
+	# a reached budget raises BudgetReached, a blocked pattern only
+	# ReversingError: the CLI reports the first as a limit (exit 2)
+	w = parse_word('BaaB', A2)
+	for call in (lambda: right_fraction(A2, w, budget=1),
+			lambda: left_fraction(A2, w, budget=1),
+			lambda: right_lcm(A2, ('a',), ('b',), budget=1)):
+		with pytest.raises(BudgetReached, match='reversal budget exhausted'):
+			call()
+	with pytest.raises(ReversingError, match='no relation reverses') as e:
+		right_fraction(FREE2, parse_word('Ab', FREE2))
+	assert not isinstance(e.value, BudgetReached)
 
 
 def test_split_helpers():

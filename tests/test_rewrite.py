@@ -1,12 +1,13 @@
 import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artincalc import (Step, Derivation, applicable_steps, apply_step,
+from artincalc import (Presentation, Step, Derivation, applicable_steps, apply_step,
 	check_derivation, dehn_steps, apply_dehn, simulate_type2, parse_word,
-	render_word, invert)
+	render_word, invert, parse_presentation_text, right_reverse)
 from artincalc.rewrite import StepError, derivation_words
 from artincalc.core import positive_to_word
 
@@ -272,6 +273,53 @@ def test_applicable_steps_exact_order():
 		for _ in range(300):
 			w = random_word(p, rng, rng.randrange(0, 10))
 			assert applicable_steps(p, w, ALL) == brute_ordered_steps(p, w)
+
+
+def _random_presentation(rng):
+	'''2-3 generators and 1-3 relations with sides of 1-5 letters: over so
+	few letters relations share boundary pairs, and one-letter sides occur.'''
+	gens = 'abc'[:rng.choice((2, 3))]
+	side = lambda: tuple(rng.choice(gens) for _ in range(rng.randint(1, 5)))
+	return Presentation(tuple(gens), [(side(), side()) for _ in range(rng.randint(1, 3))])
+
+
+def test_matcher_on_random_presentations():
+	'''Type 2 steps are matched in place at sign boundaries; on random
+	presentations the list is the one built from the definitions, in the
+	same order, and each step applies as the tuple reference does, on
+	words that include a letter outside the presentation.'''
+	rng = random.Random(2011)
+	seen = dict.fromkeys(('shared', 'long v', "long v'"), 0)
+	for _ in range(150):
+		p = _random_presentation(rng)
+		letters = p.generators + ('z',)
+		for _ in range(8):
+			w = tuple((rng.choice(letters), rng.choice((1, -1)))
+				for _ in range(rng.randrange(0, 11)))
+			steps = applicable_steps(p, w, ALL)
+			assert steps == brute_ordered_steps(p, w)
+			for s in steps:
+				assert apply_step(p, w, s) == reference_apply_step(p, w, s)
+			two = [(s.pos, s.kind, s.rel, s.orient) for s in steps if s.kind in ('2r', '2l')]
+			seen['shared'] += len({(pos, kind) for pos, kind, _, _ in two}) < len(set(two))
+			seen['long v'] += any(s.kind in ('2r', '2l') and s.lv > 1 for s in steps)
+			seen["long v'"] += any(s.kind in ('2r', '2l') and s.lvp > 1 for s in steps)
+	assert min(seen.values()) >= 30, seen
+
+
+def test_large_coxeter_entry_lists_steps_fast():
+	# one braid relation of length 250: the matcher reads the one 2r step
+	# off the two letters of Ba, without tabulating the 2 * 250^2 splits
+	t0 = time.perf_counter()
+	p = parse_presentation_text('gens: a b\ncoxeter: a b 250\n')
+	w = parse_word('Ba', p)
+	steps = applicable_steps(p, w, {'1', '2r', '2l'})
+	assert steps == [Step('2r', 0, rel=0, orient='bwd', lv=1, lvp=1)]
+	after = apply_step(p, w, steps[0])
+	assert render_word(after, p) == 'ab' * 124 + 'a' + 'BA' * 124 + 'B'
+	r = right_reverse(p, w)
+	assert r.converged and r.word == after and r.trace.steps == steps
+	assert time.perf_counter() - t0 < 2
 
 
 def test_apply_step_rejects_out_of_range_fields():

@@ -42,3 +42,16 @@ def test_step_checks_live_once():
 	# raag share some wording, but raise AugError
 	messages = list(_step_error_messages())
 	assert {m: messages.count(m) for m in STEP_CHECKS} == dict.fromkeys(STEP_CHECKS, 1)
+
+
+def test_rule_source_lives_once():
+	# every type 1 and type 2 factor comes from Presentation's rule source;
+	# core.step_factor, which builds one from tuples, is left to the test
+	# references
+	calls = []
+	for path in sorted(SRC.glob('*.py')):
+		for node in ast.walk(ast.parse(path.read_text(encoding='utf-8'))):
+			if isinstance(node, ast.Call) and 'step_factor' in (
+					getattr(node.func, 'id', None), getattr(node.func, 'attr', None)):
+				calls.append('%s:%d' % (path.name, node.lineno))
+	assert SRC.is_dir() and not calls
