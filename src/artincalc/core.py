@@ -79,16 +79,17 @@ class Presentation:
 	gives no finiteness algorithm); right_angled and length_preserving
 	are computed.
 
-	The rule source below (_oriented, _type1, _boundaries), of size
-	O(total relation length), answers every "which factor may a relation
-	rewrite" question; type 2 steps are matched in place from it.  Each
-	piece is built on first use and cached on the instance, and a copy
-	made by dataclasses.replace starts afresh.  Step order, and so the
-	order of search results, is: relation index, then 'fwd' (the stored
-	relation read lhs -> rhs) before 'bwd', then sign +1 before -1 (type
-	1), |v| then |v'| ascending (type 2), or shift then |u| ascending
-	(Dehn).  The pair maps keep the first hit in that order: the lowest
-	relation index wins, and 'fwd' beats 'bwd'.
+	The rule source below (_oriented, _type1, _boundaries, _dehn), of
+	size O(total relation length), answers every "which factor may a
+	relation rewrite" question; type 1, type 2 and Dehn steps are matched
+	in place from it.  Each piece is built on first use and cached on the
+	instance, and a copy made by dataclasses.replace starts afresh.  Step
+	order, and so the order of search results, is: relation index, then
+	'fwd' (the stored relation read lhs -> rhs) before 'bwd', then sign +1
+	before -1 (type 1), or |v| then |v'| ascending (type 2).  The pair
+	maps keep the first hit in that order: the lowest relation index wins,
+	and 'fwd' beats 'bwd'.  Dehn steps have an order of their own
+	(rewrite.dehn_steps).
 
 	Inside the search, step replay, reversing and the right-angled
 	pipeline a word is a string, one character per letter: generator i is
@@ -209,24 +210,17 @@ class Presentation:
 				return '1', dict(rel=ri, orient=orient, sign=sign)
 
 	@cached_property
-	def positive_rows(self):
-		'''Type 1 on positive words (generator tuples), sign +1 only.'''
-		return [(a, b, dict(rel=ri, orient=orient, sign=1))
-			for ri, orient, a, b in self._sides()]
-
-	@cached_property
-	def dehn_rows(self):
-		'''Dehn: u by u' with |u| > |u'| and u^-1 u' a cyclic shift of
-		v^-1 v' ('fwd') or v'^-1 v ('bwd'), shifts at letter boundaries.'''
-		rows = []
+	def _dehn(self):
+		'''Letter -> (rel, orient, y + y, t) for every place t of it in the
+		cyclic word y = b^-1 a of each oriented relation a = b, in _sides
+		order: y is stored twice over, so a cyclic factor is a slice.'''
+		out = {}
 		for ri, orient, a, b in self._sides():
-			z = invert(positive_to_word(a)) + positive_to_word(b)
-			for shift in range(len(z)):
-				c = z[shift:] + z[:shift]
-				for k in range(len(c) // 2 + 1, len(c) + 1):
-					rows.append((invert(c[:k]), c[k:],
-						dict(rel=ri, orient=orient, shift=shift)))
-		return rows
+			y = invert(positive_to_word(b)) + positive_to_word(a)
+			yy = y + y
+			for t, x in enumerate(y):
+				out.setdefault(x, []).append((ri, orient, yy, t))
+		return out
 
 	def _pairs(self, end):
 		pairs = {}
@@ -438,4 +432,7 @@ def parse_presentation_text(text):
 
 def load_presentation(path):
 	with open(path, 'r', encoding='utf-8') as f:
-		return parse_presentation_text(f.read())
+		try:
+			return parse_presentation_text(f.read())
+		except UnicodeDecodeError as e:
+			raise PresentationError('%s is not UTF-8 text: %s' % (path, e)) from None

@@ -3,10 +3,12 @@ length-preserving relation rewrites: equivalence classes, divisibility,
 right lcm via reversing, S0-minimality, and the spherical coset-head
 construction.
 
-Classes are memoized per presentation in-process, the newest ones up to
-CACHED_MEMBERS members together; setting ARTIN_CACHE_DIR adds a JSON file
-cache keyed by a presentation fingerprint.  Results are identical with or
-without either cache.
+The closure runs on the word encoded once (Presentation._encode), over
+the type 1 steps of rewrite._successors, and decodes the class once to
+generator tuples.  Classes are memoized per presentation in-process, the
+newest ones up to CACHED_MEMBERS members together; setting ARTIN_CACHE_DIR
+adds a JSON file cache keyed by a presentation fingerprint.  Results are
+identical with or without either cache.
 '''
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import deque
 from dataclasses import replace
 
 from .core import invert, positive_to_word
-from .rewrite import Derivation, unwind
+from .rewrite import Derivation, unwind, _successors
 from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError, _converged
 
 DEFAULT_CAP = 100000
@@ -64,17 +66,6 @@ class CapExceeded(RuntimeError):
 	pass
 
 
-def _rewrites(p, w):
-	'''One-step type-1 rewrites of a positive word, both directions, as
-	(next word, position, step fields).'''
-	n = len(w)
-	for src, dst, fields in p.positive_rows:
-		k = len(src)
-		for i in range(n - k + 1):
-			if w[i:i + k] == src:
-				yield w[:i] + dst + w[i + k:], i, fields
-
-
 def _disk_path(p, w):
 	root = os.environ.get('ARTIN_CACHE_DIR')
 	if not root:
@@ -108,17 +99,21 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 		# only w: the file is trusted for w's class alone
 		_class_cache.add(p.fingerprint, cls, (w,))
 		return cls
-	seen = {w}
-	queue = deque([w])
+	codes = p._fresh_codes()
+	start = p._encode(positive_to_word(w), codes)
+	seen = {start}
+	queue = deque([start])
 	while queue:
-		cur = queue.popleft()
-		for nxt, _, _ in _rewrites(p, cur):
+		# a positive word has sign +1 type 1 steps only
+		for _, _, _, nxt in _successors(p, queue.popleft(), {'1'}):
 			if nxt not in seen:
 				if len(seen) >= cap:
 					raise CapExceeded('equivalence class exceeds cap %d' % cap)
 				seen.add(nxt)
 				queue.append(nxt)
-	cls = frozenset(seen)
+	names = [g for g, _ in codes]
+	# a frozenset copied from a set gets a table sized to it, not grown
+	cls = frozenset({tuple([names[ord(c)] for c in m]) for m in seen})
 	_class_cache.add(p.fingerprint, cls, cls)
 	if path:
 		# through a temp file, so a reader never sees a partial class
@@ -150,15 +145,19 @@ def rewrite_path(p, u, v, cap=DEFAULT_CAP):
 	u, v = tuple(u), tuple(v)
 	if v not in equiv_class(p, u, cap):
 		raise ValueError('words are not equivalent')
-	parent = {u: ()}
-	queue = deque([u])
-	while queue and v not in parent:
+	code = p._encode(positive_to_word(u + v))
+	start, goal = code[:len(u)], code[len(u):]
+	parent = {start: ()}
+	queue = deque([start])
+	while queue and goal not in parent:
 		cur = queue.popleft()
-		for nxt, i, fields in _rewrites(p, cur):
+		# relation-major: by relation, 'fwd' before 'bwd', then position
+		for _, i, fields, nxt in sorted(_successors(p, cur, {'1'}),
+				key=lambda s: (s[2]['rel'], s[2]['orient'] != 'fwd', s[1])):
 			if nxt not in parent:
 				parent[nxt] = (cur, '1', i, fields)
 				queue.append(nxt)
-	return unwind(parent, u, v).steps
+	return unwind(parent, u, goal).steps
 
 
 def left_divisors(p, g, cap=DEFAULT_CAP):

@@ -53,10 +53,10 @@ def _reverse(p, w, budget, side):
 	cur = p._encode(w, codes)
 	signs = {ord(c): '01'[ord(c) & 1] for c in codes.values()}
 	steps = []
-	for _ in range(budget):
+	while True:  # the word is looked at once more after the last step
 		i = find(cur.translate(signs))
-		if i < 0:
-			return ReversalResult(p._decode(cur, codes), True,
+		if i < 0 or len(steps) == budget:
+			return ReversalResult(p._decode(cur, codes), i < 0,
 				trace=Derivation(tuple(w), steps), step_count=len(steps))
 		pair = cur[i:i + 2]
 		if ord(pair[0]) ^ ord(pair[1]) == 1:
@@ -69,8 +69,6 @@ def _reverse(p, w, budget, side):
 				trace=Derivation(tuple(w), steps), step_count=len(steps))
 		cur = _apply(p, cur, step)
 		steps.append(step)
-	return ReversalResult(p._decode(cur, codes), False, trace=Derivation(tuple(w), steps),
-		step_count=len(steps))
 
 
 def _converged(res, what):

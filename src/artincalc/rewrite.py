@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import render_word, parse_word
+from .core import render_word, parse_word, invert
 
 class StepError(ValueError):
 	pass
@@ -296,16 +296,22 @@ class DehnStep:
 
 def dehn_steps(p, w):
 	'''All length-decreasing factor replacements u -> u' with u^-1 u' a
-	cyclic permutation of v^-1 v' or v'^-1 v for some relation v = v'.
-	Cyclic shifts are taken at letter boundaries.'''
+	cyclic shift of v^-1 v' ('fwd') or v'^-1 v ('bwd') for a relation
+	v = v', matched in place (Presentation._dehn).  Order: position, |u|
+	descending, relation, orientation ('bwd' first), shift; a pair (u, u')
+	met twice at one position keeps the lowest relation, then 'fwd'.'''
 	out = []
-	seen = set()
-	for u, up, fields in p.dehn_rows:
-		for pos in range(len(w) - len(u) + 1):
-			if w[pos:pos + len(u)] == u and (pos, u, up) not in seen:
-				seen.add((pos, u, up))
-				out.append(DehnStep(pos, u, up, **fields))
-	out.sort(key=lambda d: (d.pos, -len(d.factor), d.rel, d.orient, d.shift))
+	for pos, x in enumerate(w):
+		found = {}  # (u, u') -> its first DehnStep
+		for rel, orient, yy, t in p._dehn.get(x, ()):
+			size, m = len(yy) // 2, 1
+			while m < size and pos + m < len(w) and w[pos + m] == yy[t + m]:
+				m += 1
+			for k in range(size // 2 + 1, m + 1):
+				key = (yy[t:t + k], invert(yy[t + k:t + size]))
+				if key not in found:
+					found[key] = DehnStep(pos, *key, rel, orient, (size - t - k) % size)
+		out += sorted(found.values(), key=lambda d: (-len(d.factor), d.rel, d.orient, d.shift))
 	return out
 
 

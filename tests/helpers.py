@@ -14,7 +14,7 @@ from artincalc import (parse_presentation_text, parse_word, parse_positive,
 	render_word, invert, free_reduce, Step, Derivation, applicable_steps,
 	apply_step, check_derivation)
 from artincalc.core import positive_to_word, step_factor
-from artincalc.rewrite import StepError
+from artincalc.rewrite import StepError, DehnStep
 from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h, to_aug,
 	max_index, apply_aug_step, aug_derivation_words)
 
@@ -30,6 +30,7 @@ A2 = make('gens: a b\nrel: aba = bab', spherical=True)
 I24 = make('gens: a b\nrel: abab = baba', spherical=True)
 RA2 = make('gens: a b\nrel: ab = ba', spherical=True)
 RA3 = make('gens: a b c\nrel: ab = ba\nrel: bc = cb\nrel: ac = ca')
+A3 = make('gens: a b c\nrel: aba = bab\nrel: bcb = cbc\nrel: ac = ca', spherical=True)
 F2XF2 = make('gens: a b c d\nrel: ac = ca\nrel: bc = cb\nrel: ad = da\nrel: bd = db')
 FIG2 = make('gens: a b c d e f\nrel: ac = cae\nrel: bc = cbe\n'
 	'rel: ad = daf\nrel: bd = dbf')
@@ -148,6 +149,61 @@ def brute_pos_equal(p, u, v):
 
 def all_positive_words(p, n):
 	return itertools.product(p.generators, repeat=n)
+
+
+def reference_rewrite_path(p, u, v):
+	'''rewrite_path by breadth-first search on generator tuples, each
+	word's successors relation-major: by relation, 'fwd' before 'bwd',
+	then position.  None when v is not reached.'''
+	u, v = tuple(u), tuple(v)
+	parent = {u: None}
+	queue = deque([u])
+	while queue and v not in parent:
+		cur = queue.popleft()
+		for ri, (l, r) in enumerate(p.relations):
+			for orient, a, b in (('fwd', l, r), ('bwd', r, l)):
+				for i in range(len(cur) - len(a) + 1):
+					if cur[i:i + len(a)] != a:
+						continue
+					nxt = cur[:i] + b + cur[i + len(a):]
+					if nxt not in parent:
+						parent[nxt] = (cur, Step('1', i, rel=ri, orient=orient, sign=1))
+						queue.append(nxt)
+	if v not in parent:
+		return None
+	steps = []
+	while parent[v] is not None:
+		v, s = parent[v]
+		steps.append(s)
+	return steps[::-1]
+
+
+# ---------------------------------------------------------------------------
+# reference Dehn steps: a table of every cyclic shift and every long prefix
+# of each oriented relator, scanned at every position of the word, then
+# deduplicated in table order and sorted.  Rows longer than the word, which
+# cannot match, are not built.
+
+def _reference_dehn_rows(p, n):
+	for ri, (l, r) in enumerate(p.relations):
+		for orient, a, b in (('fwd', l, r), ('bwd', r, l)):
+			z = invert(positive_to_word(a)) + positive_to_word(b)
+			for shift in range(len(z)):
+				c = z[shift:] + z[:shift]
+				for k in range(len(c) // 2 + 1, min(len(c), n) + 1):
+					yield invert(c[:k]), c[k:], ri, orient, shift
+
+
+def reference_dehn_steps(p, w):
+	w = tuple(w)
+	out, seen = [], set()
+	for u, up, ri, orient, shift in _reference_dehn_rows(p, len(w)):
+		for pos in range(len(w) - len(u) + 1):
+			if w[pos:pos + len(u)] == u and (pos, u, up) not in seen:
+				seen.add((pos, u, up))
+				out.append(DehnStep(pos, u, up, ri, orient, shift))
+	out.sort(key=lambda d: (d.pos, -len(d.factor), d.rel, d.orient, d.shift))
+	return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artincalc import cli as climod
 from artincalc import parse_word, Derivation, check_derivation
@@ -253,3 +257,44 @@ def test_console_script_subprocess():
 	r = subprocess.run([sys.executable, '-m', 'artincalc.cli', 'wp-spherical',
 		'-p', 'a2.txt', '-w', 'abaBAB'], capture_output=True, text=True, env=env)
 	assert r.returncode == 0 and r.stdout.strip() == 'true'
+
+
+# presentation files: random lines, and lines of the file format with
+# small Coxeter entries (a large one makes relations of that length)
+_LINE = st.one_of(st.text(max_size=20),
+	st.lists(st.sampled_from(['a', 'b', 'c', 'x1', 'A', 'e', '#', 'a^-1']),
+		max_size=4).map(lambda g: 'gens: ' + ' '.join(g)),
+	st.tuples(st.text('abcAB ', max_size=5), st.text('abcAB=', max_size=5)).map(
+		lambda lr: 'rel: %s = %s' % lr),
+	st.tuples(st.sampled_from('abz'), st.sampled_from('abz'),
+		st.sampled_from(['2', '3', '5', 'inf', '1', 'x', '-3'])).map(
+		lambda t: 'coxeter: %s %s %s' % t))
+_FILE = st.tuples(st.sampled_from([[], ['gens: a b c']]), st.lists(_LINE, max_size=4)).map(
+	lambda t: '\n'.join(t[0] + t[1]))
+_WORD = st.one_of(st.text(max_size=12), st.text('abcABCz e^-1', max_size=14))
+_VALUE = st.one_of(st.integers(-2, 70), st.sampled_from(['0r', '0l', '1', '2r', '2l', 'inf',
+	'fwd', 'bwd', 'a', 'z']), st.none(), st.booleans(), st.floats(allow_nan=False),
+	st.lists(st.integers(0, 3), max_size=2))
+_STEP = st.one_of(st.text(max_size=30), st.dictionaries(st.sampled_from(['kind', 'pos',
+	'rel', 'orient', 'sign', 'split', 'letter']), _VALUE, max_size=7).map(json.dumps))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(text=_FILE, word=_WORD, command=st.sampled_from(['dehn', 'steps', 'apply']),
+	step=_STEP, undecodable=st.booleans())
+def test_cli_fuzz_exit_codes(text, word, command, step, undecodable):
+	# dehn, steps and apply on random presentation files, words and step
+	# JSON: a documented exit code, never a traceback or an internal error
+	with tempfile.TemporaryDirectory() as d:
+		path = os.path.join(d, 'p.txt')
+		with open(path, 'wb') as f:
+			f.write(text.encode('utf-8', 'surrogatepass') + b'\xff' * undecodable)
+		argv = [command, '-p', path, '-w', word] + ['--step', step] * (command == 'apply')
+		err = io.StringIO()
+		with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+			try:
+				climod.main(argv)
+				code = 0
+			except SystemExit as e:
+				code = e.code or 0
+	assert code in (0, 1, 2, 64, 66), (argv, text, err.getvalue())

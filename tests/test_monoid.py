@@ -14,8 +14,8 @@ from artincalc.monoid import (equiv_class, canonical, pos_equal, rewrite_path,
 	CapExceeded, _class_cache, _disk_path)
 from artincalc.reversing import ReversingError
 
-from helpers import (A2, I24, RA2, RA3, FIG2, FREE2, brute_class,
-	brute_pos_equal, all_positive_words, random_positive)
+from helpers import (A2, A3, I24, RA2, RA3, FIG2, FREE2, brute_class,
+	brute_pos_equal, all_positive_words, random_positive, reference_rewrite_path)
 
 
 def W(s, p=A2):
@@ -291,3 +291,16 @@ def test_class_cache_trusts_a_disk_file_for_its_word_only(tmp_path, monkeypatch)
 	assert equiv_class(A2, W('a')) == {W('a')}
 	assert _class_cache.get((A2.fingerprint, w)) == fresh_w
 	_class_cache.clear()
+
+
+def test_rewrite_path_matches_reference():
+	# the breadth-first search takes each word's successors relation-major
+	# (relation, 'fwd' before 'bwd', position), so of equally short paths
+	# it returns the same one as the reference on generator tuples
+	rng = random.Random(31)
+	for p in (A2, I24, A3, RA3):
+		for _ in range(60):
+			u = random_positive(p, rng, rng.randrange(0, 9))
+			cls = sorted(equiv_class(p, u))
+			for v in rng.sample(cls, min(3, len(cls))):
+				assert rewrite_path(p, u, v) == reference_rewrite_path(p, u, v), (p.relations, u, v)

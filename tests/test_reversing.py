@@ -80,16 +80,40 @@ def test_budget_exhaustion_reported():
 
 def test_reached_budget_is_a_limit():
 	# a reached budget raises BudgetReached, a blocked pattern only
-	# ReversingError: the CLI reports the first as a limit (exit 2)
+	# ReversingError: the CLI reports the first as a limit (exit 2);
+	# (ab)^-1 b needs two reversing steps
 	w = parse_word('BaaB', A2)
 	for call in (lambda: right_fraction(A2, w, budget=1),
 			lambda: left_fraction(A2, w, budget=1),
-			lambda: right_lcm(A2, ('a',), ('b',), budget=1)):
+			lambda: right_lcm(A2, ('a', 'b'), ('b',), budget=1)):
 		with pytest.raises(BudgetReached, match='reversal budget exhausted'):
 			call()
 	with pytest.raises(ReversingError, match='no relation reverses') as e:
 		right_fraction(FREE2, parse_word('Ab', FREE2))
 	assert not isinstance(e.value, BudgetReached)
+
+
+def test_budget_equal_to_step_count_converges():
+	# a budget of N admits N steps: the word is looked at once more after
+	# the last one
+	rng = random.Random(37)
+	for p in (A2, I24, RA3):
+		for _ in range(40):
+			w = random_word(p, rng, rng.randrange(0, 10))
+			for reverse in (right_reverse, left_reverse):
+				full = reverse(p, w)
+				assert full.converged
+				n = full.step_count
+				if n == 0:
+					continue
+				exact = reverse(p, w, budget=n)
+				assert exact.converged and exact.word == full.word and exact.step_count == n
+				if n > 1:
+					short = reverse(p, w, budget=n - 1)
+					assert not short.converged and short.step_count == n - 1
+	w = parse_word('Ab', A2)
+	assert right_reverse(A2, w, budget=1).converged
+	assert right_lcm(A2, ('a',), ('b',), budget=1) == ('a', 'b', 'a')
 
 
 def test_split_helpers():

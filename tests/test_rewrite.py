@@ -11,8 +11,9 @@ from artincalc import (Presentation, Step, Derivation, applicable_steps, apply_s
 from artincalc.rewrite import StepError, derivation_words
 from artincalc.core import positive_to_word
 
-from helpers import (A2, I24, RA2, RA3, F2XF2, FIG2, SIDE1, MULTI, HomOracle,
-	random_word, reference_apply_step, reference_derivation_words)
+from helpers import (A2, A3, I24, RA2, RA3, F2XF2, FIG2, SIDE1, MULTI, HomOracle,
+	make, random_word, reference_apply_step, reference_derivation_words,
+	reference_dehn_steps)
 
 ALL = {'0', '1', '2r', '2l'}
 
@@ -218,6 +219,41 @@ def test_dehn_steps_sound_and_decreasing():
 			for d in dehn_steps(p, w):
 				assert len(d.replacement) < len(d.factor)
 				assert oracle.maybe_equal(w, apply_dehn(w, d))
+
+
+def test_dehn_steps_match_reference():
+	# the in-place matcher against the table of every cyclic shift and
+	# long prefix: the same steps, the same order, and the same first
+	# fields of a pair (u, u') that two relations give (a relation listed
+	# both ways round, or with equal sides); over ab = a, one u has a
+	# 'fwd' and a 'bwd' step of one relation at one position
+	rng = random.Random(29)
+	presentations = (A2, I24, A3, RA3, SIDE1, make('gens: a b\nrel: aab = b'),
+		make('gens: a b\nrel: ab = a'),
+		make('gens: a b\nrel: ab = ba\nrel: ba = ab'), make('gens: a b\nrel: a = b'),
+		make('gens: a b\nrel: a = a'))
+	for p in presentations:
+		letters = p.generators + ('z',)
+		for _ in range(120):
+			w = tuple((rng.choice(letters), rng.choice((1, -1)))
+				for _ in range(rng.randrange(0, 11)))
+			assert dehn_steps(p, w) == reference_dehn_steps(p, w), (p.relations, w)
+
+
+def test_dehn_steps_large_coxeter_entry():
+	# one braid relation of length 120: the index holds one entry per
+	# letter of each oriented relator, and a match is read off the relator
+	# in place, not from a table of every shift and long prefix
+	t0 = time.perf_counter()
+	p = parse_presentation_text('gens: a b\ncoxeter: a b 120\n')
+	assert dehn_steps(p, parse_word('Ba', p)) == []
+	l, r = p.relations[0]
+	y = invert(positive_to_word(r)) + positive_to_word(l)
+	w = (y + y)[40:205]  # a cyclic factor of 165 letters
+	got = dehn_steps(p, w)
+	assert time.perf_counter() - t0 < 1
+	assert sum(map(len, p._dehn.values())) == 2 * sum(len(l) + len(r) for l, r in p.relations)
+	assert len(got) == 1035 and got == reference_dehn_steps(p, w)
 
 
 def test_simulate_type2_matches_apply():
@@ -435,11 +471,11 @@ def test_step_core_matches_reference():
 	assert replayed >= 100 and failed >= 20
 
 
-def test_step_core_per_presentation_cache():
-	'''A checked step is remembered per presentation, by fields and their
-	types: rel=True still fails after rel=1 applied, and one Step gives
-	each presentation its own answer, a copy made by dataclasses.replace
-	included.'''
+def test_step_fields_checked_by_type_and_per_presentation():
+	'''Step fields are checked by value and type: rel=True and rel=1.0
+	are rejected, also after rel=1 applied; and one Step is checked
+	against each presentation on its own, a copy made by
+	dataclasses.replace included.'''
 	w = parse_word('abcBA', RA3)
 	one = Step('1', 1, rel=1, orient='fwd', sign=1)
 	assert render_word(apply_step(RA3, w, one), RA3) == 'acbBA'
