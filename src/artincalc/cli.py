@@ -7,7 +7,8 @@ that does not apply, a negative search limit and the right-angled
 preconditions of wp-raag and eliminate-inf included), 66 file error, 70
 broken internal invariant; the search-style subcommands use 0 = found/true,
 1 = not/false, 2 = exhausted, and a reached cap (an equivalence class past
-100,000 members) exits 2 with nothing on stdout.
+100,000 members, or 100,000 letters per letter of the word) exits 2 with
+nothing on stdout.
 '''
 
 import dataclasses

@@ -166,12 +166,13 @@ class Presentation:
 
 	@cached_property
 	def _type1(self):
-		'''Code -> (factor, replacement, rel, orient, sign) of every type 1
+		'''Code -> (factor, replacement, step fields tuple) of every type 1
 		step whose factor starts with it, in step order.'''
 		index = {}
 		for (ri, orient), (a, b, ai, bi) in self._oriented.items():
 			for sign, factor, new in ((1, a, b), (-1, ai, bi)):
-				index.setdefault(factor[0], []).append((factor, new, ri, orient, sign))
+				fields = _FIELDS.setdefault((ri, orient, sign), (ri, orient, None, None, None, sign))
+				index.setdefault(factor[0], []).append((factor, new, fields))
 		return {k: tuple(v) for k, v in index.items()}
 
 	@cached_property
@@ -197,17 +198,23 @@ class Presentation:
 				out[self._codes[s, e]] = out.get(self._codes[s, e], '') + both
 		return out
 
+	@cached_property
+	def _sizes(self):
+		'''(the shortest relation side, the longest factor a type 0, 1 or 2
+		step rewrites: 2, or the largest |l| + |r| of a relation l = r).'''
+		return (min([len(u) for rel in self.relations for u in rel], default=1),
+			max([2] + [len(l) + len(r) for l, r in self.relations]))
+
 	def _swap(self, pair):
 		'''(kind, step fields) of the first step that rewrites just the two
 		letters coded in pair, or None: the reversing step (2r or 2l, |v| =
 		|v'| = 1), or type 1 through a side equal to them (a swap, st = ts).'''
 		rows = self._boundaries.get(pair)
 		if rows:  # only a pair of mixed signs has a boundary
-			return '2r' if ord(pair[0]) & 1 else '2l', dict(rel=rows[0][0],
-				orient=rows[0][1], lv=1, lvp=1)
-		for factor, _, ri, orient, sign in self._type1.get(pair[0], ()):
+			return '2r' if ord(pair[0]) & 1 else '2l', rows[0][:2] + (1, 1)
+		for factor, _, fields in self._type1.get(pair[0], ()):
 			if factor == pair:
-				return '1', dict(rel=ri, orient=orient, sign=sign)
+				return '1', fields
 
 	@cached_property
 	def _dehn(self):
@@ -245,6 +252,9 @@ class Presentation:
 		'''Every (s, t) such that st = ts is a relation, either way round.'''
 		return frozenset((a[0], a[1]) for _, _, a, b in self._sides()
 			if len(a) == 2 and b == (a[1], a[0]))
+
+
+_FIELDS = {}  # (rel, orient, sign) -> type 1 step fields, shared by all presentations
 
 
 class _Codes(dict):

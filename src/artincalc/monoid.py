@@ -13,10 +13,7 @@ identical with or without either cache.
 
 from __future__ import annotations
 
-import json
 import os
-import hashlib
-import tempfile
 from collections import deque
 from dataclasses import replace
 
@@ -70,6 +67,7 @@ def _disk_path(p, w):
 	root = os.environ.get('ARTIN_CACHE_DIR')
 	if not root:
 		return None
+	import hashlib  # the disk cache alone loads it, and with it OpenSSL
 	key = hashlib.sha256((p.fingerprint + '|' + ' '.join(w)).encode()).hexdigest()
 	return os.path.join(root, key + '.json')
 
@@ -77,6 +75,7 @@ def _disk_path(p, w):
 def _read_class(path, w):
 	'''The class stored at path, or None when there is none or it is not
 	a class of w: a damaged file, or one written for another word.'''
+	import json
 	try:
 		with open(path) as f:
 			cls = frozenset(tuple(m) for m in json.load(f))
@@ -87,7 +86,8 @@ def _read_class(path, w):
 
 def equiv_class(p, w, cap=DEFAULT_CAP):
 	'''BFS closure of a positive word under relation rewrites.  Complete
-	for length-preserving presentations; the cap guards the general case.'''
+	for length-preserving presentations; the cap, on members and on cap *
+	max(1, |w|) letters in all, guards the general case.'''
 	w = tuple(w)
 	key = (p.fingerprint, w)
 	hit = _class_cache.get(key)
@@ -103,11 +103,13 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	start = p._encode(positive_to_word(w), codes)
 	seen = {start}
 	queue = deque([start])
+	letters, most = len(w), cap * max(1, len(w))
 	while queue:
 		# a positive word has sign +1 type 1 steps only
 		for _, _, _, nxt in _successors(p, queue.popleft(), {'1'}):
 			if nxt not in seen:
-				if len(seen) >= cap:
+				letters += len(nxt)
+				if len(seen) >= cap or letters > most:
 					raise CapExceeded('equivalence class exceeds cap %d' % cap)
 				seen.add(nxt)
 				queue.append(nxt)
@@ -116,6 +118,8 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	cls = frozenset({tuple([names[ord(c)] for c in m]) for m in seen})
 	_class_cache.add(p.fingerprint, cls, cls)
 	if path:
+		import json
+		import tempfile
 		# through a temp file, so a reader never sees a partial class
 		os.makedirs(os.path.dirname(path), exist_ok=True)
 		fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix='.tmp')
@@ -153,7 +157,7 @@ def rewrite_path(p, u, v, cap=DEFAULT_CAP):
 		cur = queue.popleft()
 		# relation-major: by relation, 'fwd' before 'bwd', then position
 		for _, i, fields, nxt in sorted(_successors(p, cur, {'1'}),
-				key=lambda s: (s[2]['rel'], s[2]['orient'] != 'fwd', s[1])):
+				key=lambda s: (s[2][0], s[2][1] != 'fwd', s[1])):
 			if nxt not in parent:
 				parent[nxt] = (cur, '1', i, fields)
 				queue.append(nxt)

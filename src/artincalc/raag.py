@@ -395,7 +395,7 @@ def _plain_step(p, codes, letters, kind, pos):
 	if row is None or row[0][0] != kind:
 		g1, g2 = (_name(p, codes, c) for c in pair)
 		raise AugError('no relation realizes the swap %s %s' % (g1, g2))
-	return Step(row[0], pos, **row[1])
+	return Step(row[0], pos, *row[1])
 
 
 def eliminate_infinity(p, d):

@@ -62,7 +62,7 @@ def _reverse(p, w, budget, side):
 		if ord(pair[0]) ^ ord(pair[1]) == 1:
 			step = Step('0', i, sign=e)
 		elif (row := p._swap(pair)) is not None:
-			step = Step(row[0], i, **row[1])
+			step = Step(row[0], i, *row[1])
 		else:
 			(s, _), (t, _) = p._decode(pair, codes)
 			return ReversalResult(p._decode(cur, codes), False, blocked=blocked % (s, t),

@@ -148,38 +148,53 @@ def _rule(p, s):
 	return ai[-s.lv:] + b[:s.lvp], a[s.lv:] + bi[:-s.lvp]
 
 
-def _successors(p, w, kinds):
+_ZERO = ((None,) * 5 + (1,), (None,) * 5 + (-1,))  # type 0 fields, by sign bit
+
+
+def _successors(p, w, kinds, since=0):
 	'''(kind, pos, step fields, next word) of every applicable step of
 	the kinds 0, 1, 2r and 2l in kinds, in applicable_steps order, on an
-	encoded word.  A type 2 factor changes sign once, at the end of the
-	sign run it starts in: that end fixes |v| and the relations that may
-	apply (Presentation._boundaries), and |v'| grows to the first mismatch.'''
+	encoded word, but those whose factor ends at or before since.  Fields
+	are tuples in Step's order, one per type 0 sign and type 1 row.  The
+	scan goes a sign run at a time from since - L + 1, L the longest factor
+	(Presentation._sizes): a type 0 pair straddles a run's end, a type 1
+	factor lies in a run, and a type 2 factor changes sign at its run's
+	end, where each relation with that boundary gets its largest |v| and
+	|v'| once (Presentation._boundaries).'''
 	zero = '0' in kinds
 	type1 = p._type1 if '1' in kinds else {}
-	two = [k for k in ('2r', '2l') if k in kinds]
-	n, end, rows = len(w), 0, ()
-	for pos, c in enumerate(w):
-		if two and pos == end:  # a new sign run: its end and the type 2 rows there
-			odd = ord(c) & 1
-			end = pos + 1
-			while end < n and ord(w[end]) & 1 == odd:
-				end += 1
-			kind = '2r' if odd else '2l'
-			rows = p._boundaries.get(w[end - 1:end + 1], ()) if end < n and kind in two else ()
-		if zero and pos + 1 < n and ord(c) ^ ord(w[pos + 1]) == 1:
-			yield '0', pos, {'sign': -1 if ord(c) & 1 else 1}, w[:pos] + w[pos + 2:]
-		for factor, new, ri, orient, sign in type1.get(c, ()):
-			if w.startswith(factor, pos):
-				yield '1', pos, {'rel': ri, 'orient': orient, 'sign': sign}, \
-					w[:pos] + new + w[pos + len(factor):]
-		for ri, orient, head, tail, left, right in rows:
-			if head.endswith(w[pos:end]):
-				lv = end - pos
-				for lvp in range(1, min(len(tail), n - end) + 1):
-					if w[end + lvp - 1] != tail[lvp - 1]:
-						break
-					yield kind, pos, {'rel': ri, 'orient': orient, 'lv': lv, 'lvp': lvp}, \
-						w[:pos] + left[lv:] + right[:-lvp] + w[end + lvp:]
+	two = '2r' in kinds or '2l' in kinds
+	shortest, span = p._sizes
+	n, start = len(w), max(0, since - span + 1)
+	while start < n:
+		odd = ord(w[start]) & 1
+		end = start + 1 if zero or two else n  # type 1 alone: one run will do
+		while end < n and ord(w[end]) & 1 == odd:
+			end += 1
+		kind, rows = '2r' if odd else '2l', []
+		low = max(1, since - end + 1)  # the least |v'| that ends past since
+		for ri, orient, head, tail, left, right in (p._boundaries.get(
+				w[end - 1:end + 1], ()) if end < n and kind in kinds else ()):
+			lv = lvp = 1
+			while lv < len(head) and lv < end and w[end - 1 - lv] == head[-1 - lv]:
+				lv += 1
+			while lvp < len(tail) and end + lvp < n and w[end + lvp] == tail[lvp]:
+				lvp += 1
+			if lvp >= low:
+				rows.append((end - lv, ri, orient, left, right, lvp))
+		for pos in range(start, end):
+			if zero and pos == end - 1 and end < n and ord(w[pos]) ^ ord(w[end]) == 1 \
+					and end + 1 > since:
+				yield '0', pos, _ZERO[odd], w[:pos] + w[pos + 2:]
+			for factor, new, fields in type1.get(w[pos], ()) if pos + shortest <= end else ():
+				if w.startswith(factor, pos) and (not since or pos + len(factor) > since):
+					yield '1', pos, fields, w[:pos] + new + w[pos + len(factor):]
+			for lo, ri, orient, left, right, most in rows:
+				if pos >= lo:
+					head, lv = w[:pos] + left[end - pos:], end - pos
+					for lvp in range(low, most + 1):
+						yield kind, pos, (ri, orient, lv, lvp), head + right[:-lvp] + w[end + lvp:]
+		start = end
 
 
 def applicable_steps(p, w, kinds, inf_letters=None, inf_positions=None):
@@ -188,7 +203,7 @@ def applicable_steps(p, w, kinds, inf_letters=None, inf_positions=None):
 	and is only enumerated when an explicit letter list is supplied.'''
 	if 'inf' in kinds and inf_letters is None:
 		raise StepError("kind 'inf' requires an explicit inf_letters bound")
-	out = [Step(kind, pos, **fields)
+	out = [Step(kind, pos, *fields)
 		for kind, pos, fields, _ in _successors(p, p._encode(w), kinds)]
 	if 'inf' in kinds:  # insertions last at each position, by a stable sort
 		out += [Step('inf', pos, letter=g, sign=sg) for pos in range(len(w) + 1)
@@ -272,11 +287,11 @@ def unwind(tree, start, end):
 	'''The derivation from start to end in a search tree that maps each
 	reached word to a tuple ending in (previous word, kind, pos, step
 	fields) and the root to a shorter tuple; Steps are made only on this
-	path, and its words may be encoded.'''
+	path, and its words may be encoded.  Fields are in Step's order.'''
 	steps = []
 	while len(tree[end]) >= 4:
 		end, kind, pos, fields = tree[end][-4:]
-		steps.append(Step(kind, pos, **fields))
+		steps.append(Step(kind, pos, *fields))
 	steps.reverse()
 	return Derivation(start, steps)
 

@@ -41,31 +41,27 @@ class SearchOutcome:
 
 def bounded_derivation_search(p, w, target, kinds, limits):
 	'''Breadth-first search over the rewriting graph with exact-word
-	deduplication.  Insertions are restricted to presentation letters,
-	positions in the current word, at most max_insertions along a path,
-	and the word length cap.
+	deduplication; insertions use presentation letters, positions in the
+	word, at most max_insertions along a path, and the length cap.
 
 	Successors come in applicable_steps order, then insertions by
 	position, letter and sign.  Dedupe drops a word already reached with
 	no more insertions; one reached with fewer is expanded anew, so the
 	insertion budget stays exact.  The pair inserted at q whose second
-	letter is the letter before q is skipped: it makes the word that the
-	opposite pair at q - 1 made just before, at the same insertion count,
-	so dedupe would drop it.  Inside, words are strings, w and target
-	encoded together (Presentation._encode).
+	letter is the letter before q is skipped: the opposite pair at q - 1
+	made its word just before.  Words are strings, w and target encoded
+	together (Presentation._encode).
 
 	Once max_visited + 1 entries with depth < max_steps have been queued
 	(the start counts as one), the search is certain to stop at the node
 	cap, and nothing queued after that is ever expanded.  From then on a
-	successor within the length cap is only compared with the target, and
-	is not stored or queued; a node whose length is not one step (type 0,
-	an insertion, type 1 or type 2) from the target's builds no successors;
-	insertions are built only when they make the target's length.  A word
-	that the search would have stored there can still change the path to
+	successor within the length cap is only compared with the target, not
+	stored or queued; a node whose length is not one step from the
+	target's builds no successors, and insertions only when they make the
+	target's length.  A word stored there could still change the path to
 	the target (reached again with fewer insertions, it takes the new
-	parent), so a target met in that phase is searched for again without
-	it.  The answer, node count and derivation are those of the full
-	search.'''
+	parent), so a target met in that phase is searched for again in full.
+	The answer, node count and derivation are those of the full search.'''
 	w, target = tuple(w), tuple(target)
 	use_inf = 'inf' in kinds
 	if w == target:
@@ -75,50 +71,67 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 	start, goal = code[:len(w)], code[len(w):]
 	if not use_inf and next(_successors(p, start, kinds), None) is None:
 		return SearchOutcome('dead', visited=1, frontier_emptied=True)
-	pairs = [(p._encode(((g, e), (g, -e))), {'letter': g, 'sign': e})
+	pairs = [(p._encode(((g, e), (g, -e))), (None, None, None, None, g, e))
 		for g in p.generators for e in (1, -1)]
 	# letter before the position -> the pairs whose second letter differs
 	after = {a[1]: [(b, f) for b, f in pairs if b[1] != a[1]] for a, _ in pairs}
 
-	def insertions(cur):
-		for pos in range(len(cur) + 1):
+	def insertions(cur, first):
+		for pos in range(first, len(cur) + 1):
 			head, tail = cur[:pos], cur[pos:]
 			for pair, fields in after.get(cur[pos - 1:pos], pairs):
 				yield 'inf', pos, fields, head + pair + tail
 
-	max_len = limits.max_word_length
-	# a step changes the length by 2, |l| - |r| (type 1) or |l| + |r| - 2(|v| + |v'|) (type 2)
-	reach = {-2, 2}
+	max_len, max_steps, max_ins, max_visited = (limits.max_word_length,
+		limits.max_steps, limits.max_insertions, limits.max_visited)
+	# a step changes the length by -2 (type 0), |l| - |r| (type 1), |l| +
+	# |r| - 2(|v| + |v'|) (type 2), at most gain, or 2 (an insertion)
+	gains, goal_len = {-2}, len(goal)
 	for l, r in p.relations:
 		if '1' in kinds:
-			reach |= {len(l) - len(r), len(r) - len(l)}
+			gains |= {len(l) - len(r), len(r) - len(l)}
 		if '2r' in kinds or '2l' in kinds:
-			reach.update(range(len(l) + len(r) - 4, -len(l) - len(r) - 1, -2))
+			gains.update(range(len(l) + len(r) - 4, -len(l) - len(r) - 1, -2))
+	gain, reach = max(gains), gains | {2}
 
 	def bfs(prune):
+		'''The search; with prune, past the node cap it only looks for the
+		target.  An entry c made from P by a step s at i skips what the other
+		side of a commuting square built: if s is of type 0, 1 or 2 and c is
+		no shorter than P or len(P) + gain <= max_len, c's steps of types 0-2
+		whose factor ends by i (_successors' since); if s inserts, c's
+		insertions before i.  Exact: for such a t, t(c) = s(t(P)), and t(P)
+		precedes c among P's successors, so it was queued first, or reached
+		with no more insertions (and expanded uncapped before c, building
+		t(c)), or it passed max_len, clearing emptied, and so does t(c).
+		Nothing is skipped while capped, nor across kinds: a rewrite of an
+		inserted c may pass max_len where the grow test refused the insertion
+		on t(P) without clearing emptied.  A new meaning of emptied (ROADMAP
+		item 1) must keep that exclusion.'''
 		# word -> (fewest insertions, previous word, kind, pos, step fields);
 		# the start word holds its count only
 		seen = {start: (0,)}
-		queue = deque([(start, 0, 0)])
+		queue = deque([(start, 0, 0, 0, 0)])  # word, depth, insertions, since, first
 		visited = 0
 		emptied = True
 		live = 1  # queued entries with depth < max_steps, the start included
-		capped = prune and live > limits.max_visited
+		capped = prune and live > max_visited
 		while queue:
-			cur, depth, ins = queue.popleft()
-			if depth >= limits.max_steps:
+			cur, depth, ins, since, first = queue.popleft()
+			if depth >= max_steps:
 				emptied = False
 				continue
 			visited += 1
-			if visited > limits.max_visited:
+			if visited > max_visited:
 				emptied = False
 				break
-			if capped and len(goal) - len(cur) not in reach:
+			if capped and goal_len - len(cur) not in reach:
 				continue
-			grow = use_inf and ins < limits.max_insertions and len(cur) + 2 <= max_len \
-				and (not capped or len(cur) + 2 == len(goal))
-			for succs, nins in ((_successors(p, cur, kinds), ins),
-					(insertions(cur) if grow else (), ins + 1)):
+			size = len(cur)
+			grow = use_inf and ins < max_ins and size + 2 <= max_len \
+				and (not capped or size + 2 == goal_len)
+			for succs, nins in ((_successors(p, cur, kinds, 0 if capped else since), ins),
+					(insertions(cur, 0 if capped else first) if grow else (), ins + 1)):
 				for kind, pos, fields, nxt in succs:
 					if len(nxt) > max_len:
 						emptied = False
@@ -134,9 +147,13 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 						# word on this path a parent with fewer insertions
 						return bfs(False) if capped else SearchOutcome('found',
 							unwind(seen, w, nxt), visited=visited)
-					queue.append((nxt, depth + 1, nins))
-					live += depth + 1 < limits.max_steps
-					capped = prune and live > limits.max_visited
+					if kind == 'inf':
+						queue.append((nxt, depth + 1, nins, 0, pos))
+					else:
+						queue.append((nxt, depth + 1, nins,
+							pos if size + gain <= max_len or len(nxt) >= size else 0, 0))
+					live += depth + 1 < max_steps
+					capped = prune and live > max_visited
 		return SearchOutcome('exhausted', visited=visited, frontier_emptied=emptied)
 
 	return bfs(True)
@@ -178,9 +195,9 @@ def dehn_to_special(p, w, ds, fallback_depth=3):
 	u, up = ds.factor, ds.replacement
 	# whole relation side, positive or inverse orientation: one type 1
 	u_code, up_code = p._encode(u), p._encode(up)
-	for fac, new, rel, orient, sign in p._type1.get(u_code[:1], ()):
+	for fac, new, fields in p._type1.get(u_code[:1], ()):
 		if u_code == fac and up_code == new:
-			return Derivation(tuple(w), [Step('1', ds.pos, rel=rel, orient=orient, sign=sign)])
+			return Derivation(tuple(w), [Step('1', ds.pos, *fields)])
 	limits = SearchLimits(max_steps=fallback_depth,
 		max_word_length=len(u) + 2, max_visited=100000)
 	out = bounded_derivation_search(p, u, up, {'0', '1', '2r', '2l'}, limits)

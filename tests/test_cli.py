@@ -298,3 +298,90 @@ def test_cli_fuzz_exit_codes(text, word, command, step, undecodable):
 			except SystemExit as e:
 				code = e.code or 0
 	assert code in (0, 1, 2, 64, 66), (argv, text, err.getvalue())
+
+
+# derivation files: random text, and schema-shaped JSON whose steps are
+# drawn from the step kinds on small positions, letters and relations of
+# ra3.txt, so that some of them replay (to the empty word, sometimes)
+_START = st.text('abcABCx', max_size=6)
+_DSTEP = st.one_of(st.dictionaries(st.sampled_from(['kind', 'pos', 'rel', 'orient',
+		'sign', 'split', 'letter']), _VALUE, max_size=7),
+	st.fixed_dictionaries({'kind': st.sampled_from(['0r', '0l', '1', 'inf']),
+		'pos': st.integers(-1, 6), 'rel': st.integers(0, 3),
+		'orient': st.sampled_from(['fwd', 'bwd']), 'sign': st.sampled_from([1, -1, 2]),
+		'letter': st.sampled_from(['a', 'b', 'c', 'x'])}))
+_DERIVATION = st.fixed_dictionaries({'schema': st.sampled_from([1, 1, 1, 2, '1', None]),
+	'start': st.one_of(_START, _VALUE), 'steps': st.one_of(st.lists(_DSTEP, max_size=5), _VALUE),
+	'end': st.one_of(st.sampled_from(['', 'e']), _START, _VALUE)})
+
+
+@st.composite
+def _to_empty(draw):
+	'''A {0,inf} derivation to the empty word: pair insertions and type 0
+	steps at random, then type 0 steps until the word is empty; the start
+	is the word after the first few of them.  Sometimes one field of one
+	step is then changed.'''
+	word, steps = [], []
+	for _ in range(draw(st.integers(0, 6))):
+		pairs = [i for i in range(len(word) - 1) if word[i] == word[i + 1].swapcase()]
+		if pairs and draw(st.booleans()):
+			i = draw(st.sampled_from(pairs))
+			steps.append({'kind': '0r' if word[i].islower() else '0l', 'pos': i})
+			del word[i:i + 2]
+		else:
+			i, x = draw(st.integers(0, len(word))), draw(st.sampled_from('abcABC'))
+			steps.append({'kind': 'inf', 'pos': i, 'letter': x.lower(),
+				'sign': 1 if x.islower() else -1})
+			word[i:i] = [x, x.swapcase()]
+	skip = draw(st.integers(0, len(steps)))
+	start = ''.join(word) if skip == len(steps) else None
+	while word:
+		i = next(i for i in range(len(word) - 1) if word[i] == word[i + 1].swapcase())
+		steps.append({'kind': '0r' if word[i].islower() else '0l', 'pos': i})
+		del word[i:i + 2]
+	if start is None:  # replay the skipped steps to find the start
+		start = ''
+		for s in steps[:skip]:
+			if s['kind'] == 'inf':
+				x = s['letter'] if s['sign'] == 1 else s['letter'].upper()
+				start = start[:s['pos']] + x + x.swapcase() + start[s['pos']:]
+			else:
+				start = start[:s['pos']] + start[s['pos'] + 2:]
+	steps = steps[skip:]
+	if steps and draw(st.booleans()):
+		step = draw(st.sampled_from(steps))
+		step[draw(st.sampled_from(['kind', 'pos', 'letter', 'sign']))] = draw(_VALUE)
+	return {'schema': 1, 'start': start, 'steps': steps, 'end': ''}
+
+
+_DFILE = st.one_of(st.binary(max_size=40), st.text(max_size=40).map(str.encode),
+	_DERIVATION.map(lambda d: json.dumps(d).encode()),
+	_to_empty().map(lambda d: json.dumps(d).encode()),
+	st.lists(_VALUE, max_size=3).map(lambda v: json.dumps(v).encode()))
+# a derivation whose steps do not replay, or that does not reach its end
+# word, exits 70 with these messages (pinned in cli_golden.json)
+_REPLAY_FAILURE = ('internal error: step ', 'internal error: derivation end mismatch')
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=_DFILE, command=st.sampled_from(['replay', 'eliminate-inf']),
+	presentation=st.sampled_from(['ra3.txt', 'a2.txt']))
+def test_cli_fuzz_derivation_files(data, command, presentation):
+	# replay --in and eliminate-inf --in on random derivation files: a
+	# documented exit code, never a traceback or an internal error beyond
+	# a derivation that does not replay
+	with tempfile.TemporaryDirectory() as d:
+		path = os.path.join(d, 'd.json')
+		with open(path, 'wb') as f:
+			f.write(data)
+		argv = [command, '-p', presentation, '--in', path]
+		argv += ['--out', os.path.join(d, 'out.json')] * (command == 'eliminate-inf')
+		err = io.StringIO()
+		with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+			try:
+				climod.main(argv)
+				code = 0
+			except SystemExit as e:
+				code = e.code or 0
+	assert code in (0, 1, 2, 64, 66) or (code == 70
+		and err.getvalue().startswith(_REPLAY_FAILURE)), (argv, data, err.getvalue())

@@ -35,6 +35,8 @@ def _trace(start, steps, end='', schema=1):
 CANCEL = {'kind': '0r', 'pos': 0}
 FILES = {
 	'ra2.txt': 'gens: a b\nrel: ab = ba\n',
+	# the class of b is {a^2k b}: its members grow, and the letters cap it
+	'aab.txt': 'gens: a b\nrel: aab = b\n',
 	'dup.txt': 'gens: a a\n',
 	'bad.txt': 'gens: a b\nrel ab = ba\n',
 	'unknown.txt': 'gens: a b\nrel: ab = bx\n',
@@ -161,6 +163,7 @@ CASES = {
 	'class-json': ['class', '-p', 'f2xf2.txt', '-w', 'acbd', '--json'],
 	'class-negative': ['class', '-p', 'a2.txt', '-w', 'aB'],
 	'class-cap': ['class', '-p', 'ra3.txt', '-w', 'abcabcabcabcabc'],
+	'class-cap-letters': ['class', '-p', 'aab.txt', '-w', 'b'],
 
 	'divisors': ['divisors', '-p', 'i24.txt', '-g', 'ababb'],
 	'divisors-json': ['divisors', '-p', 'a2.txt', '-g', 'aba', '--json'],

@@ -2,9 +2,13 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+import artincalc
 from artincalc import (parse_positive, parse_word, render_word, apply_step,
 	check_derivation)
 from artincalc.core import positive_to_word
@@ -14,7 +18,7 @@ from artincalc.monoid import (equiv_class, canonical, pos_equal, rewrite_path,
 	CapExceeded, _class_cache, _disk_path)
 from artincalc.reversing import ReversingError
 
-from helpers import (A2, A3, I24, RA2, RA3, FIG2, FREE2, brute_class,
+from helpers import (A2, A3, I24, RA2, RA3, FIG2, FREE2, make, brute_class,
 	brute_pos_equal, all_positive_words, random_positive, reference_rewrite_path)
 
 
@@ -200,6 +204,40 @@ def test_cap_exceeded():
 	with pytest.raises(CapExceeded):
 		equiv_class(FIG2, parse_positive('acac', FIG2), cap=3)
 	assert len(equiv_class(FIG2, parse_positive('acac', FIG2), cap=10)) == 4
+
+
+def test_cap_bounds_the_letters_of_a_class():
+	# over aab = b the class of b is {a^2k b}, whose k-th member has 2k + 1
+	# letters: capped by members alone, the closure did work quadratic in
+	# the cap (11 s at cap 5,000)
+	p = make('gens: a b\nrel: aab = b')
+	start = time.perf_counter()
+	with pytest.raises(CapExceeded):
+		equiv_class(p, ('b',), cap=5000)
+	assert time.perf_counter() - start < 1
+	# the class of acac over FIG2 has 4 members of 20 letters in all: at
+	# cap 4 the letters (4 * |acac| = 16) stop it, at cap 5 they do not
+	w = parse_positive('acac', FIG2)
+	_class_cache.clear()
+	with pytest.raises(CapExceeded):
+		equiv_class(FIG2, w, cap=4)
+	assert len(equiv_class(FIG2, w, cap=5)) == 4
+	# length-preserving: the letter bound is the member bound
+	_class_cache.clear()
+	with pytest.raises(CapExceeded):
+		equiv_class(A2, W('abab'), cap=2)
+	assert len(equiv_class(A2, W('abab'), cap=3)) == 3
+
+
+def test_cli_import_loads_no_hashlib():
+	# only the disk cache (ARTIN_CACHE_DIR) needs hashlib, and with it OpenSSL
+	src = os.path.dirname(os.path.dirname(artincalc.__file__))
+	env = dict(os.environ, PYTHONPATH=src)
+	env.pop('ARTIN_CACHE_DIR', None)
+	r = subprocess.run([sys.executable, '-c', 'import sys, artincalc.cli; '
+		'print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))'],
+		capture_output=True, text=True, env=env, check=True)
+	assert r.stdout.strip() == '[]'
 
 
 def test_disk_cache_identical_results(tmp_path, monkeypatch):

@@ -7,10 +7,11 @@ from artincalc import (parse_word, render_word, free_reduce, check_derivation,
 from artincalc.rewrite import StepError
 from artincalc.search import (SearchLimits, bounded_derivation_search, is_dead,
 	dehn_run, dehn_to_special)
-from artincalc.rewrite import dehn_steps, applicable_steps, apply_step
+from artincalc.rewrite import dehn_steps, applicable_steps, apply_step, _successors
+from artincalc import search as search_module
 
 from helpers import (A2, I24, RA2, RA3, FIG2, FREE2, SIDE1, MULTI, HomOracle,
-	random_word, reference_search)
+	make, random_word, reference_search)
 
 K012 = {'0', '1', '2r', '2l'}
 K01INF = {'0', '1', 'inf'}
@@ -147,6 +148,72 @@ def test_search_past_the_cap_matches_reference():
 	assert [s.kind for s in bounded_derivation_search(*cases[0]).derivation.steps] \
 		== ['2r', '2l', 'inf']
 	assert found >= 150
+
+
+AAB = make('gens: a b\nrel: aab = b')
+AB_A = make('gens: a b\nrel: ab = a')
+
+
+def test_skip_rule_matches_reference():
+	# the search leaves out successors that a commuting step built already
+	# (search.bfs): the same answers as the plain search, on words of length
+	# 6-10 with a length cap of |w| + 0..2, over presentations with
+	# shortening steps (aab = b, ab = a, a = bb) and commuting letters (RA3)
+	rng = random.Random(1313)
+	kind_sets = (K012, K01INF, K012 | {'inf'}, {'0', '2r', '2l', 'inf'}, {'0', '1'})
+	results = set()
+	for i in range(360):
+		p = (AAB, AB_A, SIDE1, RA3)[i % 4]
+		kinds = kind_sets[i // 4 % 5]
+		w = random_word(p, rng, rng.randrange(6, 11))
+		target = ()
+		if i % 3 == 2:  # a few steps away
+			target = w
+			for _ in range(rng.randrange(2, 5)):
+				steps = applicable_steps(p, target, kinds, inf_letters=p.generators)
+				if steps:
+					target = apply_step(p, target, rng.choice(steps))
+		limits = SearchLimits(max_steps=rng.randrange(2, 6),
+			max_word_length=len(w) + rng.randrange(0, 3),
+			max_insertions=rng.randrange(0, 3),
+			max_visited=rng.choice((20, 150, 1000)))
+		out = bounded_derivation_search(p, w, target, kinds, limits)
+		result, der, visited, emptied, _ = reference_search(p, w, target,
+			kinds, limits)
+		assert (out.result, out.visited, out.frontier_emptied) == \
+			(result, visited, emptied), (p, w, target, kinds, limits)
+		assert (out.derivation and out.derivation.to_json(p)) == \
+			(der and der.to_json(p))
+		results.add((result, emptied))
+	assert results >= {('found', False), ('exhausted', True), ('exhausted', False)}
+
+
+def test_skip_rule_builds_fewer_successors(monkeypatch):
+	# successors of types 0, 1 and 2 built by three fixed searches, counted
+	# by wrapping rewrite._successors: the far corner of a commuting pair of
+	# steps is built once.  Leaving out more (while the node cap is certain,
+	# or rewrites of a word made by an insertion) changes no answer on any
+	# case tried, but changes these counts.
+	built = []
+
+	def counted(*args):
+		for succ in _successors(*args):
+			built.append(succ)
+			yield succ
+	monkeypatch.setattr(search_module, '_successors', counted)
+	criterion4 = SearchLimits(max_steps=12, max_word_length=16, max_insertions=4,
+		max_visited=450)
+	small = SearchLimits(max_steps=4, max_word_length=9, max_insertions=2)
+	counts = []
+	for p, text, kinds, limits in ((A2, 'abABabBa', K012, criterion4),
+			(I24, 'aBBAbbAB', K012, criterion4), (RA3, 'abcACB', K01INF, small)):
+		out = bounded_derivation_search(p, parse_word(text, p), (), kinds, limits)
+		counts.append((out.result, out.visited, len(built)))
+		built.clear()
+	# building every successor, as the search did before the rule, makes
+	# 2,012, 1,409 and 3,090
+	assert counts == [('exhausted', 451, 1110), ('exhausted', 451, 1031),
+		('exhausted', 603, 2923)]
 
 
 def test_foreign_letters():
