@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .core import render_word, positive_to_word
-from .monoid import canonical, left_divisors, DEFAULT_CAP
+from .monoid import canonical, left_divisors
 from .rewrite import _successors
 
 
@@ -47,16 +47,16 @@ class CayleyFragment:
 		return self._in.get((v, s))
 
 
-def divisor_fragment(p, g, cap=DEFAULT_CAP):
+def divisor_fragment(p, g):
 	g = tuple(g)
-	verts = left_divisors(p, g, cap)
+	verts = left_divisors(p, g)
 	edges = set()
 	for u in verts:
 		for s in p.generators:
-			t = canonical(p, u + (s,), cap)
+			t = canonical(p, u + (s,))
 			if t in verts:
 				edges.add((u, s, t))
-	return CayleyFragment(canonical(p, g, cap), verts, frozenset(edges))
+	return CayleyFragment(canonical(p, g), verts, frozenset(edges))
 
 
 def traced_from(f, v, w):
@@ -76,7 +76,7 @@ def traced_from(f, v, w):
 	return True, path
 
 
-def closure_probe(p, f, v, w, trials=1000, walk_len=20, seed=0, cap=DEFAULT_CAP):
+def closure_probe(p, f, v, w, trials=1000, walk_len=20, seed=0):
 	'''Random {0,1,2} walks from w; every successor must stay traced.
 	Violations are findings, reported rather than raised.'''
 	ok, _ = traced_from(f, v, w)
@@ -110,12 +110,12 @@ class TraceCertificate:
 	failure_position: int
 
 
-def non_reachability_certificate(p, g, v, w, w2, cap=DEFAULT_CAP):
+def non_reachability_certificate(p, g, v, w, w2):
 	'''Certificate that w ~>_{0,1,2} w2 fails, if the divisor fragment of g
 	separates them from start vertex v; None otherwise (absence of a
 	certificate is not evidence of reachability).'''
-	f = divisor_fragment(p, g, cap)
-	v = canonical(p, tuple(v), cap)
+	f = divisor_fragment(p, g)
+	v = canonical(p, tuple(v))
 	ok_w, path = traced_from(f, v, w)
 	ok_w2, info = traced_from(f, v, w2)
 	if ok_w and not ok_w2:

@@ -45,12 +45,14 @@ def _load(path):
 
 def _derivation(p, path):
 	'''Read and replay a derivation file, returning it and its end word:
-	unreadable exits 66, malformed 64, and steps that do not replay 70.'''
+	unreadable exits 66, and malformed or not replaying 64.'''
 	with open(path) as f:
 		try:
 			return Derivation.replay_json(json.load(f), p)
 		except (UnicodeDecodeError, json.JSONDecodeError, FormatError) as e:
 			raise click.UsageError('malformed derivation file %s: %s' % (path, e))
+		except StepError as e:
+			raise click.UsageError('derivation file %s does not replay: %s' % (path, e))
 
 
 # Option parsers: each takes the option's text and the presentation.

@@ -94,9 +94,8 @@ class Presentation:
 	Inside the search, step replay, reversing and the right-angled
 	pipeline a word is a string, one character per letter: generator i is
 	chr(2i) and its inverse chr(2i + 1), so the two differ in the lowest
-	bit (_encode).  A generator outside the presentation gets the next
-	free pair in a table of one call's own (_Codes), and that call decodes
-	with the same table.
+	bit (_encode), in the one code table of the instance (_codes, cached
+	as the rule source is; see _Codes for letters outside the presentation).
 	'''
 	generators: tuple
 	relations: tuple
@@ -134,24 +133,16 @@ class Presentation:
 
 	@cached_property
 	def _codes(self):
-		return {(g, e): chr(2 * i + (e < 0))
-			for i, g in enumerate(self.generators) for e in (1, -1)}
+		return _Codes({(g, e): chr(2 * i + (e < 0))
+			for i, g in enumerate(self.generators) for e in (1, -1)})
 
-	def _fresh_codes(self):
-		'''A code table for one call, which may grow (_Codes).'''
-		return _Codes(self._codes)
+	def _encode(self, w):
+		'''w as a string of letter codes (_codes).'''
+		return ''.join(map(self._codes.__getitem__, w))
 
-	def _encode(self, w, codes=None):
-		'''w as a string of letter codes in the table codes, or in a
-		fresh table for this call only.'''
-		codes = self._fresh_codes() if codes is None else codes
-		return ''.join([codes[x] for x in w])
-
-	def _decode(self, s, codes=None):
-		'''The word of the code string s, read in the table that
-		encoded it (the presentation's own when none is given).'''
-		letters = list(self._codes if codes is None else codes)
-		return tuple(map(letters.__getitem__, map(ord, s)))
+	def _decode(self, s):
+		'''The word of the code string s.'''
+		return tuple(map(list(self._codes).__getitem__, map(ord, s)))
 
 	@cached_property
 	def _oriented(self):
@@ -160,7 +151,7 @@ class Presentation:
 		out = {}
 		for i, (l, r) in enumerate(self.relations):
 			l, r = positive_to_word(l), positive_to_word(r)
-			l, r, li, ri = [self._encode(u, self._codes) for u in (l, r, invert(l), invert(r))]
+			l, r, li, ri = [self._encode(u) for u in (l, r, invert(l), invert(r))]
 			out[i, 'fwd'], out[i, 'bwd'] = (l, r, li, ri), (r, l, ri, li)
 		return out
 
@@ -258,10 +249,10 @@ _FIELDS = {}  # (rel, orient, sign) -> type 1 step fields, shared by all present
 
 
 class _Codes(dict):
-	'''Letter -> code, for one call: a generator outside the presentation
-	gets the next free pair of codes when first seen, with the positive
-	letter even, so a letter and its inverse still differ in the lowest
-	bit.  Keys are in code order, so list(table)[ord(c)] decodes c.'''
+	'''Letter -> code, one table per presentation.  It grows only with
+	generators outside the presentation, which only library callers pass
+	(parse_word rejects them): each gets the next free pair when first seen,
+	the positive letter even.  Keys are in code order, so list(table)[ord(c)] decodes c.'''
 
 	def __missing__(self, letter):
 		g, e = letter

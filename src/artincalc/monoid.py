@@ -17,7 +17,7 @@ import os
 from collections import deque
 from dataclasses import replace
 
-from .core import invert, positive_to_word
+from .core import WordError, invert, positive_to_word
 from .rewrite import Derivation, unwind, _successors
 from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError, _converged
 
@@ -99,8 +99,7 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 		# only w: the file is trusted for w's class alone
 		_class_cache.add(p.fingerprint, cls, (w,))
 		return cls
-	codes = p._fresh_codes()
-	start = p._encode(positive_to_word(w), codes)
+	start = p._encode(positive_to_word(w))
 	seen = {start}
 	queue = deque([start])
 	letters, most = len(w), cap * max(1, len(w))
@@ -113,7 +112,7 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 					raise CapExceeded('equivalence class exceeds cap %d' % cap)
 				seen.add(nxt)
 				queue.append(nxt)
-	names = [g for g, _ in codes]
+	names = [g for g, _ in p._codes]
 	# a frozenset copied from a set gets a table sized to it, not grown
 	cls = frozenset({tuple([names[ord(c)] for c in m]) for m in seen})
 	_class_cache.add(p.fingerprint, cls, cls)
@@ -133,21 +132,29 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	return cls
 
 
-def canonical(p, w, cap=DEFAULT_CAP):
-	'''Lexicographically least class member under the generator order.'''
+def _least(p, words):
+	'''The least positive word in the generator order, or WordError.'''
 	order = {g: i for i, g in enumerate(p.generators)}
-	return min(equiv_class(p, w, cap), key=lambda m: [order[g] for g in m])
+	try:
+		return min(words, key=lambda m: [order[g] for g in m])
+	except KeyError as e:
+		raise WordError('generator %r is not in the presentation' % e.args) from None
 
 
-def pos_equal(p, u, v, cap=DEFAULT_CAP):
-	return tuple(v) in equiv_class(p, u, cap)
+def canonical(p, w):
+	'''Lexicographically least class member under the generator order.'''
+	return _least(p, equiv_class(p, w))
 
 
-def rewrite_path(p, u, v, cap=DEFAULT_CAP):
+def pos_equal(p, u, v):
+	return tuple(v) in equiv_class(p, u)
+
+
+def rewrite_path(p, u, v):
 	'''A list of type-1 Steps transforming the positive word u into the
 	positive word v (exact words, not classes).'''
 	u, v = tuple(u), tuple(v)
-	if v not in equiv_class(p, u, cap):
+	if v not in equiv_class(p, u):
 		raise ValueError('words are not equivalent')
 	code = p._encode(positive_to_word(u + v))
 	start, goal = code[:len(u)], code[len(u):]
@@ -164,27 +171,27 @@ def rewrite_path(p, u, v, cap=DEFAULT_CAP):
 	return unwind(parent, u, goal).steps
 
 
-def left_divisors(p, g, cap=DEFAULT_CAP):
+def left_divisors(p, g):
 	'''Canonical forms of all prefixes of all class members of g.'''
 	divs = set()
-	for m in equiv_class(p, g, cap):
+	for m in equiv_class(p, g):
 		for k in range(len(m) + 1):
-			divs.add(canonical(p, m[:k], cap))
+			divs.add(canonical(p, m[:k]))
 	return frozenset(divs)
 
 
-def right_divides(p, d, g, cap=DEFAULT_CAP):
+def right_divides(p, d, g):
 	'''True iff some class member of g has a suffix equivalent to d.'''
 	d, g = tuple(d), tuple(g)
 	if len(d) > len(g):
 		return False if p.length_preserving else any(
-			m[len(m) - len(d):] in equiv_class(p, d, cap)
-			for m in equiv_class(p, g, cap) if len(m) >= len(d))
-	dcls = equiv_class(p, d, cap)
-	return any(m[len(m) - len(d):] in dcls for m in equiv_class(p, g, cap))
+			m[len(m) - len(d):] in equiv_class(p, d)
+			for m in equiv_class(p, g) if len(m) >= len(d))
+	dcls = equiv_class(p, d)
+	return any(m[len(m) - len(d):] in dcls for m in equiv_class(p, g))
 
 
-def right_lcm(p, u, v, budget=10000, cap=DEFAULT_CAP):
+def right_lcm(p, u, v, budget=10000):
 	'''Least common right-multiple via reversing: u^-1 v reverses to
 	a b^-1 and the lcm is u a (equivalently v b).  Returns the canonical
 	word of the lcm.'''
@@ -192,72 +199,70 @@ def right_lcm(p, u, v, budget=10000, cap=DEFAULT_CAP):
 	res = _converged(right_reverse(p, invert(positive_to_word(u)) + positive_to_word(v),
 		budget), 'lcm')
 	a, b = split_pos_neg(res.word)
-	lcm = canonical(p, u + a, cap)
-	if not pos_equal(p, lcm, v + b, cap):
+	lcm = canonical(p, u + a)
+	if not pos_equal(p, lcm, v + b):
 		raise ReversingError('reversing produced unequal multiples')
 	return lcm
 
 
-def brute_right_lcm(p, u, v, max_len=12, cap=DEFAULT_CAP):
+def brute_right_lcm(p, u, v):
 	'''Independent oracle: smallest-length common right-multiple found by
-	enumerating positive words by length.  None if none exists in range.'''
+	enumerating positive words by length.  None if none has length <= 12.'''
 	u, v = tuple(u), tuple(v)
 	frontier = [()]
-	for _ in range(max_len + 1):
+	for _ in range(13):
 		for w in frontier:
-			if right_is_multiple(p, w, u, cap) and right_is_multiple(p, w, v, cap):
-				return canonical(p, w, cap)
+			if right_is_multiple(p, w, u) and right_is_multiple(p, w, v):
+				return canonical(p, w)
 		frontier = [w + (g,) for w in frontier for g in p.generators]
 	return None
 
 
-def right_is_multiple(p, w, u, cap=DEFAULT_CAP):
+def right_is_multiple(p, w, u):
 	'''True iff u left-divides w.'''
 	if len(u) > len(w):
 		return False
-	ucls = equiv_class(p, u, cap)
-	return any(m[:len(u)] in ucls for m in equiv_class(p, w, cap))
+	ucls = equiv_class(p, u)
+	return any(m[:len(u)] in ucls for m in equiv_class(p, w))
 
 
 # ---------------------------------------------------------------------------
 # S0-minimality and coset heads
 
-def is_S0_minimal(p, g, s0, cap=DEFAULT_CAP):
+def is_S0_minimal(p, g, s0):
 	'''No generator of S0 right-divides g.  Letterwise suffices: every
 	nontrivial element of the S0-submonoid ends in an S0 generator.'''
 	s0 = set(s0)
 	if not s0:
 		return True
-	return not any(m and m[-1] in s0 for m in equiv_class(p, g, cap))
+	return not any(m and m[-1] in s0 for m in equiv_class(p, g))
 
 
-def strip_S0(p, g, s0, cap=DEFAULT_CAP):
+def strip_S0(p, g, s0):
 	'''Greedily strip S0 letters from the right: head * tail ~ g with the
 	head S0-minimal and the tail a positive word over S0.'''
-	head, tail, _ = _strip_with_path(p, tuple(g), set(s0), cap)
-	return canonical(p, head, cap), tail
+	head, tail, _ = _strip_with_path(p, tuple(g), set(s0))
+	return canonical(p, head), tail
 
 
-def _strip_with_path(p, g, s0, cap):
+def _strip_with_path(p, g, s0):
 	'''As strip_S0, but also returns type-1 steps from g to the literal
 	word head + tail.'''
-	order = {gen: i for i, gen in enumerate(p.generators)}
 	cur = tuple(g)
 	tail = ()
 	steps = []
 	while True:
-		cands = [m for m in equiv_class(p, cur, cap) if m and m[-1] in s0]
+		cands = [m for m in equiv_class(p, cur) if m and m[-1] in s0]
 		if not cands:
 			break
-		m = min(cands, key=lambda m: [order[x] for x in m])
-		steps.extend(rewrite_path(p, cur, m, cap))
+		m = _least(p, cands)
+		steps.extend(rewrite_path(p, cur, m))
 		tail = (m[-1],) + tail
 		cur = m[:-1]
 	return cur, tail, steps
 
 
-def coset_head_spherical(p, w, s0, budget=10000, cap=DEFAULT_CAP,
-		validate_len=4):
+def coset_head_spherical(p, w, s0, validate_len=4):
 	'''Split w as v u with u a word over S0 and v an S0-minimal coset
 	representative, with a {0,1,2} trace from w to v u.
 
@@ -269,9 +274,9 @@ def coset_head_spherical(p, w, s0, budget=10000, cap=DEFAULT_CAP,
 	if not p.declared_spherical:
 		raise ReversingError('presentation not declared spherical')
 	s0 = set(s0)
-	frac = left_fraction(p, w, budget)
+	frac = left_fraction(p, w)
 	g1, g2 = frac.denominator, frac.numerator
-	head, tail, strip_steps = _strip_with_path(p, g2, s0, cap)
+	head, tail, strip_steps = _strip_with_path(p, g2, s0)
 	# positions of the strip rewrites are offsets inside g2, which starts
 	# after the |g1| negative letters of the reversed word
 	offset = len(g1)
@@ -279,24 +284,24 @@ def coset_head_spherical(p, w, s0, budget=10000, cap=DEFAULT_CAP,
 	v = invert(positive_to_word(g1)) + positive_to_word(head)
 	u = positive_to_word(tail)
 	trace = Derivation(tuple(w), steps)
-	_validate_minimality(p, v, s0, budget, validate_len)
+	_validate_minimality(p, v, s0, validate_len)
 	return v, u, trace
 
 
-def _fraction_profile(p, w, budget):
-	f = left_fraction(p, w, budget)
+def _fraction_profile(p, w):
+	f = left_fraction(p, w)
 	return (len(f.denominator), len(f.numerator))
 
 
-def _validate_minimality(p, v, s0, budget, validate_len):
+def _validate_minimality(p, v, s0, validate_len):
 	'''Bounded check that no S0 element lowers the fraction profile of v.'''
-	base = _fraction_profile(p, v, budget)
+	base = _fraction_profile(p, v)
 	letters = [(g, e) for g in sorted(s0) for e in (1, -1)]
 	frontier = [()]
 	for _ in range(validate_len):
 		frontier = [h + (x,) for h in frontier for x in letters]
 		for h in frontier:
-			prof = _fraction_profile(p, v + h, budget)
+			prof = _fraction_profile(p, v + h)
 			if prof < base:
 				raise ReversingError(
 					'minimality validation failed: %r lowers the profile' % (h,))

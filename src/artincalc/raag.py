@@ -20,12 +20,9 @@ The public functions take and return words of triples.  Inside, a word is
 split into a pair (letters, indices): letters is the plain word encoded as
 a string (Presentation._encode: one character per signed letter, a letter
 and its inverse differing in the lowest bit), and indices the tuple of
-indices, so phi is the first half of the pair.  A call encodes with one
-code table, the codes argument of the cores, which gives a generator
-outside the presentation a fresh pair of codes and decodes the result
-and the generators named in errors.  Each operation
-has one private core on pairs (_apply, _regular, _drop, _aug_words,
-_project); the public functions split, call it and join.  Plain steps are
+indices, so phi is the first half of the pair.  Each operation has one
+private core on pairs (_apply, _regular, _drop, _aug_words, _project);
+the public functions split, call it and join.  Plain steps are
 applied and replayed on the same strings by rewrite._apply, so
 eliminate_infinity, raag_word_problem and generate_01inf_derivation
 encode their input once and build no triple.
@@ -52,18 +49,18 @@ def phi(w):
 	return tuple((g, e) for g, i, e in w)
 
 
-def _split(p, codes, w):
+def _split(p, w):
 	'''The pair (letters, indices) of a word of triples.'''
-	return p._encode(phi(w), codes), tuple(map(itemgetter(1), w))
+	return p._encode(phi(w)), tuple(map(itemgetter(1), w))
 
 
-def _join(p, codes, letters, indices):
-	return tuple((g, i, e) for (g, e), i in zip(p._decode(letters, codes), indices))
+def _join(p, letters, indices):
+	return tuple((g, i, e) for (g, e), i in zip(p._decode(letters), indices))
 
 
-def _name(p, codes, c):
+def _name(p, c):
 	'''The generator of the code c.'''
-	return p._decode(c, codes)[0][0]
+	return p._decode(c)[0][0]
 
 
 def pi_h(w, h):
@@ -125,11 +122,10 @@ class AugDerivation:
 
 
 def apply_aug_step(p, w, s):
-	codes = p._fresh_codes()
-	return _join(p, codes, *_apply(p, codes, *_split(p, codes, w), s))
+	return _join(p, *_apply(p, *_split(p, w), s))
 
 
-def _apply(p, codes, letters, indices, s):
+def _apply(p, letters, indices, s):
 	'''apply_aug_step on a pair.'''
 	n, k = len(letters), s.pos
 	if type(k) is not int or k < 0:
@@ -160,7 +156,7 @@ def _apply(p, codes, letters, indices, s):
 		c1, c2 = letters[k], letters[k + 1]
 		if c2 not in p._commuting.get(c1, ''):
 			raise AugError('%s and %s do not commute'
-				% (_name(p, codes, c1), _name(p, codes, c2)))
+				% (_name(p, c1), _name(p, c2)))
 		if s.kind == '1' and (ord(c1) ^ ord(c2)) & 1:
 			raise AugError('aug type 1 needs equal signs')
 		if s.kind == '2' and not (ord(c1) ^ ord(c2)) & 1:
@@ -172,7 +168,7 @@ def _apply(p, codes, letters, indices, s):
 			raise AugError('insertion position out of range')
 		if s.index <= max(indices, default=-1):
 			raise AugError('insertion index %d not fresh' % s.index)
-		pair = codes[s.letter, s.sign] + codes[s.letter, -s.sign]
+		pair = p._codes[s.letter, s.sign] + p._codes[s.letter, -s.sign]
 		return letters[:k] + pair + letters[k:], indices[:k] + (s.index, s.index) + indices[k:]
 	raise AugError('unknown augmented step kind %r' % s.kind)
 
@@ -183,17 +179,16 @@ def check_aug_derivation(p, d):
 
 def aug_derivation_words(p, d):
 	'''All intermediate words; a failure names the first bad step.'''
-	codes = p._fresh_codes()
-	words = _aug_words(p, codes, _split(p, codes, tuple(d.start)), d.steps)
-	return [_join(p, codes, *w) for w in words]
+	words = _aug_words(p, _split(p, tuple(d.start)), d.steps)
+	return [_join(p, *w) for w in words]
 
 
-def _aug_words(p, codes, w, steps):
+def _aug_words(p, w, steps):
 	'''aug_derivation_words from the pair w.'''
 	words = [w]
 	for i, s in enumerate(steps):
 		try:
-			words.append(_apply(p, codes, *words[-1], s))
+			words.append(_apply(p, *words[-1], s))
 		except AugError as e:
 			raise AugError('augmented step %d inapplicable: %s' % (i, e)) from None
 	return words
@@ -242,14 +237,12 @@ def lift_derivation(p, d):
 	presentation; insertion steps receive the fresh index max + 1.'''
 	if not p.right_angled:
 		raise AugError('lifting requires a right-angled presentation')
-	codes = p._fresh_codes()
-	plain = accumulate(d.steps, partial(_apply_plain, p),
-		initial=p._encode(d.start, codes))
-	steps, words = _lift(p, codes, d, plain)
-	return AugDerivation(_join(p, codes, *words[0]), steps)
+	plain = accumulate(d.steps, partial(_apply_plain, p), initial=p._encode(d.start))
+	steps, words = _lift(p, d, plain)
+	return AugDerivation(_join(p, *words[0]), steps)
 
 
-def _lift(p, codes, d, plain):
+def _lift(p, d, plain):
 	'''The lifted steps of d and their words as pairs; plain iterates over
 	the encoded words of d, start included, and is read one word per step
 	lifted.  The lift projects back exactly when its letters are the plain
@@ -258,7 +251,7 @@ def _lift(p, codes, d, plain):
 	words, steps = [(letters, (0,) * len(letters))], []
 	for step in d.steps:
 		steps.append(_plain_step_to_aug(p, words[-1][1], step))
-		words.append(_apply(p, codes, *words[-1], steps[-1]))
+		words.append(_apply(p, *words[-1], steps[-1]))
 		if words[-1][0] != next(plain):
 			raise AugError('lift does not project back to the plain word')
 	return steps, words
@@ -271,11 +264,10 @@ def is_regular(p, w):
 	'''Each positive index occurs 0 or 2 times, as a pair r[h]^e ... r[h]^-e
 	whose strictly enclosed letters of index <= h all commute with r.
 	Returns (bool, diagnosis).'''
-	codes = p._fresh_codes()
-	return _regular(p, codes, *_split(p, codes, w))
+	return _regular(p, *_split(p, w))
 
 
-def _regular(p, codes, letters, indices):
+def _regular(p, letters, indices):
 	'''is_regular on a pair.'''
 	if indices.count(0) == len(indices):  # every index 0: no pair to check
 		return True, 'regular'
@@ -297,15 +289,14 @@ def _regular(p, codes, letters, indices):
 			if i <= h and c in (c1, c2):
 				return False, 'index %d pair encloses its own generator' % h
 			if i <= h and c not in commuting:
-				return False, 'index %d pair encloses non-commuting %s' % (
-					h, _name(p, codes, c))
+				return False, 'index %d pair encloses non-commuting %s' % (h, _name(p, c))
 	return True, 'regular'
 
 
 # ---------------------------------------------------------------------------
 # projection (one step, top index h)
 
-def _swap_block(p, codes, pw, target):
+def _swap_block(p, pw, target):
 	'''Steps moving one letter across a commuting block, turning the pair pw
 	into the pair target; both words must agree except for that one move.'''
 	if pw == target:
@@ -333,7 +324,7 @@ def _swap_block(p, codes, pw, target):
 	for cur, c in crossings:
 		if ord(c) >> 1 == ord(x) >> 1 or c not in p._commuting.get(x, ''):
 			raise AugError('projection needs %s and %s to commute'
-				% (_name(p, codes, c), _name(p, codes, x)))
+				% (_name(p, c), _name(p, x)))
 		steps.append(AugStep('2' if (ord(c) ^ ord(x)) & 1 else '1', cur))
 	return steps
 
@@ -347,16 +338,14 @@ def project_step(p, w, s, h):
 	'''Augmented steps transforming pi_h(w) into pi_h(apply(w, s)), by case
 	analysis on how the step interacts with the index-h pair.  w must be
 	regular, and this checks it itself.'''
-	codes = p._fresh_codes()
-	w = _split(p, codes, w)
-	ok, diag = _regular(p, codes, *w)
+	w = _split(p, w)
+	ok, diag = _regular(p, *w)
 	if not ok:
 		raise AugError('projection needs a regular word: ' + diag)
-	return _project(p, codes, w[1], s, h, _drop(*w, h),
-		_drop(*_apply(p, codes, *w, s), h))
+	return _project(p, w[1], s, h, _drop(*w, h), _drop(*_apply(p, *w, s), h))
 
 
-def _project(p, codes, indices, s, h, pw, pw2):
+def _project(p, indices, s, h, pw, pw2):
 	'''project_step on a regular word with these indices, given the pairs
 	pw = pi_h(w) and pw2 = pi_h(apply(w, s)).'''
 	if s.kind == 'inf':
@@ -374,8 +363,8 @@ def _project(p, codes, indices, s, h, pw, pw2):
 		return []
 	# type 0 with one cancelled letter of index h: the surviving pair partner
 	# is relabelled below h and must cross the pair contents by commutations
-	steps = _swap_block(p, codes, pw, pw2)
-	if _aug_words(p, codes, pw, steps)[-1] != pw2:
+	steps = _swap_block(p, pw, pw2)
+	if _aug_words(p, pw, steps)[-1] != pw2:
 		raise AugError('projected block does not replay')
 	return steps
 
@@ -383,7 +372,7 @@ def _project(p, codes, indices, s, h, pw, pw2):
 # ---------------------------------------------------------------------------
 # elimination
 
-def _plain_step(p, codes, letters, kind, pos):
+def _plain_step(p, letters, kind, pos):
 	'''The plain Step of a zero-index augmented step of this kind ('0',
 	'1' or '2') at pos on the encoded letters.'''
 	if kind == '0':
@@ -393,7 +382,7 @@ def _plain_step(p, codes, letters, kind, pos):
 	pair = letters[pos:pos + 2]
 	row = p._swap(pair)
 	if row is None or row[0][0] != kind:
-		g1, g2 = (_name(p, codes, c) for c in pair)
+		g1, g2 = (_name(p, c) for c in pair)
 		raise AugError('no relation realizes the swap %s %s' % (g1, g2))
 	return Step(row[0], pos, *row[1])
 
@@ -409,16 +398,15 @@ def eliminate_infinity(p, d):
 	for st in d.steps:
 		if st.kind in ('2r', '2l'):
 			raise AugError('input derivation contains a type 2 step')
-	codes = p._fresh_codes()
-	start = p._encode(d.start, codes)
+	start = p._encode(d.start)
 	plain = list(_replay(p, start, d.steps))
 	if plain[-1]:
 		raise AugError('input derivation does not end at the empty word')
-	steps, words = _lift(p, codes, d, iter(plain))
+	steps, words = _lift(p, d, iter(plain))
 	stage = 'lifted'
 	while True:
 		for w in words:
-			ok, diag = _regular(p, codes, *w)
+			ok, diag = _regular(p, *w)
 			if not ok:
 				raise AugError('%s word not regular: %s' % (stage, diag))
 		# type 0 relabels to an index already present and swaps permute, so
@@ -432,12 +420,12 @@ def eliminate_infinity(p, d):
 		pw = first
 		for w, w2, s in zip(words, words[1:], steps):
 			pw2 = _drop(*w2, h)
-			projected += _project(p, codes, w[1], s, h, pw, pw2)
+			projected += _project(p, w[1], s, h, pw, pw2)
 			pw = pw2
-		words = _aug_words(p, codes, first, projected)
+		words = _aug_words(p, first, projected)
 		steps, stage = projected, 'projected'
 	out = Derivation(tuple(d.start),
-		[_plain_step(p, codes, w[0], s.kind, s.pos) for w, s in zip(words, steps)])
+		[_plain_step(p, w[0], s.kind, s.pos) for w, s in zip(words, steps)])
 	if any(st.kind == 'inf' for st in out.steps):
 		raise AugError('elimination left an insertion step')
 	if _end(p, start, out.steps):
@@ -463,8 +451,7 @@ def _shuffle(p, w):
 	applied by rewrite._apply as it is made, which checks it.'''
 	if not p.right_angled:
 		raise AugError('shuffle algorithm requires a right-angled presentation')
-	codes = p._fresh_codes()
-	cur = start = p._encode(w, codes)
+	cur = start = p._encode(w)
 	steps, before = [], {}
 	while cur:
 		pair = _find_cancellable_pair(p, cur)
@@ -472,13 +459,13 @@ def _shuffle(p, w):
 			return None
 		i, j = pair
 		for k in range(j - 1, i, -1):
-			step = _plain_step(p, codes, cur,
+			step = _plain_step(p, cur,
 				'2' if (ord(cur[k]) ^ ord(cur[k + 1])) & 1 else '1', k)
 			if step.kind != '1':
 				before[len(steps)] = cur
 			steps.append(step)
 			cur = _apply_plain(p, cur, step)
-		steps.append(_plain_step(p, codes, cur, '0', i))
+		steps.append(_plain_step(p, cur, '0', i))
 		cur = _apply_plain(p, cur, steps[-1])
 	return start, steps, before
 

@@ -49,14 +49,13 @@ def _reverse(p, w, budget, side):
 	if budget <= 0:
 		raise ReversingError('budget must be positive')
 	e, find, blocked = _SIDES[side]
-	codes = p._fresh_codes()
-	cur = p._encode(w, codes)
-	signs = {ord(c): '01'[ord(c) & 1] for c in codes.values()}
+	cur = p._encode(w)
+	signs = {ord(c): '01'[ord(c) & 1] for c in p._codes.values()}
 	steps = []
 	while True:  # the word is looked at once more after the last step
 		i = find(cur.translate(signs))
 		if i < 0 or len(steps) == budget:
-			return ReversalResult(p._decode(cur, codes), i < 0,
+			return ReversalResult(p._decode(cur), i < 0,
 				trace=Derivation(tuple(w), steps), step_count=len(steps))
 		pair = cur[i:i + 2]
 		if ord(pair[0]) ^ ord(pair[1]) == 1:
@@ -64,8 +63,8 @@ def _reverse(p, w, budget, side):
 		elif (row := p._swap(pair)) is not None:
 			step = Step(row[0], i, *row[1])
 		else:
-			(s, _), (t, _) = p._decode(pair, codes)
-			return ReversalResult(p._decode(cur, codes), False, blocked=blocked % (s, t),
+			(s, _), (t, _) = p._decode(pair)
+			return ReversalResult(p._decode(cur), False, blocked=blocked % (s, t),
 				trace=Derivation(tuple(w), steps), step_count=len(steps))
 		cur = _apply(p, cur, step)
 		steps.append(step)
@@ -138,35 +137,35 @@ def left_fraction(p, w, budget=10000):
 	return Fraction(num, den, 'left', lr.trace)
 
 
-def word_problem_spherical(p, w, budget=10000):
+def word_problem_spherical(p, w):
 	'''True iff the right fraction of w is (empty, empty); the trace is a
 	{0,2} derivation witnessing w ~> empty when true.'''
-	trivial, f = _spherical_fraction(p, w, budget)
+	trivial, f = _spherical_fraction(p, w)
 	return trivial, f.trace
 
 
-def _spherical_fraction(p, w, budget=10000):
+def _spherical_fraction(p, w):
 	'''word_problem_spherical, with the right fraction of w in place of its
 	trace.'''
 	if not p.declared_spherical:
 		raise ReversingError('presentation not declared spherical')
-	f = right_fraction(p, w, budget)
+	f = right_fraction(p, w)
 	return not f.numerator and not f.denominator, f
 
 
-def completeness_check(p, u, v, budget=10000):
+def completeness_check(p, u, v):
 	'''Whether u^-1 v right-reverses to the empty word, for positive u, v.'''
 	w = invert(positive_to_word(u)) + positive_to_word(v)
-	res = right_reverse(p, w, budget)
+	res = right_reverse(p, w)
 	return res.converged and res.word == (), res
 
 
-def completeness_sample(p, pairs, budget=10000):
+def completeness_sample(p, pairs):
 	'''Run the completeness check on sampled equivalent positive pairs;
 	failures are data, not errors.'''
 	passed, failed = 0, []
 	for u, v in pairs:
-		ok, _ = completeness_check(p, u, v, budget)
+		ok, _ = completeness_check(p, u, v)
 		if ok:
 			passed += 1
 		else:

@@ -101,8 +101,7 @@ def oriented_relation(p, step):
 
 def apply_step(p, w, s):
 	'''Apply one step; raises StepError on any pattern mismatch.'''
-	codes = p._fresh_codes()
-	return p._decode(_apply(p, p._encode(w, codes), s), codes)
+	return p._decode(_apply(p, p._encode(w), s))
 
 
 def _apply(p, w, s):
@@ -140,6 +139,8 @@ def _rule(p, s):
 	checked, then sliced from the encoded sides of its relation.'''
 	a, b, ai, bi = oriented_relation(p, s)
 	if s.kind == '1':
+		if s.sign not in (1, -1):
+			raise StepError('type 1 sign must be 1 or -1, got %r' % (s.sign,))
 		return (ai, bi) if s.sign == -1 else (a, b)
 	if not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
 		raise StepError('bad type %s split' % s.kind)
@@ -252,16 +253,14 @@ class Derivation:
 
 def check_derivation(p, d):
 	'''Replay a derivation to its final word, failing as derivation_words.'''
-	codes = p._fresh_codes()
-	return p._decode(_end(p, p._encode(d.start, codes), d.steps), codes)
+	return p._decode(_end(p, p._encode(d.start), d.steps))
 
 
 def derivation_words(p, d):
 	'''All intermediate words, start included; the index of the first
 	inapplicable step is reported on failure.'''
-	codes = p._fresh_codes()
-	words = list(_replay(p, p._encode(d.start, codes), d.steps))
-	return [tuple(d.start)] + [p._decode(w, codes) for w in words[1:]]
+	words = list(_replay(p, p._encode(d.start), d.steps))
+	return [tuple(d.start)] + [p._decode(w) for w in words[1:]]
 
 
 def _replay(p, w, steps):

@@ -184,12 +184,12 @@ def dehn_run(p, w):
 		trace.append(('dehn', steps[0]))
 
 
-def dehn_to_special(p, w, ds, fallback_depth=3):
+def dehn_to_special(p, w, ds):
 	'''A {0,1,2} derivation from w realizing one Dehn transformation,
 	available when every relation satisfies ||v| - |v'|| <= 2.  Uses the
-	direct cases (whole relation side -> one type 1; otherwise a depth-
-	bounded search on the factor); failure of the bounded search on an
-	eligible presentation is a hard error.'''
+	direct cases (whole relation side -> one type 1; otherwise a search of
+	depth 3 on the factor); failure of the bounded search on an eligible
+	presentation is a hard error.'''
 	if any(abs(len(l) - len(r)) > 2 for l, r in p.relations):
 		raise StepError('presentation violates the length-2 hypothesis')
 	u, up = ds.factor, ds.replacement
@@ -198,8 +198,7 @@ def dehn_to_special(p, w, ds, fallback_depth=3):
 	for fac, new, fields in p._type1.get(u_code[:1], ()):
 		if u_code == fac and up_code == new:
 			return Derivation(tuple(w), [Step('1', ds.pos, *fields)])
-	limits = SearchLimits(max_steps=fallback_depth,
-		max_word_length=len(u) + 2, max_visited=100000)
+	limits = SearchLimits(max_steps=3, max_word_length=len(u) + 2)
 	out = bounded_derivation_search(p, u, up, {'0', '1', '2r', '2l'}, limits)
 	if out.result != 'found':
 		raise StepError('Dehn step admits no short {0,1,2} realization; '

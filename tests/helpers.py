@@ -496,6 +496,8 @@ def reference_apply_step(p, w, s):
 			raise StepError('unknown orientation %r' % (s.orient,))
 		l, r = p.relations[s.rel]
 		a, b = (l, r) if s.orient == 'fwd' else (r, l)
+		if s.kind == '1' and s.sign not in (1, -1):
+			raise StepError('type 1 sign must be 1 or -1, got %r' % (s.sign,))
 		if s.kind != '1' and not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
 			raise StepError('bad type %s split' % s.kind)
 		factor, new = step_factor(s.kind, a, b, s.sign, s.lv, s.lvp)

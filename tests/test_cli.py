@@ -163,7 +163,7 @@ def test_usage_and_file_errors(capsys, tmp_path):
 	code, _ = run(capsys, 'apply', '-p', 'ra3.txt', '-w', 'abA',
 		'--step', '{"kind": "2r", "pos": 0, "rel": 0, "orient": "fwd", "split": -1}')
 	assert code == 64
-	# derivation files: malformed 64, missing 66, not replaying 70
+	# derivation files: malformed 64, missing 66, not replaying 64
 	step = {'kind': '0r', 'pos': 0}
 	cases = [
 		('not json', 64),
@@ -174,8 +174,8 @@ def test_usage_and_file_errors(capsys, tmp_path):
 		(json.dumps({'schema': 1, 'start': 'aA', 'end': ''}), 64),
 		(json.dumps({'schema': 1, 'start': 'aA', 'steps': [step]}), 64),
 		(json.dumps({'schema': 2, 'start': 'aA', 'steps': [step], 'end': ''}), 64),
-		(json.dumps({'schema': 1, 'start': 'ab', 'steps': [step], 'end': ''}), 70),
-		(json.dumps({'schema': 1, 'start': 'aA', 'steps': [step], 'end': 'a'}), 70),
+		(json.dumps({'schema': 1, 'start': 'ab', 'steps': [step], 'end': ''}), 64),
+		(json.dumps({'schema': 1, 'start': 'aA', 'steps': [step], 'end': 'a'}), 64),
 		(None, 66),
 	]
 	for i, (text, want) in enumerate(cases):
@@ -207,6 +207,21 @@ def test_usage_and_file_errors(capsys, tmp_path):
 	assert code == 64
 	code, out = run(capsys, 'wp-raag', '-p', A2, '-w', 'abAB')
 	assert code == 64 and out == ''
+
+
+def test_type1_sign_other_than_one_is_a_usage_error(capsys, tmp_path):
+	# a type 1 step says which side it rewrites by its sign; a sign of 2
+	# names no side, so the step is rejected, not replayed as sign 1
+	step = {'kind': '1', 'pos': 0, 'rel': 0, 'orient': 'fwd', 'sign': 2}
+	code, out = run(capsys, 'apply', '-p', 'ra3.txt', '-w', 'ab', '--step', json.dumps(step))
+	assert code == 64 and out == ''
+	f = tmp_path / 'sign2.json'
+	f.write_text(json.dumps({'schema': 1, 'start': 'ab', 'steps': [step], 'end': 'ba'}))
+	code, out = run(capsys, 'replay', '-p', 'ra3.txt', '--in', str(f), '--json')
+	assert code == 64 and out == ''
+	code, out = run(capsys, 'apply', '-p', 'ra3.txt', '-w', 'ab',
+		'--step', json.dumps(dict(step, sign=1)))
+	assert code == 0 and out.strip() == 'ba'
 
 
 def test_replay_and_eliminate_round_trip(tmp_path, capsys):
@@ -358,9 +373,6 @@ _DFILE = st.one_of(st.binary(max_size=40), st.text(max_size=40).map(str.encode),
 	_DERIVATION.map(lambda d: json.dumps(d).encode()),
 	_to_empty().map(lambda d: json.dumps(d).encode()),
 	st.lists(_VALUE, max_size=3).map(lambda v: json.dumps(v).encode()))
-# a derivation whose steps do not replay, or that does not reach its end
-# word, exits 70 with these messages (pinned in cli_golden.json)
-_REPLAY_FAILURE = ('internal error: step ', 'internal error: derivation end mismatch')
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -368,8 +380,7 @@ _REPLAY_FAILURE = ('internal error: step ', 'internal error: derivation end mism
 	presentation=st.sampled_from(['ra3.txt', 'a2.txt']))
 def test_cli_fuzz_derivation_files(data, command, presentation):
 	# replay --in and eliminate-inf --in on random derivation files: a
-	# documented exit code, never a traceback or an internal error beyond
-	# a derivation that does not replay
+	# documented exit code, never a traceback or an internal error
 	with tempfile.TemporaryDirectory() as d:
 		path = os.path.join(d, 'd.json')
 		with open(path, 'wb') as f:
@@ -383,5 +394,4 @@ def test_cli_fuzz_derivation_files(data, command, presentation):
 				code = 0
 			except SystemExit as e:
 				code = e.code or 0
-	assert code in (0, 1, 2, 64, 66) or (code == 70
-		and err.getvalue().startswith(_REPLAY_FAILURE)), (argv, data, err.getvalue())
+	assert code in (0, 1, 2, 64, 66), (argv, data, err.getvalue())

@@ -11,12 +11,13 @@ import pytest
 import artincalc
 from artincalc import (parse_positive, parse_word, render_word, apply_step,
 	check_derivation)
-from artincalc.core import positive_to_word
+from artincalc.core import WordError, positive_to_word
 from artincalc.monoid import (equiv_class, canonical, pos_equal, rewrite_path,
 	left_divisors, right_divides, right_lcm, brute_right_lcm,
 	right_is_multiple, is_S0_minimal, strip_S0, coset_head_spherical,
 	CapExceeded, _class_cache, _disk_path)
 from artincalc.reversing import ReversingError
+from artincalc.cayley import divisor_fragment
 
 from helpers import (A2, A3, I24, RA2, RA3, FIG2, FREE2, make, brute_class,
 	brute_pos_equal, all_positive_words, random_positive, reference_rewrite_path)
@@ -329,6 +330,20 @@ def test_class_cache_trusts_a_disk_file_for_its_word_only(tmp_path, monkeypatch)
 	assert equiv_class(A2, W('a')) == {W('a')}
 	assert _class_cache.get((A2.fingerprint, w)) == fresh_w
 	_class_cache.clear()
+
+
+@pytest.mark.parametrize('call', [
+	lambda: canonical(A2, ('z',)),
+	lambda: left_divisors(A2, ('a', 'z')),
+	lambda: strip_S0(A2, ('z', 'b'), {'b'}),
+	lambda: coset_head_spherical(A2, (('z', 1), ('b', 1)), {'b'}),
+	lambda: divisor_fragment(A2, ('z',)),
+], ids=['canonical', 'left_divisors', 'strip_S0', 'coset_head_spherical',
+	'divisor_fragment'])
+def test_ranking_names_a_generator_outside_the_presentation(call):
+	# words are ranked by the generator order, which has no place for z
+	with pytest.raises(WordError, match="generator 'z' is not in the presentation"):
+		call()
 
 
 def test_rewrite_path_matches_reference():

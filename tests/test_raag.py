@@ -4,8 +4,8 @@ import random
 import pytest
 
 from artincalc import (parse_word, render_word, free_reduce, check_derivation,
-	applicable_steps, apply_step, Step, Derivation)
-from artincalc.rewrite import StepError
+	applicable_steps, apply_step, Step, Derivation, right_reverse)
+from artincalc.rewrite import StepError, derivation_words
 from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h,
 	to_aug, max_index, apply_aug_step, check_aug_derivation,
 	aug_derivation_words, applicable_aug_steps, lift_derivation, is_regular,
@@ -15,7 +15,7 @@ from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h,
 from helpers import (RA2, RA3, A2, FREE2, abelianized, random_word, make,
 	reference_lift, reference_project_step, reference_eliminate,
 	reference_apply_aug_step, reference_is_regular, reference_raag_word_problem,
-	reference_generate_01inf)
+	reference_generate_01inf, reference_apply_step, reference_derivation_words)
 
 
 def aw(spec):
@@ -466,3 +466,47 @@ def test_shuffle_matches_reference():
 	assert _outcome(raag_word_problem, A2, ()) == \
 		_outcome(reference_raag_word_problem, A2, ())
 	assert found >= 80 and none >= 80 and outside >= 20
+
+
+def test_one_code_table_across_calls():
+	'''Calls on one presentation share its code table, which gives each
+	generator outside the presentation its codes the first time it is
+	seen.  Interleaved calls whose words carry different such letters, in
+	different orders, give the references' answers and those of a fresh
+	copy of the presentation, whose table starts afresh.'''
+	p = dataclasses.replace(RA3)
+	rng = random.Random(131)
+	fresh = lambda: dataclasses.replace(p)
+	jsons = lambda d: [s.to_json() for s in d.steps]
+	for names in [('z', 'y'), ('x9', 'z'), ('w', 'y', 'x9'), ('y', 'w')] * 3:
+		w = list(random_trivial_word(p, rng, 14))
+		for g in names:  # a cancelling pair, so w stays trivial
+			k, e = rng.randrange(len(w) + 1), rng.choice((1, -1))
+			w[k:k] = [(g, e), (g, -e)]
+		w = tuple(w)
+		for s in applicable_steps(p, w, {'0', '1', '2r', '2l'})[:6]:
+			assert apply_step(p, w, s) == reference_apply_step(p, w, s) == \
+				apply_step(fresh(), w, s)
+		d = generate_01inf_derivation(p, w)
+		assert jsons(d) == jsons(reference_generate_01inf(p, w)) == \
+			jsons(generate_01inf_derivation(fresh(), w))
+		assert derivation_words(p, d) == reference_derivation_words(p, d)
+		assert jsons(raag_word_problem(p, w)) == jsons(reference_raag_word_problem(p, w))
+		assert jsons(eliminate_infinity(p, d)) == jsons(reference_eliminate(p, d)) == \
+			jsons(eliminate_infinity(fresh(), d))
+		res, ref = right_reverse(p, w), right_reverse(fresh(), w)
+		assert (res.word, jsons(res.trace)) == (ref.word, jsons(ref.trace))
+		assert reference_derivation_words(p, res.trace)[-1] == res.word
+		ins = AugStep('inf', rng.randrange(len(w) + 1), letter='z', index=1, sign=-1)
+		aw = to_aug(w)
+		assert apply_aug_step(p, aw, ins) == reference_apply_aug_step(p, aw, ins) == \
+			apply_aug_step(fresh(), aw, ins)
+	foreign = [(g, e) for g in ('z', 'y', 'x9', 'w') for e in (1, -1)]
+	assert sorted(p._codes) == sorted(foreign + [(g, e) for g in 'abc' for e in (1, -1)])
+	assert all(ord(p._codes[g, 1]) ^ ord(p._codes[g, -1]) == 1 for g, _ in foreign)
+	# a copy has a table of its own, in which w takes the first free pair
+	copy = fresh()
+	w = (('w', -1), ('a', 1), ('a', -1), ('w', 1))
+	d = Derivation(w, [Step('0', 1, sign=1), Step('0', 0, sign=-1)])
+	assert derivation_words(copy, d) == reference_derivation_words(copy, d)
+	assert len(copy._codes) == 8 and copy._codes['w', 1] == chr(6) != p._codes['w', 1]

@@ -19,8 +19,8 @@ def test_no_assert_statements():
 STEP_CHECKS = ('position %r out of range', 'type 0 out of range',
 	'no trivial pair at %d', 'insertion position out of range', 'unknown letter %r',
 	'insertion sign must be 1 or -1, got %r', 'relation index %r out of range',
-	'unknown orientation %r', 'bad type %s split', 'type %s factor mismatch at %d',
-	'unknown step kind %r', 'step %d inapplicable: %s')
+	'unknown orientation %r', 'type 1 sign must be 1 or -1, got %r', 'bad type %s split',
+	'type %s factor mismatch at %d', 'unknown step kind %r', 'step %d inapplicable: %s')
 
 
 def _step_error_messages():
@@ -55,3 +55,17 @@ def test_rule_source_lives_once():
 					getattr(node.func, 'id', None), getattr(node.func, 'attr', None)):
 				calls.append('%s:%d' % (path.name, node.lineno))
 	assert SRC.is_dir() and not calls
+
+
+def test_one_code_table_per_presentation():
+	# letters are encoded with the presentation's own table (core._Codes):
+	# no function takes a table of its own, and no per-call copy is made
+	params = []
+	for path in sorted(SRC.glob('*.py')):
+		for node in ast.walk(ast.parse(path.read_text(encoding='utf-8'))):
+			if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+				a = node.args
+				params += ['%s:%d' % (path.name, node.lineno)
+					for x in a.posonlyargs + a.args + a.kwonlyargs if x.arg == 'codes']
+	from artincalc.core import Presentation
+	assert SRC.is_dir() and not params and not hasattr(Presentation, '_fresh_codes')
