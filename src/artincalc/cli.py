@@ -238,9 +238,9 @@ def eliminate_inf(p, inpath, outpath):
 
 
 @_command('fuzz-raag', load=False)
-@click.option('--gens', default=4, show_default=True)
+@click.option('--gens', default=4, show_default=True, type=click.IntRange(1, 8))
 @click.option('--seed', default=0, show_default=True)
-@click.option('--count', default=20, show_default=True)
+@click.option('--count', default=20, show_default=True, type=click.IntRange(min=0))
 def fuzz_raag(gens, seed, count):
 	'''Random elimination round-trips on right-angled presentations.'''
 	rng = random.Random(seed)

@@ -17,15 +17,18 @@ intermediate words are all regular; projecting by descending top index
 yields a {0,1,2} derivation on plain words.
 
 The public functions take and return words of triples.  Inside, a word is
-split into a pair (letters, indices): letters is the plain word encoded as
+split into a pair (letters, marks): letters is the plain word encoded as
 a string (Presentation._encode: one character per signed letter, a letter
-and its inverse differing in the lowest bit), and indices the tuple of
-indices, so phi is the first half of the pair.  Each operation has one
-private core on pairs (_apply, _regular, _drop, _aug_words, _project);
-the public functions split, call it and join.  Plain steps are
-applied and replayed on the same strings by rewrite._apply, so
-eliminate_infinity, raag_word_problem and generate_01inf_derivation
-encode their input once and build no triple.
+and its inverse differing in the lowest bit), so phi is the first half of
+the pair, and marks the tuple of (position, index) pairs of the letters
+whose index is not 0, ascending by position.  An insertion is cancelled
+long before the word ends, so a word carries few marks, and most none:
+every core costs what its marks cost, besides one string operation.
+Each operation has one private core on pairs (_apply, _regular, _drop,
+_aug_words, _project); the public functions split, call it and join.
+Plain steps are applied and replayed on the same strings by
+rewrite._apply, so eliminate_infinity, raag_word_problem and
+generate_01inf_derivation encode their input once and build no triple.
 '''
 
 from __future__ import annotations
@@ -50,12 +53,25 @@ def phi(w):
 
 
 def _split(p, w):
-	'''The pair (letters, indices) of a word of triples.'''
-	return p._encode(phi(w)), tuple(map(itemgetter(1), w))
+	'''The pair (letters, marks) of a word of triples.'''
+	return p._encode(phi(w)), _marks(map(itemgetter(1), w))
 
 
-def _join(p, letters, indices):
-	return tuple((g, i, e) for (g, e), i in zip(p._decode(letters), indices))
+def _join(p, letters, marks):
+	return tuple((g, i, e) for (g, e), i in zip(p._decode(letters), _dense(len(letters), marks)))
+
+
+def _marks(indices):
+	'''The marks of these indices.'''
+	return tuple((k, i) for k, i in enumerate(indices) if i)
+
+
+def _dense(n, marks):
+	'''The indices of a word of n letters with these marks.'''
+	out = [0] * n
+	for k, i in marks:
+		out[k] = i
+	return out
 
 
 def _name(p, c):
@@ -68,18 +84,25 @@ def pi_h(w, h):
 	return tuple(x for x in w if x[1] < h)
 
 
-def _drop(letters, indices, h):
+def _drop(letters, marks, h):
 	'''pi_h on a pair.'''
-	if max(indices, default=h - 1) < h:
-		return letters, indices
-	keep = [i < h for i in indices]
-	return ''.join(compress(letters, keep)), tuple(compress(indices, keep))
+	if h < 1:  # the unmarked letters go too; only project_step passes such an h
+		indices = _dense(len(letters), marks)
+		keep = [i < h for i in indices]
+		return ''.join(compress(letters, keep)), _marks(compress(indices, keep))
+	gone = [k for k, i in marks if i >= h]
+	if not gone:
+		return letters, marks
+	ends = [-1] + gone + [len(letters)]
+	return (''.join(letters[a + 1:b] for a, b in zip(ends, ends[1:])),
+		tuple((k - sum(g < k for g in gone), i) for k, i in marks if i < h))
 
 
-def _below(indices, pos, h):
-	'''len(pi_h(w[:pos], h)), counted on the indices.'''
-	head = indices[:pos]
-	return len(head) - sum(map(h.__le__, head))
+def _below(marks, pos, h):
+	'''len(pi_h(w[:pos], h)), counted on the marks: the unmarked letters
+	before pos count when 0 < h.'''
+	head = [i < h for k, i in marks if k < pos]
+	return (pos - len(head) if h > 0 else 0) + sum(head)
 
 
 def _fresh(indices):
@@ -125,7 +148,7 @@ def apply_aug_step(p, w, s):
 	return _join(p, *_apply(p, *_split(p, w), s))
 
 
-def _apply(p, letters, indices, s):
+def _apply(p, letters, marks, s):
 	'''apply_aug_step on a pair.'''
 	n, k = len(letters), s.pos
 	if type(k) is not int or k < 0:
@@ -136,20 +159,21 @@ def _apply(p, letters, indices, s):
 		c1, c2 = letters[k], letters[k + 1]
 		if ord(c1) ^ ord(c2) != 1:
 			raise AugError('no trivial pair at %d' % k)
-		i1, i2 = indices[k], indices[k + 1]
-		letters, rest = letters[:k] + letters[k + 2:], indices[:k] + indices[k + 2:]
-		if i1 == i2:  # the relabelling keeps every index
+		letters = letters[:k] + letters[k + 2:]
+		if not marks:
+			return letters, marks
+		at = dict(marks)
+		lo, hi = sorted((at.get(k, 0), at.get(k + 1, 0)))
+		rest = tuple((m - 2 * (m > k), i) for m, i in marks if m - k not in (0, 1))
+		if lo == hi:  # the relabelling keeps every index
 			return letters, rest
 		# only the letters on the cancelled generator that carry the larger
 		# index change
-		lo, hi = min(i1, i2), max(i1, i2)
-		out, j = list(rest), 0
-		for _ in range(rest.count(hi)):
-			j = rest.index(hi, j)
-			if letters[j] in (c1, c2):
-				out[j] = lo
-			j += 1
-		return letters, tuple(out)
+		if hi == 0:  # unmarked letters take the negative lo: only a public caller's word
+			return letters, _marks(lo if i == 0 and c in (c1, c2) else i
+				for c, i in zip(letters, _dense(len(letters), rest)))
+		return letters, tuple((m, lo if i == hi and letters[m] in (c1, c2) else i)
+			for m, i in rest if lo or i != hi or letters[m] not in (c1, c2))
 	if s.kind in ('1', '2'):
 		if k + 2 > n:
 			raise AugError('aug swap out of range')
@@ -161,15 +185,19 @@ def _apply(p, letters, indices, s):
 			raise AugError('aug type 1 needs equal signs')
 		if s.kind == '2' and not (ord(c1) ^ ord(c2)) & 1:
 			raise AugError('aug type 2 needs opposite signs')
-		return (letters[:k] + c2 + c1 + letters[k + 2:],
-			indices[:k] + (indices[k + 1], indices[k]) + indices[k + 2:])
+		if marks:  # a mark on k or k + 1 moves with its letter
+			marks = tuple(sorted((2 * k + 1 - m if m - k in (0, 1) else m, i) for m, i in marks))
+		return letters[:k] + c2 + c1 + letters[k + 2:], marks
 	if s.kind == 'inf':
 		if k > n:
 			raise AugError('insertion position out of range')
-		if s.index <= max(indices, default=-1):
+		# the unmarked letters have index 0
+		if s.index <= max([i for _, i in marks] + [0] * (len(marks) < n), default=-1):
 			raise AugError('insertion index %d not fresh' % s.index)
 		pair = p._codes[s.letter, s.sign] + p._codes[s.letter, -s.sign]
-		return letters[:k] + pair + letters[k:], indices[:k] + (s.index, s.index) + indices[k:]
+		new = ((k, s.index), (k + 1, s.index)) if s.index else ()
+		return letters[:k] + pair + letters[k:], (tuple(x for x in marks if x[0] < k)
+			+ new + tuple((m + 2, i) for m, i in marks if m >= k))
 	raise AugError('unknown augmented step kind %r' % s.kind)
 
 
@@ -215,9 +243,9 @@ def applicable_aug_steps(p, w):
 # ---------------------------------------------------------------------------
 # lifting
 
-def _plain_step_to_aug(p, indices, step):
+def _plain_step_to_aug(p, marks, step):
 	'''Translate one plain {0,1,2r,2l,inf} step on a word with these
-	indices into an augmented step at the same position.'''
+	marks into an augmented step at the same position.'''
 	if step.kind == '0':
 		return AugStep('0', step.pos)
 	if step.kind == '1':
@@ -228,7 +256,7 @@ def _plain_step_to_aug(p, indices, step):
 		return AugStep('2', step.pos)
 	if step.kind == 'inf':
 		return AugStep('inf', step.pos, letter=step.letter,
-			index=_fresh(indices), sign=step.sign)
+			index=_fresh(map(itemgetter(1), marks)), sign=step.sign)
 	raise AugError('unknown plain step kind %r' % step.kind)
 
 
@@ -246,9 +274,8 @@ def _lift(p, d, plain):
 	'''The lifted steps of d and their words as pairs; plain iterates over
 	the encoded words of d, start included, and is read one word per step
 	lifted.  The lift projects back exactly when its letters are the plain
-	word.'''
-	letters = next(plain)
-	words, steps = [(letters, (0,) * len(letters))], []
+	word.  The start has no marks, and only the insertions make them.'''
+	words, steps = [(next(plain), ())], []
 	for step in d.steps:
 		steps.append(_plain_step_to_aug(p, words[-1][1], step))
 		words.append(_apply(p, *words[-1], steps[-1]))
@@ -267,28 +294,33 @@ def is_regular(p, w):
 	return _regular(p, *_split(p, w))
 
 
-def _regular(p, letters, indices):
-	'''is_regular on a pair.'''
-	if indices.count(0) == len(indices):  # every index 0: no pair to check
+def _regular(p, letters, marks):
+	'''is_regular on a pair, read off the marks: the letters a pair
+	encloses, less those of a larger index, are checked by stripping the
+	commuting codes, and the first letter left is the diagnosis.'''
+	if not marks:  # every index 0: no pair to check
 		return True, 'regular'
-	for h in sorted(set(indices)):
-		if h < 1:
-			continue
-		times = indices.count(h)
-		if times != 2:
-			return False, 'index %d occurs %d times' % (h, times)
-		a = indices.index(h)
-		b = indices.index(h, a + 1)
+	pairs = {}
+	for k, i in marks:
+		if i > 0:
+			pairs.setdefault(i, []).append(k)
+	for h in sorted(pairs):
+		if len(pairs[h]) != 2:
+			return False, 'index %d occurs %d times' % (h, len(pairs[h]))
+		a, b = pairs[h]
 		c1, c2 = letters[a], letters[b]
 		if ord(c1) >> 1 != ord(c2) >> 1:
 			return False, 'index %d letters have different generators' % h
 		if c1 == c2:
 			return False, 'index %d letters do not have opposite signs' % h
-		commuting = p._commuting.get(c1, '')
-		for c, i in zip(letters[a + 1:b], indices[a + 1:b]):
-			if i <= h and c in (c1, c2):
+		# a letter on the pair's own generator fails even where a relation
+		# aa = aa says it commutes
+		commuting = p._commuting.get(c1, '').replace(c1, '').replace(c2, '')
+		ends = [a] + [k for k, i in marks if a < k < b and i > h] + [b]
+		for c in (letters[x + 1:y].lstrip(commuting)[:1] for x, y in zip(ends, ends[1:])):
+			if c in (c1, c2):
 				return False, 'index %d pair encloses its own generator' % h
-			if i <= h and c not in commuting:
+			if c:
 				return False, 'index %d pair encloses non-commuting %s' % (h, _name(p, c))
 	return True, 'regular'
 
@@ -301,7 +333,7 @@ def _swap_block(p, pw, target):
 	into the pair target; both words must agree except for that one move.'''
 	if pw == target:
 		return []
-	(lw, iw), (lt, it) = pw, target
+	(lw, iw), (lt, it) = ((l, _dense(len(l), m)) for l, m in (pw, target))
 	if len(lw) != len(lt):
 		raise AugError('projection diff is not a single move')
 	# the moved block is lw[a:b], from the first to the last difference
@@ -345,17 +377,22 @@ def project_step(p, w, s, h):
 	return _project(p, w[1], s, h, _drop(*w, h), _drop(*_apply(p, *w, s), h))
 
 
-def _project(p, indices, s, h, pw, pw2):
-	'''project_step on a regular word with these indices, given the pairs
-	pw = pi_h(w) and pw2 = pi_h(apply(w, s)).'''
+def _project(p, marks, s, h, pw, pw2):
+	'''project_step on a regular word with these marks, given the pairs
+	pw = pi_h(w) and pw2 = pi_h(apply(w, s)).  On a word with no marks and
+	0 < h, pi_h deletes nothing, so any step but an insertion of index >= h
+	projects to itself.'''
+	if not marks and 0 < h and (s.kind != 'inf' or s.index < h):
+		return [s]
 	if s.kind == 'inf':
 		if s.index < h:
-			return [AugStep('inf', _below(indices, s.pos, h),
+			return [AugStep('inf', _below(marks, s.pos, h),
 				letter=s.letter, index=s.index, sign=s.sign)]
 	else:
-		i1, i2 = indices[s.pos], indices[s.pos + 1]
+		at = dict(marks)
+		i1, i2 = at.get(s.pos, 0), at.get(s.pos + 1, 0)
 		if i1 < h and i2 < h:
-			return [AugStep(s.kind, _below(indices, s.pos, h))]
+			return [AugStep(s.kind, _below(marks, s.pos, h))]
 	if s.kind != '0' or (i1 >= h and i2 >= h):
 		# the step moves or cancels only letters that pi_h deletes
 		if pw != pw2:
@@ -411,7 +448,7 @@ def eliminate_infinity(p, d):
 				raise AugError('%s word not regular: %s' % (stage, diag))
 		# type 0 relabels to an index already present and swaps permute, so
 		# the indices of every word are those of the start and the insertions
-		h = max([max(words[0][1], default=-1)] + [s.index for s in steps if s.kind == 'inf'])
+		h = max([i for _, i in words[0][1]] + [s.index for s in steps if s.kind == 'inf'], default=0)
 		if h < 1:
 			break
 		# word k is the successor of step k - 1 and the source of step k:

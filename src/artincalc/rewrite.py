@@ -122,7 +122,7 @@ def _apply(p, w, s):
 			raise StepError('insertion position out of range')
 		if s.letter not in p.generators:
 			raise StepError('unknown letter %r' % s.letter)
-		if s.sign not in (1, -1):
+		if type(s.sign) is not int or s.sign not in (1, -1):
 			raise StepError('insertion sign must be 1 or -1, got %r' % (s.sign,))
 		codes = p._codes
 		return w[:pos] + codes[s.letter, s.sign] + codes[s.letter, -s.sign] + w[pos:]
@@ -139,7 +139,7 @@ def _rule(p, s):
 	checked, then sliced from the encoded sides of its relation.'''
 	a, b, ai, bi = oriented_relation(p, s)
 	if s.kind == '1':
-		if s.sign not in (1, -1):
+		if type(s.sign) is not int or s.sign not in (1, -1):
 			raise StepError('type 1 sign must be 1 or -1, got %r' % (s.sign,))
 		return (ai, bi) if s.sign == -1 else (a, b)
 	if not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):

@@ -485,7 +485,7 @@ def reference_apply_step(p, w, s):
 			raise StepError('insertion position out of range')
 		if s.letter not in p.generators:
 			raise StepError('unknown letter %r' % s.letter)
-		if s.sign not in (1, -1):
+		if type(s.sign) is not int or s.sign not in (1, -1):
 			raise StepError('insertion sign must be 1 or -1, got %r' % (s.sign,))
 		pair = ((s.letter, s.sign), (s.letter, -s.sign))
 		return w[:s.pos] + pair + w[s.pos:]
@@ -496,7 +496,7 @@ def reference_apply_step(p, w, s):
 			raise StepError('unknown orientation %r' % (s.orient,))
 		l, r = p.relations[s.rel]
 		a, b = (l, r) if s.orient == 'fwd' else (r, l)
-		if s.kind == '1' and s.sign not in (1, -1):
+		if s.kind == '1' and (type(s.sign) is not int or s.sign not in (1, -1)):
 			raise StepError('type 1 sign must be 1 or -1, got %r' % (s.sign,))
 		if s.kind != '1' and not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
 			raise StepError('bad type %s split' % s.kind)

@@ -224,6 +224,41 @@ def test_type1_sign_other_than_one_is_a_usage_error(capsys, tmp_path):
 	assert code == 0 and out.strip() == 'ba'
 
 
+def test_step_sign_must_be_an_int(capsys, tmp_path):
+	# true, 1.0 and -1.0 equal a valid sign but are not ints: a type 1 step
+	# and an insertion with such a sign are rejected, not written back
+	type1 = {'kind': '1', 'pos': 0, 'rel': 0, 'orient': 'fwd', 'sign': True}
+	insertion = {'kind': 'inf', 'pos': 0, 'letter': 'a', 'sign': True}
+	for step, end in ((type1, 'ba'), (insertion, 'aAab')):
+		for sign in (True, 1.0, -1.0):
+			f = tmp_path / 'sign.json'
+			f.write_text(json.dumps({'schema': 1, 'start': 'ab',
+				'steps': [dict(step, sign=sign)], 'end': end}))
+			code, out = run(capsys, 'replay', '-p', 'ra3.txt', '--in', str(f), '--json')
+			assert code == 64 and out == ''
+		if step is type1:
+			code, out = run(capsys, 'apply', '-p', 'ra3.txt', '-w', 'ab',
+				'--step', json.dumps(step))
+			assert code == 64 and out == ''
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(gens=st.integers(-3, 12), count=st.integers(-3, 3), seed=st.integers(-2**40, 2**40))
+def test_cli_fuzz_raag_numbers(gens, count, seed):
+	# fuzz-raag on random numbers: a documented exit code, never a
+	# traceback; --gens outside 1..8 and a negative --count are usage errors
+	argv = ['fuzz-raag', '--gens', str(gens), '--count', str(count), '--seed', str(seed)]
+	err = io.StringIO()
+	with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+		try:
+			climod.main(argv)
+			code = 0
+		except SystemExit as e:
+			code = e.code or 0
+	assert code in (0, 1, 64), (argv, err.getvalue())
+	assert (code == 64) == (not 1 <= gens <= 8 or count < 0), (argv, err.getvalue())
+
+
 def test_replay_and_eliminate_round_trip(tmp_path, capsys):
 	ppath = tmp_path / 'ra2.txt'
 	ppath.write_text('gens: a b\nrel: ab = ba\n')

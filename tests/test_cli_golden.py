@@ -158,6 +158,9 @@ CASES = {
 
 	'fuzz-raag': ['fuzz-raag', '--gens', '3', '--seed', '1', '--count', '3'],
 	'fuzz-raag-json': ['fuzz-raag', '--count', '2', '--json'],
+	'fuzz-raag-gens-0': ['fuzz-raag', '--gens', '0'],
+	'fuzz-raag-gens-9': ['fuzz-raag', '--gens', '9'],
+	'fuzz-raag-count-negative': ['fuzz-raag', '--count', '-1'],
 
 	'class': ['class', '-p', 'a2.txt', '-w', 'abab'],
 	'class-json': ['class', '-p', 'f2xf2.txt', '-w', 'acbd', '--json'],

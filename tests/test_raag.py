@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -289,6 +290,50 @@ def test_eliminate_infinity_matches_reference():
 	assert sum(_outcome(eliminate_infinity, p, d)[0] != 'ok' for p, d in cases) >= 5
 
 
+def test_eliminate_infinity_long_nested():
+	'''Derivations of words of 150 to 250 letters, each with several
+	insertions hoisted by _hoisted, so that marks sit far from the steps
+	that move them and elimination runs three or more projection rounds:
+	the steps, or the error, of the reference.'''
+	rng = random.Random(113)
+	tops = []
+	for _ in range(5):
+		p = random_right_angled(rng, rng.randrange(3, 7))
+		w = ()
+		while len(w) < 150:
+			w = random_trivial_word(p, rng, rng.randrange(150, 251))
+		d = generate_01inf_derivation(p, w)
+		for _ in range(6):
+			d = _hoisted(p, d, rng) or d
+		got, want = _outcome(eliminate_infinity, p, d), _outcome(reference_eliminate, p, d)
+		if got[0] == 'ok' and want[0] == 'ok':
+			assert got[1].start == want[1].start
+			assert [s.to_json() for s in got[1].steps] == [s.to_json() for s in want[1].steps]
+		else:
+			assert got == want
+		lifted = lift_derivation(p, d)
+		assert lifted == reference_lift(p, d)
+		tops.append(max(map(max_index, aug_derivation_words(p, lifted))))
+	assert sum(t >= 3 for t in tops) >= 4, tops
+
+
+def test_elimination_memory():
+	'''The augmented words of an elimination keep only their marks: on a
+	420-letter word the peak allocation stays under 0.6 MB (a tuple of
+	every index per word peaked at about 1.2 MB).'''
+	p = random_right_angled(random.Random(5), 5)
+	w = random_trivial_word(p, random.Random(5), 420)
+	d = generate_01inf_derivation(p, w)
+	assert (len(w), len(d.steps)) == (420, 284)
+	tracemalloc.start()
+	try:
+		eliminate_infinity(p, d)
+		peak = tracemalloc.get_traced_memory()[1]
+	finally:
+		tracemalloc.stop()
+	assert peak < 600_000, peak
+
+
 RA5 = make('gens: a b c d e\nrel: ab = ba\nrel: bc = cb\nrel: cd = dc\n'
 	'rel: ae = ea\nrel: ce = ec')
 
@@ -348,6 +393,39 @@ def test_aug_word_ops_match_reference():
 				for h in (1, 2, 3):
 					assert _outcome(project_step, p, w, s, h) == \
 						_outcome(reference_project_step, p, w, s, h)
+	assert min(seen.values()) >= 20, seen
+
+
+def test_project_step_at_nonpositive_top():
+	'''project_step at h = -1 and 0, where pi_h deletes the index 0
+	letters too, and type 0 steps on a pair of indices -1 and 0, which
+	relabel index 0 letters: the references' answers, errors included.'''
+	rng = random.Random(137)
+	seen = dict.fromkeys(('relabel from 0', 'projected', 'projection error'), 0)
+	for p in (RA3, RA5):
+		for _ in range(300):
+			w = list(_random_aug_word(p, rng))
+			if rng.random() < 0.5:  # no positive index: a regular word
+				w = [(x, rng.choice((-2, -1, 0)), f) for x, _, f in w]
+			# a cancelling pair of indices -1 and 0, and index 0 letters on its generator
+			g, e = rng.choice(p.generators), rng.choice((1, -1))
+			for _ in range(rng.randrange(1, 3)):
+				w.insert(rng.randrange(len(w) + 1), (g, 0, rng.choice((1, -1))))
+			k = rng.randrange(len(w) + 1)
+			w = tuple(w[:k] + [(g, i, f) for i, f in zip(rng.sample((-1, 0), 2), (e, -e))] + w[k:])
+			s = AugStep('0', k)
+			got = _outcome(apply_aug_step, p, w, s)
+			assert got == _outcome(reference_apply_aug_step, p, w, s)
+			seen['relabel from 0'] += got[0] == 'ok' and any(x[:2] == (g, -1) for x in got[1])
+			steps = [t for t in applicable_aug_steps(p, w) if t.kind != 'inf'] + [s,
+				AugStep('inf', rng.randrange(len(w) + 1), letter=rng.choice(p.generators),
+					index=rng.randrange(-1, 5), sign=rng.choice((1, -1)))]
+			for t in steps:
+				for h in (-1, 0):
+					got = _outcome(project_step, p, w, t, h)
+					assert got == _outcome(reference_project_step, p, w, t, h)
+					seen['projected'] += got[0] == 'ok' and got[1] != []
+					seen['projection error'] += got[0] != 'ok'
 	assert min(seen.values()) >= 20, seen
 
 
