@@ -4,7 +4,8 @@ the uppercase-inverse convention, and emits either text or one-line JSON.
 
 Exit codes: 64 usage error (a malformed step or derivation file, a step
 that does not apply, a negative search limit and the right-angled
-preconditions of wp-raag and eliminate-inf included), 66 file error, 70
+preconditions of wp-raag and eliminate-inf included, and every
+core.InputError the library raises), 66 file error, 70
 broken internal invariant; the search-style subcommands use 0 = found/true,
 1 = not/false, 2 = exhausted, and a reached cap (an equivalence class past
 100,000 members, or 100,000 letters per letter of the word) exits 2 with
@@ -13,13 +14,12 @@ nothing on stdout.
 
 import dataclasses
 import json
-import os
 import random
 import sys
 
 import click
 
-from .core import (WordError, PresentationError, load_presentation, parse_word,
+from .core import (InputError, WordError, load_presentation, parse_word,
 	parse_positive, positive_to_word, invert, render_word, validate as validate_p)
 from .rewrite import (Step, Derivation, StepError, FormatError, applicable_steps,
 	apply_step, derivation_words)
@@ -32,15 +32,6 @@ from .search import SearchLimits, bounded_derivation_search, is_dead, dehn_run
 from .raag import (AugError, raag_word_problem, eliminate_infinity,
 	generate_01inf_derivation, random_right_angled, random_trivial_word)
 from . import examples
-
-
-def _load(path):
-	if not os.path.exists(path):
-		bundled = examples.data_path(os.path.basename(path))
-		if bundled.is_file():
-			return load_presentation(str(bundled))
-		raise FileNotFoundError('no such presentation file: %s' % path)
-	return load_presentation(path)
 
 
 def _derivation(p, path):
@@ -110,7 +101,7 @@ def _command(name, load=True, json_out=True, spherical=False, right_angled=False
 	def wrap(body):
 		def run(ppath=None, as_json=False, **kw):
 			if load:
-				p = _load(ppath)
+				p = load_presentation(ppath)
 				if spherical:
 					p = dataclasses.replace(p, declared_spherical=True)
 				if right_angled and not p.right_angled:
@@ -394,7 +385,7 @@ def main(argv=None):
 	except OSError as e:
 		click.echo('file error: %s' % e, err=True)
 		sys.exit(66)
-	except (WordError, PresentationError) as e:
+	except InputError as e:
 		click.echo('input error: %s' % e, err=True)
 		sys.exit(64)
 	except (CapExceeded, BudgetReached) as e:

@@ -9,15 +9,21 @@ use whitespace-separated tokens with an explicit ^-1.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 
-class WordError(ValueError):
+class InputError(ValueError):
+	'''An error in the caller's input, not a broken invariant: the command
+	line reports each subclass as an input error and exits 64.'''
+
+
+class WordError(InputError):
 	pass
 
 
-class PresentationError(ValueError):
+class PresentationError(InputError):
 	pass
 
 
@@ -431,7 +437,18 @@ def parse_presentation_text(text):
 	return Presentation(gens, tuple(relations))
 
 
+def data_path(name):
+	from importlib import resources  # only bundled names need it
+	return resources.files(__package__).joinpath('data', name)
+
+
 def load_presentation(path):
+	'''A path that does not exist but names a bundled file loads that.'''
+	if not os.path.exists(path):
+		bundled = data_path(os.path.basename(path))
+		if not bundled.is_file():
+			raise FileNotFoundError('no such presentation file: %s' % path)
+		path = str(bundled)
 	with open(path, 'r', encoding='utf-8') as f:
 		try:
 			return parse_presentation_text(f.read())

@@ -5,18 +5,12 @@ with a name, a pass flag, and a short detail string.
 
 from __future__ import annotations
 
-from importlib import resources
-
-from .core import parse_word, parse_positive, render_word, load_presentation
+from .core import parse_word, parse_positive, render_word, load_presentation, data_path
 from .rewrite import Step, Derivation, check_derivation, derivation_words
 from .search import is_dead
 from .cayley import divisor_fragment, traced_from
 from .raag import (lift_derivation, aug_derivation_words, eliminate_infinity,
 	to_aug)
-
-
-def data_path(name):
-	return resources.files('artincalc').joinpath('data', name)
 
 
 def load_bundled(name):

@@ -29,6 +29,10 @@ _aug_words, _project); the public functions split, call it and join.
 Plain steps are applied and replayed on the same strings by
 rewrite._apply, so eliminate_infinity, raag_word_problem and
 generate_01inf_derivation encode their input once and build no triple.
+Each step is applied once where that checks it: the shuffle applies its
+steps, and generation replays only its type 2 simulations; the lift
+applies augmented steps only to insertions and to words with marks; the
+last projection stage, which has no marks, is replayed only as plain steps.
 '''
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, compress, count
-from operator import itemgetter, ne, or_
+from operator import itemgetter, ne
 
 from .core import Presentation
-from .rewrite import (Step, Derivation, oriented_relation, _apply as _apply_plain,
-	_replay, _end, _simulation)
+from .rewrite import (Step, Derivation, StepError, oriented_relation,
+	_apply as _apply_plain, _replay, _simulation)
 
 
 class AugError(ValueError):
@@ -194,6 +198,8 @@ def _apply(p, letters, marks, s):
 		# the unmarked letters have index 0
 		if s.index <= max([i for _, i in marks] + [0] * (len(marks) < n), default=-1):
 			raise AugError('insertion index %d not fresh' % s.index)
+		if type(s.sign) is not int or s.sign not in (1, -1):
+			raise AugError('insertion sign must be 1 or -1, got %r' % (s.sign,))
 		pair = p._codes[s.letter, s.sign] + p._codes[s.letter, -s.sign]
 		new = ((k, s.index), (k + 1, s.index)) if s.index else ()
 		return letters[:k] + pair + letters[k:], (tuple(x for x in marks if x[0] < k)
@@ -245,12 +251,13 @@ def applicable_aug_steps(p, w):
 
 def _plain_step_to_aug(p, marks, step):
 	'''Translate one plain {0,1,2r,2l,inf} step on a word with these
-	marks into an augmented step at the same position.'''
+	marks into an augmented step at the same position.  The callers
+	require a right-angled presentation, so a type 1 step's relation is
+	looked up only for its checks, which come first.'''
 	if step.kind == '0':
 		return AugStep('0', step.pos)
 	if step.kind == '1':
-		if len(oriented_relation(p, step)[0]) != 2:
-			raise AugError('lifting requires a right-angled presentation')
+		oriented_relation(p, step)
 		return AugStep('1', step.pos)
 	if step.kind in ('2r', '2l'):
 		return AugStep('2', step.pos)
@@ -267,20 +274,36 @@ def lift_derivation(p, d):
 		raise AugError('lifting requires a right-angled presentation')
 	plain = accumulate(d.steps, partial(_apply_plain, p), initial=p._encode(d.start))
 	steps, words = _lift(p, d, plain)
-	return AugDerivation(_join(p, *words[0]), steps)
+	return AugDerivation(_join(p, *words[0]),
+		[AugStep(s.kind, s.pos) if isinstance(s, Step) else s for s in steps])
 
 
 def _lift(p, d, plain):
 	'''The lifted steps of d and their words as pairs; plain iterates over
 	the encoded words of d, start included, and is read one word per step
-	lifted.  The lift projects back exactly when its letters are the plain
-	word.  The start has no marks, and only the insertions make them.'''
+	lifted.  The start has no marks, and only the insertions make them.
+	A step of kind 0 or 1 on a word with no marks lifts to itself (the
+	plain Step, read by its kind and position as the AugStep of that
+	kind), with the plain successor as its word: the plain step checks
+	it, and a right-angled type 1 factor is two commuting letters of one
+	sign (if the plain step fails, the augmented one runs first, for its
+	error).  Any other lift projects back exactly when its letters are
+	the plain word.'''
 	words, steps = [(next(plain), ())], []
 	for step in d.steps:
-		steps.append(_plain_step_to_aug(p, words[-1][1], step))
-		words.append(_apply(p, *words[-1], steps[-1]))
-		if words[-1][0] != next(plain):
-			raise AugError('lift does not project back to the plain word')
+		marks = words[-1][1]
+		if step.kind in ('0', '1') and not marks:
+			try:
+				words.append((next(plain), ()))
+			except StepError:
+				_apply(p, *words[-1], _plain_step_to_aug(p, marks, step))
+				raise
+			steps.append(step)
+		else:
+			steps.append(_plain_step_to_aug(p, marks, step))
+			words.append(_apply(p, *words[-1], steps[-1]))
+			if words[-1][0] != next(plain):
+				raise AugError('lift does not project back to the plain word')
 	return steps, words
 
 
@@ -330,23 +353,25 @@ def _regular(p, letters, marks):
 
 def _swap_block(p, pw, target):
 	'''Steps moving one letter across a commuting block, turning the pair pw
-	into the pair target; both words must agree except for that one move.'''
+	into the pair target; both words must agree except for that one move.
+	The move is read off the letters and the marks.'''
 	if pw == target:
 		return []
-	(lw, iw), (lt, it) = ((l, _dense(len(l), m)) for l, m in (pw, target))
+	(lw, mw), (lt, mt) = pw, target
 	if len(lw) != len(lt):
 		raise AugError('projection diff is not a single move')
-	# the moved block is lw[a:b], from the first to the last difference
-	a = _first_difference(lw, lt, iw, it)
-	b = len(lw) - _first_difference(*map(reversed, (lw, lt, iw, it)))
-	# pw and target differ, so the block lw[a:b] is not empty
-	if lw[b - 1] == lt[a] and iw[b - 1] == it[a] and \
-			lw[a:b - 1] == lt[a + 1:b] and iw[a:b - 1] == it[a + 1:b]:
+	iw, it = dict(mw), dict(mt)
+	# the moved block is lw[a:b], from the first to the last place where the
+	# letters or the indices differ; pw and target differ, so it is not empty
+	marked = [k for k in iw.keys() | it.keys() if iw.get(k, 0) != it.get(k, 0)]
+	a = min(marked + [_first_difference(lw, lt)])
+	b = max(marked + [len(lw) - 1 - _first_difference(lw[::-1], lt[::-1])]) + 1
+	bw, bt = ([(l[k], i.get(k, 0)) for k in range(a, b)] for l, i in ((lw, iw), (lt, it)))
+	if bw[-1] == bt[0] and bw[:-1] == bt[1:]:
 		# the last letter moves left, crossing the block from its right end
 		x = lw[b - 1]
 		crossings = zip(range(b - 2, a - 1, -1), reversed(lw[a:b - 1]))
-	elif lw[a] == lt[b - 1] and iw[a] == it[b - 1] and \
-			lw[a + 1:b] == lt[a:b - 1] and iw[a + 1:b] == it[a:b - 1]:
+	elif bw[0] == bt[-1] and bw[1:] == bt[:-1]:
 		# the first letter moves right, crossing the block from its left end
 		x = lw[a]
 		crossings = zip(range(a, b - 1), lw[a + 1:b])
@@ -361,9 +386,9 @@ def _swap_block(p, pw, target):
 	return steps
 
 
-def _first_difference(x, y, u, v):
-	'''The first k with (x[k], u[k]) != (y[k], v[k]), which must exist.'''
-	return next(compress(count(), map(or_, map(ne, x, y), map(ne, u, v))))
+def _first_difference(x, y):
+	'''The first k with x[k] != y[k], or len(x) when there is none.'''
+	return next(compress(count(), map(ne, x, y)), len(x))
 
 
 def project_step(p, w, s, h):
@@ -379,11 +404,7 @@ def project_step(p, w, s, h):
 
 def _project(p, marks, s, h, pw, pw2):
 	'''project_step on a regular word with these marks, given the pairs
-	pw = pi_h(w) and pw2 = pi_h(apply(w, s)).  On a word with no marks and
-	0 < h, pi_h deletes nothing, so any step but an insertion of index >= h
-	projects to itself.'''
-	if not marks and 0 < h and (s.kind != 'inf' or s.index < h):
-		return [s]
+	pw = pi_h(w) and pw2 = pi_h(apply(w, s)).'''
 	if s.kind == 'inf':
 		if s.index < h:
 			return [AugStep('inf', _below(marks, s.pos, h),
@@ -428,8 +449,10 @@ def eliminate_infinity(p, d):
 	'''Turn a valid {0,1,inf} derivation from w to the empty word into a
 	{0,1,2} derivation from w to the empty word (right-angled only).  The
 	input replays once on encoded words, which the lift checks itself
-	against; each stage replays once on pairs, checks each of its words for
-	regularity once, and projects each word once; the result is replayed.'''
+	against; each stage checks each of its words for regularity once and
+	projects each word once.  Projected steps are replayed on pairs while
+	an insertion is left; the last stage has none, so no marks: its steps
+	are made plain on the current letters, and that one replay checks them.'''
 	if not p.right_angled:
 		raise AugError('elimination requires a right-angled presentation')
 	for st in d.steps:
@@ -442,32 +465,38 @@ def eliminate_infinity(p, d):
 	steps, words = _lift(p, d, iter(plain))
 	stage = 'lifted'
 	while True:
-		for w in words:
+		for w in filter(itemgetter(1), words):  # a word with no marks is regular
 			ok, diag = _regular(p, *w)
 			if not ok:
 				raise AugError('%s word not regular: %s' % (stage, diag))
-		# type 0 relabels to an index already present and swaps permute, so
-		# the indices of every word are those of the start and the insertions
-		h = max([i for _, i in words[0][1]] + [s.index for s in steps if s.kind == 'inf'], default=0)
+		# the start has no marks, type 0 relabels to an index already present
+		# and swaps permute, so the indices of every word are the insertions'
+		h = max([s.index for s in steps if s.kind == 'inf'], default=0)
 		if h < 1:
 			break
 		# word k is the successor of step k - 1 and the source of step k:
 		# each word of the stage is projected once
-		projected, first = [], _drop(*words[0], h)
-		pw = first
+		projected, pw = [], words[0]
 		for w, w2, s in zip(words, words[1:], steps):
-			pw2 = _drop(*w2, h)
-			projected += _project(p, w[1], s, h, pw, pw2)
+			if w[1] or w2[1]:
+				pw2 = _drop(*w2, h)
+				projected += _project(p, w[1], s, h, pw, pw2)
+			else:  # no marks on either side: the step projects to itself
+				pw2 = w2
+				projected.append(s)
 			pw = pw2
-		words = _aug_words(p, first, projected)
 		steps, stage = projected, 'projected'
-	out = Derivation(tuple(d.start),
-		[_plain_step(p, w[0], s.kind, s.pos) for w, s in zip(words, steps)])
-	if any(st.kind == 'inf' for st in out.steps):
-		raise AugError('elimination left an insertion step')
-	if _end(p, start, out.steps):
+		words = (_aug_words(p, words[0], steps) if any(s.kind == 'inf' for s in steps)
+			else words[:1])
+	out, cur = [], start
+	for s in steps:
+		if s.kind == 'inf':
+			raise AugError('elimination left an insertion step')
+		out.append(_plain_step(p, cur, s.kind, s.pos))
+		cur = _apply_plain(p, cur, out[-1])
+	if cur:
 		raise AugError('eliminated derivation does not replay to empty')
-	return out
+	return Derivation(tuple(d.start), out)
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +508,17 @@ def raag_word_problem(p, w):
 	s^e ... s^-e whose enclosed letters all commute with s, commutes the
 	partner leftward, and cancels.'''
 	shuffled = _shuffle(p, w)
-	return None if shuffled is None else Derivation(tuple(w), shuffled[1])
+	return None if shuffled is None else Derivation(tuple(w), shuffled[0])
 
 
 def _shuffle(p, w):
-	'''raag_word_problem on w encoded: (encoded w, its steps, step index
-	-> encoded word before it for each type 2 step), or None.  Each step is
-	applied by rewrite._apply as it is made, which checks it.'''
+	'''raag_word_problem on w encoded: (its steps, step index -> encoded
+	words before and after it for each type 2 step), or None.  Each step
+	is applied by rewrite._apply as it is made, which checks it.'''
 	if not p.right_angled:
 		raise AugError('shuffle algorithm requires a right-angled presentation')
-	cur = start = p._encode(w)
-	steps, before = [], {}
+	cur = p._encode(w)
+	steps, twos = [], {}
 	while cur:
 		pair = _find_cancellable_pair(p, cur)
 		if pair is None:
@@ -498,13 +527,14 @@ def _shuffle(p, w):
 		for k in range(j - 1, i, -1):
 			step = _plain_step(p, cur,
 				'2' if (ord(cur[k]) ^ ord(cur[k + 1])) & 1 else '1', k)
+			nxt = _apply_plain(p, cur, step)
 			if step.kind != '1':
-				before[len(steps)] = cur
+				twos[len(steps)] = cur, nxt
 			steps.append(step)
-			cur = _apply_plain(p, cur, step)
+			cur = nxt
 		steps.append(_plain_step(p, cur, '0', i))
 		cur = _apply_plain(p, cur, steps[-1])
-	return start, steps, before
+	return steps, twos
 
 
 def _find_cancellable_pair(p, w):
@@ -522,19 +552,20 @@ def _find_cancellable_pair(p, w):
 
 def generate_01inf_derivation(p, w):
 	'''A {0,1,inf} derivation from w to the empty word, built from the
-	shuffle derivation by simulating every type 2 step.'''
+	shuffle derivation by simulating every type 2 step.  The shuffle has
+	applied each of its steps, and each simulation replays from the word
+	before its step to the word after it, so nothing is replayed again.'''
 	shuffled = _shuffle(p, w)
 	if shuffled is None:
 		raise AugError('word does not represent 1')
-	start, shuffle_steps, before = shuffled
+	shuffle_steps, twos = shuffled
 	steps = []
 	for k, s in enumerate(shuffle_steps):
-		if k in before:
-			steps.extend(_simulation(p, before[k], s))
+		if k in twos:
+			before, after = twos[k]
+			steps.extend(_simulation(p, before, s, after))
 		else:
 			steps.append(s)
-	if _end(p, start, steps):
-		raise AugError('simulated derivation does not replay to empty')
 	return Derivation(tuple(w), steps)
 
 

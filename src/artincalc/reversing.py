@@ -13,12 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import invert, word_to_positive, positive_to_word
+from .core import InputError, invert, word_to_positive, positive_to_word
 from .rewrite import Step, Derivation, _apply
 
 
 class ReversingError(ValueError):
 	pass
+
+
+class Blocked(ReversingError, InputError):
+	'''No relation reverses a pattern of the word: the presentation is not
+	of the spherical type that its caller declared.'''
 
 
 class BudgetReached(ReversingError):
@@ -75,7 +80,7 @@ def _converged(res, what):
 	if res.converged:
 		return res
 	if res.blocked:
-		raise ReversingError(res.blocked)
+		raise Blocked(res.blocked)
 	raise BudgetReached('%s reversal budget exhausted' % what)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import render_word, parse_word, invert
+from .core import InputError, render_word, parse_word, invert
 
 class StepError(ValueError):
 	pass
@@ -34,6 +34,10 @@ class StepError(ValueError):
 
 class FormatError(StepError):
 	'''A serialized step or derivation that is not well formed.'''
+
+
+class KindError(StepError, InputError):
+	'''Step kinds that a computation does not take.'''
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ def applicable_steps(p, w, kinds, inf_letters=None, inf_positions=None):
 	(position, kind, relation, split).  Kind 'inf' is an infinite family
 	and is only enumerated when an explicit letter list is supplied.'''
 	if 'inf' in kinds and inf_letters is None:
-		raise StepError("kind 'inf' requires an explicit inf_letters bound")
+		raise KindError("kind 'inf' requires an explicit inf_letters bound")
 	out = [Step(kind, pos, *fields)
 		for kind, pos, fields, _ in _successors(p, p._encode(w), kinds)]
 	if 'inf' in kinds:  # insertions last at each position, by a stable sort
@@ -342,14 +346,15 @@ def simulate_type2(p, w, s):
 	'''A derivation from w to apply_step(p, w, s) using only insertion,
 	type 1, and type 0 steps.  Used to manufacture {0,1,inf} derivations
 	when exercising the elimination algorithm.'''
-	return Derivation(w, _simulation(p, p._encode(w), s))
-
-
-def _simulation(p, w, s):
-	'''simulate_type2's steps on the encoded word w, checked by replay.'''
 	if s.kind not in ('2r', '2l'):
 		raise StepError('simulate_type2 needs a type 2 step')
-	want = _apply(p, w, s)  # also the applicability check
+	code = p._encode(w)  # applying s is also its applicability check
+	return Derivation(w, _simulation(p, code, s, _apply(p, code, s)))
+
+
+def _simulation(p, w, s, want):
+	'''simulate_type2's steps on the encoded word w, for a type 2 step s
+	that takes w to the encoded word want, checked by one replay.'''
 	l, r = p.relations[s.rel][::1 if s.orient == 'fwd' else -1]
 	steps = []
 	if s.kind == '2r':

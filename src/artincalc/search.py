@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .core import free_reduce
-from .rewrite import (Step, Derivation, StepError, _successors, dehn_steps,
+from .rewrite import (Step, Derivation, StepError, KindError, _successors, dehn_steps,
 	apply_dehn, unwind)
 
 
@@ -163,7 +163,7 @@ def is_dead(p, w, kinds):
 	'''True iff w is nonempty and eligible for no step of the given kinds
 	(insertions excluded by definition).'''
 	if 'inf' in kinds:
-		raise StepError('dead-word detection excludes insertions')
+		raise KindError('dead-word detection excludes insertions')
 	return bool(w) and next(_successors(p, p._encode(w), kinds), None) is None
 
 

@@ -292,7 +292,8 @@ def reference_is_regular(p, w):
 
 def reference_apply_aug_step(p, w, s):
 	'''apply_aug_step on words of triples, as first written, with the
-	position check that rewrite.apply_step makes.'''
+	position check and the insertion sign check that rewrite.apply_step
+	makes.'''
 	n = len(w)
 	if type(s.pos) is not int or s.pos < 0:
 		raise AugError('position %r out of range' % (s.pos,))
@@ -322,6 +323,8 @@ def reference_apply_aug_step(p, w, s):
 			raise AugError('insertion position out of range')
 		if s.index <= max((i for _, i, _ in w), default=-1):
 			raise AugError('insertion index %d not fresh' % s.index)
+		if type(s.sign) is not int or s.sign not in (1, -1):
+			raise AugError('insertion sign must be 1 or -1, got %r' % (s.sign,))
 		pair = ((s.letter, s.index, s.sign), (s.letter, s.index, -s.sign))
 		return w[:s.pos] + pair + w[s.pos:]
 	raise AugError('unknown augmented step kind %r' % s.kind)

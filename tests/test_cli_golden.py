@@ -129,6 +129,8 @@ CASES = {
 	'wp-spherical-json': ['wp-spherical', '-p', 'i24.txt', '-w', 'ababBABA', '--json'],
 	'wp-spherical-false-json': ['wp-spherical', '-p', 'a2.txt', '-w', 'abAB', '--json'],
 	'wp-spherical-budget': ['wp-spherical', '-p', 'cox120.txt', '-w', 'Ba' * 10 + 'aB' * 10],
+	# a presentation declared spherical whose reversing blocks: bad input
+	'wp-spherical-blocked': ['wp-spherical', '-p', 'fig2.txt', '-w', 'abAB'],
 
 	'wp-raag': ['wp-raag', '-p', 'ra3.txt', '-w', 'abcACB'],
 	'wp-raag-json': ['wp-raag', '-p', 'ra3.txt', '-w', 'abcACB', '--json'],
@@ -175,6 +177,7 @@ CASES = {
 	'lcm': ['lcm', '-p', 'a2.txt', '-u', 'a', '-v', 'b'],
 	'lcm-json': ['lcm', '-p', 'i24.txt', '-u', 'ab', '-v', 'ba', '--json'],
 	'lcm-u-before-v': ['lcm', '-p', 'a2.txt', '-u', 'A', '-v', 'x'],
+	'lcm-blocked': ['lcm', '-p', 'f2xf2.txt', '-u', 'ab', '-v', 'ba'],
 
 	'minimal': ['minimal', '-p', 'a2.txt', '-g', 'ab', '--s0', 'b'],
 	'minimal-json': ['minimal', '-p', 'a2.txt', '-g', 'ba', '--s0', 'b', '--json'],
@@ -225,6 +228,7 @@ CASES = {
 	'dead': ['dead', '-p', 'fig2.txt', '-w', 'ACdaBDcb'],
 	'dead-json': ['dead', '-p', 'a2.txt', '-w', 'ab', '--kinds', '0,2', '--json'],
 	'dead-word-before-kinds': ['dead', '-p', 'a2.txt', '-w', 'ax', '--kinds', 'zap'],
+	'dead-kind-inf': ['dead', '-p', 'a2.txt', '-w', 'ab', '--kinds', 'inf'],
 
 	'dehn': ['dehn', '-p', 'a2.txt', '-w', 'abaBAB'],
 	'dehn-json': ['dehn', '-p', 'a2.txt', '-w', 'ab', '--json'],

@@ -1,9 +1,12 @@
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from artincalc import (Presentation, CoxeterMatrix, artin_presentation,
 	parse_word, render_word, parse_positive, invert, free_reduce, validate,
-	parse_presentation_text)
+	parse_presentation_text, load_presentation)
 from artincalc.core import (WordError, PresentationError, alternating,
 	positive_to_word, word_to_positive, is_positive)
 
@@ -171,3 +174,19 @@ def test_parse_presentation_errors():
 		parse_presentation_text('gens: a b\nrel: abba\n')
 	with pytest.raises(PresentationError):
 		parse_presentation_text('gens: a b\nwhat is this\n')
+
+
+def test_readme_library_example_runs_anywhere(tmp_path, monkeypatch, capsys):
+	'''The README's library example, run in an empty directory, loads the
+	bundled a2.txt by its name and prints what the comments of its print
+	lines say, up to a semicolon.'''
+	readme = pathlib.Path(__file__).resolve().parent.parent / 'README.md'
+	section = readme.read_text(encoding='utf-8').split('## Library example', 1)[1]
+	code = section.split('```python\n', 1)[1].split('```', 1)[0]
+	want = [m.group(1).strip() for m in re.finditer(r'^print\(.*#([^;\n]*)', code, re.M)]
+	monkeypatch.chdir(tmp_path)
+	exec(compile(code, 'README.md', 'exec'), {})
+	assert want == ["('a',) ('b',)", 'True']
+	assert capsys.readouterr().out.splitlines() == want
+	with pytest.raises(FileNotFoundError, match='^no such presentation file: nowhere/a3.txt$'):
+		load_presentation('nowhere/a3.txt')

@@ -6,6 +6,7 @@ import pytest
 
 from artincalc import (parse_word, render_word, free_reduce, check_derivation,
 	applicable_steps, apply_step, Step, Derivation, right_reverse)
+from artincalc import rewrite, raag
 from artincalc.rewrite import StepError, derivation_words
 from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h,
 	to_aug, max_index, apply_aug_step, check_aug_derivation,
@@ -588,3 +589,137 @@ def test_one_code_table_across_calls():
 	d = Derivation(w, [Step('0', 1, sign=1), Step('0', 0, sign=-1)])
 	assert derivation_words(copy, d) == reference_derivation_words(copy, d)
 	assert len(copy._codes) == 8 and copy._codes['w', 1] == chr(6) != p._codes['w', 1]
+
+
+def test_aug_insertion_checks_match_reference():
+	'''An augmented insertion checks its sign by type, as rewrite._apply
+	does, with its wording and an AugError: sign 2 raised a WordError from
+	the code table, and True and -1.0 were inserted as 1 and -1.  A letter
+	outside the presentation is inserted, as the reference does, and as
+	test_one_code_table_across_calls needs.'''
+	with pytest.raises(AugError, match=r'^insertion sign must be 1 or -1, got 2$'):
+		apply_aug_step(RA2, (), AugStep('inf', 0, letter='a', index=1, sign=2))
+	rng = random.Random(139)
+	seen = dict.fromkeys(('sign error', 'inserted', 'outside letter', 'not fresh'), 0)
+	for p in (RA3, RA5):
+		for _ in range(300):
+			w = _random_aug_word(p, rng)
+			s = AugStep('inf', rng.randrange(-1, len(w) + 2),
+				letter=rng.choice(p.generators + ('z',)), index=max(max_index(w), 0) + rng.randrange(3),
+				sign=rng.choice((1, -1, 2, True, -1.0)))
+			got = _outcome(apply_aug_step, p, w, s)
+			assert got == _outcome(reference_apply_aug_step, p, w, s)
+			seen['sign error'] += got[1] == 'insertion sign must be 1 or -1, got %r' % (s.sign,)
+			seen['inserted'] += got[0] == 'ok'
+			seen['outside letter'] += got[0] == 'ok' and s.letter == 'z'
+			seen['not fresh'] += 'not fresh' in str(got[1])
+	assert min(seen.values()) >= 20, seen
+	# the lift applies the augmented insertion before the plain one, so
+	# its AugError comes first; elimination replays the input first
+	for sign in (2, True, -1.0):
+		d = Derivation((), [Step('inf', 0, letter='a', sign=sign)])
+		message = 'insertion sign must be 1 or -1, got %r' % (sign,)
+		assert _outcome(lift_derivation, RA2, d) == ('AugError', message)
+		assert _outcome(eliminate_infinity, RA2, d) == \
+			('StepError', 'step 0 inapplicable: ' + message)
+
+
+def test_replay_counts(monkeypatch):
+	'''Generation and elimination apply each step once where they can,
+	counted by wrapping rewrite._apply (raag._apply_plain is the same
+	function) and raag._apply.  Generation applies each shuffle step and
+	each simulated step once: no whole-derivation replay, and no second
+	application of a type 2 step.  The lift applies the augmented step
+	only to insertions and to steps on words with marks, and the last
+	stage is replayed only as plain steps.'''
+	counts = {'plain': 0, 'aug': 0}
+
+	def counted(name, apply):
+		def wrapped(*args):
+			counts[name] += 1
+			return apply(*args)
+		return wrapped
+	plain = counted('plain', rewrite._apply)
+	monkeypatch.setattr(rewrite, '_apply', plain)
+	monkeypatch.setattr(raag, '_apply_plain', plain)
+	monkeypatch.setattr(raag, '_apply', counted('aug', raag._apply))
+	p = random_right_angled(random.Random(5), 5)
+	w = random_trivial_word(p, random.Random(5), 420)
+	d = generate_01inf_derivation(p, w)
+	generated = dict(counts)
+	counts.update(plain=0, aug=0)
+	out = eliminate_infinity(p, d)
+	# 246 shuffle steps and 284 generated ones; replaying everything, as
+	# before, made 606 plain applications in generation, and 549 augmented
+	# and 530 plain ones in elimination
+	assert generated == {'plain': 303, 'aug': 0}
+	assert counts == {'plain': 284 + 246, 'aug': 76}
+	assert (len(raag_word_problem(p, w).steps), len(d.steps), len(out.steps)) == (246, 284, 246)
+
+
+def _corrupted(p, d, rng, k):
+	'''d with step k changed in one field: its kind, position, sign,
+	relation or letter.  A changed relation index stays one that
+	reference_lift can look up.'''
+	s = d.steps[k]
+	what = rng.choice(('kind', 'pos', 'sign', 'rel', 'letter'))
+	if what == 'kind':
+		s = dataclasses.replace(s, kind=rng.choice([x for x in ('0', '1', '2r', 'inf', 'x')
+			if x != s.kind]), rel=rng.randrange(len(p.relations)), orient='fwd', lv=1, lvp=1,
+			letter=s.letter or rng.choice(p.generators), sign=s.sign or rng.choice((1, -1)))
+	elif what == 'pos':
+		s = dataclasses.replace(s, pos=rng.choice((s.pos - 1, s.pos + 1, -1, 10**4, float(s.pos))))
+	elif what == 'sign':
+		s = dataclasses.replace(s, sign=rng.choice((-(s.sign or 1), 2, True, -1.0)))
+	elif what == 'rel':
+		s = dataclasses.replace(s, rel=rng.choice((-1, rng.randrange(len(p.relations)))),
+			orient=rng.choice(('fwd', 'bwd', 'x')))
+	else:
+		s = dataclasses.replace(s, letter=rng.choice(p.generators + ('z',)))
+	return Derivation(d.start, d.steps[:k] + [s] + d.steps[k + 1:]), what
+
+
+def test_lift_error_order_matches_reference():
+	'''Derivations corrupted at one step, before an insertion, at it,
+	inside its open span (where the words carry marks) and after it: the
+	lift, which passes steps of kind 0 and 1 on words without marks
+	through, and elimination give the references' steps or errors.'''
+	rng = random.Random(149)
+	seen = dict.fromkeys(('before', 'insertion', 'inside', 'after', 'kind', 'pos',
+		'sign', 'rel', 'letter', 'lift error', 'lift ok', 'elimination error'), 0)
+	made = 0
+	while made < 300:
+		p = random_right_angled(rng, rng.randrange(2, 6))
+		d = generate_01inf_derivation(p, random_trivial_word(p, rng, rng.randrange(6, 40)))
+		if rng.random() < 0.3:
+			d = _hoisted(p, d, rng) or d
+		words = aug_derivation_words(p, lift_derivation(p, d))
+		first = next((k for k, s in enumerate(d.steps) if s.kind == 'inf'), None)
+		if first is None or not p.relations:
+			continue
+		where = rng.choice(('before', 'insertion', 'inside', 'after'))
+		if where == 'insertion':
+			ks = [k for k, s in enumerate(d.steps) if s.kind == 'inf']
+		else:
+			marked = [k for k, s in enumerate(d.steps)
+				if s.kind != 'inf' and max_index(words[k]) > 0]
+			ks = {'before': [k for k in range(first) if d.steps[k].kind != 'inf'],
+				'inside': marked,
+				'after': [k for k in range(first + 1, len(d.steps))
+					if d.steps[k].kind != 'inf' and k not in marked]}[where]
+		if not ks:
+			continue
+		bad, what = _corrupted(p, d, rng, rng.choice(ks))
+		made += 1
+		seen[where] += 1
+		seen[what] += 1
+		lifted = _outcome(lift_derivation, p, bad)
+		assert lifted == _outcome(reference_lift, p, bad)
+		seen['lift ok' if lifted[0] == 'ok' else 'lift error'] += 1
+		got, want = _outcome(eliminate_infinity, p, bad), _outcome(reference_eliminate, p, bad)
+		if got[0] == 'ok' and want[0] == 'ok':
+			assert [s.to_json() for s in got[1].steps] == [s.to_json() for s in want[1].steps]
+		else:
+			assert got == want
+		seen['elimination error'] += got[0] != 'ok'
+	assert min(seen.values()) >= 20, seen
