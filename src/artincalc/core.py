@@ -60,19 +60,6 @@ def free_reduce(w):
 	return tuple(out)
 
 
-def step_factor(kind, a, b, sign=1, lv=None, lvp=None):
-	'''(factor, replacement) of a type 1, 2r or 2l step on the oriented
-	relation a = b; lv and lvp are |v| and |v'| for type 2.'''
-	if kind == '1':
-		src, dst = positive_to_word(a), positive_to_word(b)
-		return (src, dst) if sign != -1 else (invert(src), invert(dst))
-	if kind == '2r':
-		return (invert(positive_to_word(a[:lv])) + positive_to_word(b[:lvp]),
-			positive_to_word(a[lv:]) + invert(positive_to_word(b[lvp:])))
-	return (positive_to_word(a[-lv:]) + invert(positive_to_word(b[-lvp:])),
-		invert(positive_to_word(a[:-lv])) + positive_to_word(b[:-lvp]))
-
-
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -85,17 +72,16 @@ class Presentation:
 	gives no finiteness algorithm); right_angled and length_preserving
 	are computed.
 
-	The rule source below (_oriented, _type1, _boundaries, _dehn), of
-	size O(total relation length), answers every "which factor may a
-	relation rewrite" question; type 1, type 2 and Dehn steps are matched
-	in place from it.  Each piece is built on first use and cached on the
-	instance, and a copy made by dataclasses.replace starts afresh.  Step
-	order, and so the order of search results, is: relation index, then
-	'fwd' (the stored relation read lhs -> rhs) before 'bwd', then sign +1
-	before -1 (type 1), or |v| then |v'| ascending (type 2).  The pair
-	maps keep the first hit in that order: the lowest relation index wins,
-	and 'fwd' beats 'bwd'.  Dehn steps have an order of their own
-	(rewrite.dehn_steps).
+	The rule source, of size O(total relation length), answers every
+	"which factor may a relation rewrite" question, and type 1, type 2 and
+	Dehn steps are matched in place from it.  Its pieces are _oriented,
+	_type1, _boundaries and _dehn, with _swap on top of them.  Each is
+	built on first use and cached on the instance, and a copy made by
+	dataclasses.replace starts afresh.  Step order, and so the order of
+	search results, is: relation index, then 'fwd' (the stored relation
+	read lhs -> rhs) before 'bwd', then sign +1 before -1 (type 1), or |v|
+	then |v'| ascending (type 2); _swap keeps the first hit.  Dehn steps
+	have an order of their own (rewrite.dehn_steps).
 
 	Inside the search, step replay, reversing and the right-angled
 	pipeline a word is a string, one character per letter: generator i is
@@ -226,24 +212,6 @@ class Presentation:
 				out.setdefault(x, []).append((ri, orient, yy, t))
 		return out
 
-	def _pairs(self, end):
-		pairs = {}
-		for ri, orient, a, b in self._sides():
-			pairs.setdefault((a[end], b[end]), (ri, orient))
-		return pairs
-
-	@cached_property
-	def first_pairs(self):
-		'''(s, t) -> (rel, orient) of the first oriented relation whose
-		sides start with s and t: the right reversing step for s^-1 t.'''
-		return self._pairs(0)
-
-	@cached_property
-	def last_pairs(self):
-		'''(s, t) -> (rel, orient) of the first oriented relation whose
-		sides end with s and t: the left reversing step for s t^-1.'''
-		return self._pairs(-1)
-
 	@cached_property
 	def commuting_pairs(self):
 		'''Every (s, t) such that st = ts is a relation, either way round.'''
@@ -325,13 +293,8 @@ def artin_presentation(m, declared_spherical=False):
 	'''Presentation with one relation sts... = tst... (length m(s,t)) per
 	finite off-diagonal entry; infinite entries contribute no relation.'''
 	rels = []
-	done = set()
 	for i, s in enumerate(m.generators):
 		for t in m.generators[i + 1:]:
-			key = frozenset((s, t))
-			if key in done:
-				continue
-			done.add(key)
 			mm = m.get(s, t)
 			if mm is None:
 				continue

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import replace
 
 from .core import WordError, invert, positive_to_word
-from .rewrite import Derivation, unwind, _successors
+from .rewrite import Derivation, embed, unwind, _successors
 from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError, _converged
 
 DEFAULT_CAP = 100000
@@ -277,11 +276,11 @@ def coset_head_spherical(p, w, s0, validate_len=4):
 	frac = left_fraction(p, w)
 	g1, g2 = frac.denominator, frac.numerator
 	head, tail, strip_steps = _strip_with_path(p, g2, s0)
+	den, num = invert(positive_to_word(g1)), positive_to_word(g2)
 	# positions of the strip rewrites are offsets inside g2, which starts
 	# after the |g1| negative letters of the reversed word
-	offset = len(g1)
-	steps = frac.trace.steps + [replace(st, pos=st.pos + offset) for st in strip_steps]
-	v = invert(positive_to_word(g1)) + positive_to_word(head)
+	steps = frac.trace.steps + embed(den + num, len(g1), Derivation(num, strip_steps))
+	v = den + positive_to_word(head)
 	u = positive_to_word(tail)
 	trace = Derivation(tuple(w), steps)
 	_validate_minimality(p, v, s0, validate_len)

@@ -19,12 +19,13 @@ _replay on top of it.  apply_step, check_derivation and derivation_words
 encode their word once, run there and decode; reversing, the shuffle and
 the elimination in raag run there on the words they have already
 encoded.  A type 1 or 2 step is checked, and its encoded factor sliced
-from the sides of its relation, on every call (_rule).
+from the sides of its relation, on every call (_rule).  Step positions
+are shifted in one place, embed.
 '''
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import InputError, render_word, parse_word, invert
 
@@ -65,7 +66,7 @@ class Step:
 			d['orient'] = self.orient
 			if self.kind == '1':
 				d['sign'] = self.sign
-			elif not (1 <= self.lv <= 64 and 1 <= self.lvp <= 64):
+			elif not all(type(n) is int and 1 <= n <= 64 for n in (self.lv, self.lvp)):
 				raise StepError('split lengths %r, %r do not fit schema 1'
 					% (self.lv, self.lvp))
 			else:
@@ -146,7 +147,8 @@ def _rule(p, s):
 		if type(s.sign) is not int or s.sign not in (1, -1):
 			raise StepError('type 1 sign must be 1 or -1, got %r' % (s.sign,))
 		return (ai, bi) if s.sign == -1 else (a, b)
-	if not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
+	if not (type(s.lv) is int and type(s.lvp) is int
+			and 1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
 		raise StepError('bad type %s split' % s.kind)
 	if s.kind == '2l':  # the mirror image of 2r: each side swaps with its inverse
 		a, b, ai, bi = ai, bi, a, b
@@ -284,6 +286,14 @@ def _end(p, w, steps):
 	for w in _replay(p, w, steps):
 		pass
 	return w
+
+
+def embed(w, i, d):
+	'''The steps of d, a derivation of the factor of w at i, shifted to
+	act there; StepError when that factor is not d.start.'''
+	if i < 0 or tuple(w[i:i + len(d.start)]) != tuple(d.start):
+		raise StepError('sub-derivation start mismatch at %r' % (i,))
+	return [replace(s, pos=s.pos + i) for s in d.steps]
 
 
 def unwind(tree, start, end):

@@ -5,11 +5,11 @@ the translation of Dehn transformations into {0,1,2} derivations.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import free_reduce
 from .rewrite import (Step, Derivation, StepError, KindError, _successors, dehn_steps,
-	apply_dehn, unwind)
+	apply_dehn, embed, unwind)
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,8 @@ def dehn_to_special(p, w, ds):
 	'''A {0,1,2} derivation from w realizing one Dehn transformation,
 	available when every relation satisfies ||v| - |v'|| <= 2.  Uses the
 	direct cases (whole relation side -> one type 1; otherwise a search of
-	depth 3 on the factor); failure of the bounded search on an eligible
-	presentation is a hard error.'''
+	depth 3 on the factor) at ds.pos; a failed search on an eligible
+	presentation, or a factor not at ds.pos in w, is a hard error.'''
 	if any(abs(len(l) - len(r)) > 2 for l, r in p.relations):
 		raise StepError('presentation violates the length-2 hypothesis')
 	u, up = ds.factor, ds.replacement
@@ -197,11 +197,10 @@ def dehn_to_special(p, w, ds):
 	u_code, up_code = p._encode(u), p._encode(up)
 	for fac, new, fields in p._type1.get(u_code[:1], ()):
 		if u_code == fac and up_code == new:
-			return Derivation(tuple(w), [Step('1', ds.pos, *fields)])
+			return Derivation(tuple(w), embed(w, ds.pos, Derivation(u, [Step('1', 0, *fields)])))
 	limits = SearchLimits(max_steps=3, max_word_length=len(u) + 2)
 	out = bounded_derivation_search(p, u, up, {'0', '1', '2r', '2l'}, limits)
 	if out.result != 'found':
 		raise StepError('Dehn step admits no short {0,1,2} realization; '
 			'this contradicts the connection result for this presentation')
-	steps = [replace(s, pos=s.pos + ds.pos) for s in out.derivation.steps]
-	return Derivation(tuple(w), steps)
+	return Derivation(tuple(w), embed(w, ds.pos, out.derivation))

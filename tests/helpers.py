@@ -5,6 +5,7 @@ library without reusing its own machinery.
 '''
 
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -13,7 +14,7 @@ from collections import deque
 from artincalc import (parse_presentation_text, parse_word, parse_positive,
 	render_word, invert, free_reduce, Step, Derivation, applicable_steps,
 	apply_step, check_derivation)
-from artincalc.core import positive_to_word, step_factor
+from artincalc.core import positive_to_word
 from artincalc.rewrite import StepError, DehnStep
 from artincalc.raag import (AugError, AugStep, AugDerivation, phi, pi_h, to_aug,
 	max_index, apply_aug_step, aug_derivation_words)
@@ -416,17 +417,31 @@ def reference_project_step(p, w, s, h):
 	return steps
 
 
+@functools.cache
+def _reference_pairs(p):
+	'''(first, last): (s, t) -> (rel, orient) of the first oriented
+	relation, in step order, whose sides start (first) or end (last) with
+	s and t.'''
+	maps = ({}, {})
+	for ri, (l, r) in enumerate(p.relations):
+		for orient, a, b in (('fwd', l, r), ('bwd', r, l)):
+			maps[0].setdefault((a[0], b[0]), (ri, orient))
+			maps[1].setdefault((a[-1], b[-1]), (ri, orient))
+	return maps
+
+
 def _reference_plain_step(p, w, s):
 	if s.kind == '0':
 		return Step('0', s.pos, sign=w[s.pos][2])
 	(g1, _, e1), (g2, _, e2) = w[s.pos], w[s.pos + 1]
+	first, last = _reference_pairs(p)
 	if s.kind == '1':
 		pair = (g1, g2) if e1 == 1 else (g2, g1)
-		if pair in p.first_pairs:
-			ri, orient = p.first_pairs[pair]
+		if pair in first:
+			ri, orient = first[pair]
 			return Step('1', s.pos, rel=ri, orient=orient, sign=e1)
 	elif s.kind == '2':
-		kind, pairs = ('2r', p.first_pairs) if e1 == -1 else ('2l', p.last_pairs)
+		kind, pairs = ('2r', first) if e1 == -1 else ('2l', last)
 		if (g1, g2) in pairs:
 			ri, orient = pairs[g1, g2]
 			return Step(kind, s.pos, rel=ri, orient=orient, lv=1, lvp=1)
@@ -472,6 +487,19 @@ def reference_eliminate(p, d, validate=True):
 # (generator, sign) tuples, as they were before words were encoded, and the
 # shuffle word problem and its {0,1,inf} factory on top of them.
 
+def _reference_factor(kind, a, b, sign, lv, lvp):
+	'''(factor, replacement) of a type 1, 2r or 2l step on the oriented
+	relation a = b; lv and lvp are |v| and |v'| for type 2.'''
+	if kind == '1':
+		src, dst = positive_to_word(a), positive_to_word(b)
+		return (src, dst) if sign != -1 else (invert(src), invert(dst))
+	if kind == '2r':
+		return (invert(positive_to_word(a[:lv])) + positive_to_word(b[:lvp]),
+			positive_to_word(a[lv:]) + invert(positive_to_word(b[lvp:])))
+	return (positive_to_word(a[-lv:]) + invert(positive_to_word(b[-lvp:])),
+		invert(positive_to_word(a[:-lv])) + positive_to_word(b[:-lvp]))
+
+
 def reference_apply_step(p, w, s):
 	n = len(w)
 	if type(s.pos) is not int or s.pos < 0:
@@ -501,9 +529,10 @@ def reference_apply_step(p, w, s):
 		a, b = (l, r) if s.orient == 'fwd' else (r, l)
 		if s.kind == '1' and (type(s.sign) is not int or s.sign not in (1, -1)):
 			raise StepError('type 1 sign must be 1 or -1, got %r' % (s.sign,))
-		if s.kind != '1' and not (1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
+		if s.kind != '1' and not (type(s.lv) is int and type(s.lvp) is int
+				and 1 <= s.lv <= len(a) and 1 <= s.lvp <= len(b)):
 			raise StepError('bad type %s split' % s.kind)
-		factor, new = step_factor(s.kind, a, b, s.sign, s.lv, s.lvp)
+		factor, new = _reference_factor(s.kind, a, b, s.sign, s.lv, s.lvp)
 		if w[s.pos:s.pos + len(factor)] != factor:
 			raise StepError('type %s factor mismatch at %d' % (s.kind, s.pos))
 		return w[:s.pos] + new + w[s.pos + len(factor):]

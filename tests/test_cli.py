@@ -350,6 +350,52 @@ def test_cli_fuzz_exit_codes(text, word, command, step, undecodable):
 	assert code in (0, 1, 2, 64, 66), (argv, text, err.getvalue())
 
 
+# the subcommands that read no step or derivation: random presentation
+# files or the bundled ones, words over their letters or random text
+_BUNDLED = {'a2.txt': 'ab', 'i24.txt': 'ab', 'ra3.txt': 'abc', 'f2xf2.txt': 'abcd',
+	'fig2.txt': 'abcdef'}
+_OTHER = ['validate', 'reverse', 'fraction', 'wp-spherical', 'wp-raag', 'class', 'divisors',
+	'lcm', 'minimal', 'coset-head', 'cayley-trace', 'search', 'dead', 'paper-examples']
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), command=st.sampled_from(_OTHER),
+	bundled=st.one_of(st.none(), st.sampled_from(sorted(_BUNDLED))), text=_FILE,
+	s0=st.one_of(st.text('abcz, ', max_size=6), st.text(max_size=4)),
+	kinds=st.one_of(st.text('0122rlinf, ', max_size=8),
+		st.sampled_from(['0,1,2', '0,1,inf', '0,2', '2r', 'inf'])),
+	as_json=st.booleans(), extra=st.booleans(), visited=st.integers(0, 30))
+def test_cli_fuzz_other_subcommands(data, command, bundled, text, s0, kinds, as_json, extra,
+		visited):
+	# the other fourteen subcommands on random or bundled presentations,
+	# words, --s0 and --kinds text: a documented exit code, never a
+	# traceback or an internal error
+	letters = _BUNDLED.get(bundled, 'abc')
+	word = st.one_of(_WORD, st.text(letters + letters.upper(), max_size=8))
+	w, u, v = data.draw(word), data.draw(word), data.draw(word)
+	with tempfile.TemporaryDirectory() as d:
+		path = bundled or os.path.join(d, 'p.txt')
+		if not bundled:
+			with open(path, 'wb') as f:
+				f.write(text.encode('utf-8', 'surrogatepass'))
+		argv = [command] + ['-p', path] * (command != 'paper-examples') + {
+			'reverse': ['-w', w, '--side', 'left' if extra else 'right'],
+			'fraction': ['-w', w], 'wp-spherical': ['-w', w], 'wp-raag': ['-w', w],
+			'class': ['-w', w], 'divisors': ['-g', w], 'lcm': ['-u', u, '-v', v],
+			'minimal': ['-g', w, '--s0', s0], 'coset-head': ['-w', w, '--s0', s0],
+			'cayley-trace': ['-g', w, '-v', u] + (['--dot'] if extra else ['-w', v]),
+			'search': ['-w', w, '--target', u, '--kinds', kinds, '--max-visited', str(visited)],
+			'dead': ['-w', w, '--kinds', kinds]}.get(command, []) + ['--json'] * as_json
+		err = io.StringIO()
+		with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+			try:
+				climod.main(argv)
+				code = 0
+			except SystemExit as e:
+				code = e.code or 0
+	assert code in (0, 1, 2, 64, 66), (argv, text, err.getvalue())
+
+
 # derivation files: random text, and schema-shaped JSON whose steps are
 # drawn from the step kinds on small positions, letters and relations of
 # ra3.txt, so that some of them replay (to the empty word, sometimes)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from artincalc import (Presentation, Step, Derivation, applicable_steps, apply_step,
 	check_derivation, dehn_steps, apply_dehn, simulate_type2, parse_word,
-	render_word, invert, parse_presentation_text, right_reverse)
-from artincalc.rewrite import StepError, derivation_words
+	render_word, invert, parse_presentation_text, right_reverse, right_fraction)
+from artincalc.rewrite import StepError, derivation_words, embed
 from artincalc.core import positive_to_word
 
 from helpers import (A2, A3, I24, RA2, RA3, F2XF2, FIG2, SIDE1, MULTI, HomOracle,
@@ -485,10 +485,9 @@ def test_step_fields_checked_by_type_and_per_presentation():
 		with pytest.raises(StepError, match='^%s$' % msg.replace('.', r'\.')):
 			apply_step(RA3, w, s)
 	r2l = Step('2l', 0, rel=0, orient='fwd', lv=1, lvp=1)
-	with pytest.raises(TypeError):
-		apply_step(A2, parse_word('aB', A2), dataclasses.replace(r2l, lv=1.0))
-	assert apply_step(A2, parse_word('aB', A2), dataclasses.replace(r2l, lv=True)) == \
-		apply_step(A2, parse_word('aB', A2), r2l)
+	for lv in (1.0, True):
+		with pytest.raises(StepError, match='^bad type 2l split$'):
+			apply_step(A2, parse_word('aB', A2), dataclasses.replace(r2l, lv=lv))
 	s = Step('1', 0, rel=0, orient='fwd', sign=1)
 	copy = dataclasses.replace(RA2, declared_spherical=not RA2.declared_spherical)
 	assert apply_step(RA2, parse_word('ab', RA2), s) == parse_word('ba', RA2)
@@ -504,3 +503,49 @@ def test_step_fields_checked_by_type_and_per_presentation():
 		Step('0', 0, sign=1)])) == ()
 	assert apply_step(RA2, z, Step('inf', 4, letter='b', sign=-1)) == \
 		z + (('b', -1), ('b', 1))
+
+
+def test_type2_split_lengths_checked_by_type():
+	# a split length that is not an int is a malformed step: the step core,
+	# the type 2 simulation, schema 1 and the test reference raise StepError
+	w = parse_word('Ba', A2)
+	good = Step('2r', 0, rel=0, orient='bwd', lv=1, lvp=1)
+	assert apply_step(A2, w, good) == reference_apply_step(A2, w, good) == \
+		parse_word('abAB', A2)
+	assert check_derivation(A2, simulate_type2(A2, w, good)) == apply_step(A2, w, good)
+	assert Step.from_json(good.to_json()) == good
+	for bad in (None, True, 1.0, '1'):
+		for s in (dataclasses.replace(good, lv=bad), dataclasses.replace(good, lvp=bad)):
+			for run in (apply_step, simulate_type2, reference_apply_step):
+				with pytest.raises(StepError, match='^bad type 2r split$'):
+					run(A2, w, s)
+			with pytest.raises(StepError, match='do not fit schema 1'):
+				s.to_json()
+
+
+def test_embed_checks_the_factor():
+	d = Derivation(parse_word('aba', A2), [Step('1', 0, rel=0, orient='fwd', sign=1)])
+	w = parse_word('abab', A2)
+	assert embed(w, 0, d) == d.steps
+	assert embed(parse_word('Baba', A2), 1, d) == [Step('1', 1, rel=0, orient='fwd', sign=1)]
+	assert embed(w, 1, Derivation((), [])) == []
+	# w[-4:-1] is the factor, but a position counts from the start
+	for i in (1, 2, 5, -1, -4):
+		with pytest.raises(StepError, match='start mismatch'):
+			embed(w, i, d)
+
+
+@pytest.mark.parametrize('p', [A2, I24, A3], ids=['A2', 'I24', 'A3'])
+def test_embed_reverses_a_factor(p):
+	# reversing on a factor: the right fraction's trace of w[i:j], embedded
+	# at i, replays from w to w[:i] + N D^-1 + w[j:]
+	rng = random.Random(1800)
+	for _ in range(80):
+		w = random_word(p, rng, rng.randint(1, 12))
+		i = rng.randrange(len(w))
+		j = rng.randint(i + 1, len(w))
+		f = right_fraction(p, w[i:j])
+		nd = positive_to_word(f.numerator) + invert(positive_to_word(f.denominator))
+		steps = embed(w, i, f.trace)
+		assert [s.pos - i for s in steps] == [s.pos for s in f.trace.steps]
+		assert check_derivation(p, Derivation(w, steps)) == w[:i] + nd + w[j:]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from artincalc import (parse_word, render_word, free_reduce, check_derivation,
 from artincalc.rewrite import StepError
 from artincalc.search import (SearchLimits, bounded_derivation_search, is_dead,
 	dehn_run, dehn_to_special)
-from artincalc.rewrite import dehn_steps, applicable_steps, apply_step, _successors
+from artincalc.rewrite import (dehn_steps, apply_dehn, applicable_steps, apply_step,
+	_successors)
 from artincalc import search as search_module
 
 from helpers import (A2, I24, RA2, RA3, FIG2, FREE2, SIDE1, MULTI, HomOracle,
@@ -319,3 +321,21 @@ def test_dehn_to_special_length_hypothesis():
 		pos, factor, replacement = 0, w, (('b', 1),)
 	with pytest.raises(StepError, match='length-2'):
 		dehn_to_special(bad, w, FakeDehn)
+
+
+def test_dehn_to_special_checks_the_factor_position():
+	# a Dehn step whose factor is not at its position in the word raises
+	# StepError, by the whole-side shortcut and by the factor search alike
+	shortcut, taken = make('gens: a b c\nrel: aab = c'), 0
+	for p, text in ((A2, 'baBAbaBA'), (A2, 'abaBABab'), (I24, 'abaBABAbab'), (RA2, 'abABab'),
+			(shortcut, 'caabcaab')):
+		w = parse_word(text, p)
+		for ds in dehn_steps(p, w):
+			d = dehn_to_special(p, w, ds)
+			assert check_derivation(p, d) == apply_dehn(w, ds)
+			taken += p is shortcut and [s.kind for s in d.steps] == ['1']
+			for pos in range(len(w) + 1):
+				if w[pos:pos + len(ds.factor)] != ds.factor:
+					with pytest.raises(StepError, match='start mismatch'):
+						dehn_to_special(p, w, dataclasses.replace(ds, pos=pos))
+	assert taken

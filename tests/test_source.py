@@ -69,3 +69,39 @@ def test_one_code_table_per_presentation():
 					for x in a.posonlyargs + a.args + a.kwonlyargs if x.arg == 'codes']
 	from artincalc.core import Presentation
 	assert SRC.is_dir() and not params and not hasattr(Presentation, '_fresh_codes')
+
+
+def test_positions_shift_only_in_embed():
+	# a derivation of a factor is placed in the whole word by rewrite.embed
+	# alone: no other replace(..., pos=...) shifts step positions by hand
+	found, inside = [], 0
+	for path in sorted(SRC.glob('*.py')):
+		tree = ast.parse(path.read_text(encoding='utf-8'))
+		skip = {id(n) for f in tree.body if path.name == 'rewrite.py'
+			and isinstance(f, ast.FunctionDef) and f.name == 'embed' for n in ast.walk(f)}
+		for node in ast.walk(tree):
+			if isinstance(node, ast.Call) and 'replace' in (getattr(node.func, 'id', None),
+					getattr(node.func, 'attr', None)) and any(k.arg == 'pos' for k in node.keywords):
+				if id(node) in skip:
+					inside += 1
+				else:
+					found.append('%s:%d' % (path.name, node.lineno))
+	assert not found and inside == 1
+
+
+def test_presentation_keeps_only_what_is_read():
+	# every attribute Presentation defines, dunders aside, is read somewhere
+	# under src/artincalc outside its own definition
+	core = ast.parse((SRC / 'core.py').read_text(encoding='utf-8'))
+	cls = next(n for n in core.body if isinstance(n, ast.ClassDef) and n.name == 'Presentation')
+	defined = {(n.name if isinstance(n, ast.FunctionDef) else n.target.id): n
+		for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AnnAssign))}
+	reads = []
+	for path in sorted(SRC.glob('*.py')):
+		tree = core if path.name == 'core.py' else ast.parse(path.read_text(encoding='utf-8'))
+		reads += [(tree, n) for n in ast.walk(tree)
+			if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+	unread = [name for name, d in defined.items() if not name.startswith('__')
+		and not any(n.attr == name and not (tree is core and d.lineno <= n.lineno <= d.end_lineno)
+			for tree, n in reads)]
+	assert len(defined) > 10 and not unread
