@@ -20,7 +20,7 @@ import sys
 import click
 
 from .core import (InputError, WordError, load_presentation, parse_word,
-	parse_positive, positive_to_word, invert, render_word, validate as validate_p)
+	parse_positive, render_word, validate as validate_p)
 from .rewrite import (Step, Derivation, StepError, FormatError, applicable_steps,
 	apply_step, derivation_words)
 from .reversing import (ReversingError, BudgetReached, right_reverse, left_reverse,
@@ -184,13 +184,8 @@ def fraction(p, word):
 	'''Right fraction n d^-1 of a word, via left then right reversing.'''
 	f = right_fraction(p, word)
 	num, den = _pfmt(f.numerator), _pfmt(f.denominator)
-	return {'numerator': num, 'denominator': den, 'trace': f.trace.to_json(p, _end(f))}, \
+	return {'numerator': num, 'denominator': den, 'trace': f.trace.to_json(p, f.end)}, \
 		'numerator: %s\ndenominator: %s' % (num, den), 0
-
-
-def _end(f):
-	'''The word n d^-1 a fraction's trace ends at.'''
-	return positive_to_word(f.numerator) + invert(positive_to_word(f.denominator))
 
 
 @_command('wp-spherical', spherical=True, word=parse_word)
@@ -200,7 +195,7 @@ def wp_spherical(p, word):
 	asserts the presentation is of spherical type.)'''
 	# the trace ends at the fraction n d^-1, so it is not replayed
 	trivial, f = _spherical_fraction(p, word)
-	return lambda: {'trivial': trivial, 'trace': f.trace.to_json(p, _end(f))}, \
+	return lambda: {'trivial': trivial, 'trace': f.trace.to_json(p, f.end)}, \
 		str(trivial).lower(), 0 if trivial else 1
 
 
@@ -254,7 +249,7 @@ def fuzz_raag(gens, seed, count):
 def class_(p, word):
 	'''Equivalence class of a positive word under the relations.'''
 	members = [_pfmt(m) for m in sorted(equiv_class(p, word))]
-	return {'canonical': members[0], 'members': members}, '\n'.join(members), 0
+	return {'canonical': _pfmt(canonical(p, word)), 'members': members}, '\n'.join(members), 0
 
 
 @_command('divisors', element=parse_positive)
@@ -265,7 +260,7 @@ def divisors(p, element):
 	return divs, '\n'.join(divs + ['%d divisor(s)' % len(divs)]), 0
 
 
-@_command('lcm', spherical=True, u=parse_positive, v=parse_positive)
+@_command('lcm', u=parse_positive, v=parse_positive)
 @click.option('-u', required=True, help='positive word')
 @click.option('-v', required=True, help='positive word')
 def lcm(p, u, v):
@@ -324,9 +319,12 @@ def cayley_trace(p, element, vertex, word, as_dot):
 @click.option('-w', '--word', required=True)
 @click.option('--target', default='', show_default=True)
 @click.option('--kinds', default='0,1,2', show_default=True)
-@click.option('--max-steps', default=20, show_default=True, type=click.IntRange(0))
-@click.option('--max-len', default=24, show_default=True, type=click.IntRange(0))
-@click.option('--max-ins', default=4, show_default=True, type=click.IntRange(0))
+@click.option('--max-steps', default=SearchLimits.max_steps, show_default=True,
+	type=click.IntRange(0))
+@click.option('--max-len', default=SearchLimits.max_word_length, show_default=True,
+	type=click.IntRange(0))
+@click.option('--max-ins', default=SearchLimits.max_insertions, show_default=True,
+	type=click.IntRange(0))
 @click.option('--max-visited', default=SearchLimits.max_visited, show_default=True,
 	type=click.IntRange(0), help='nodes expanded before giving up')
 def search(p, word, target, kinds, max_steps, max_len, max_ins, max_visited):

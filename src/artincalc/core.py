@@ -118,11 +118,6 @@ class Presentation:
 	def fingerprint(self):
 		return repr((self.generators, self.relations))
 
-	def _sides(self):
-		for ri, (l, r) in enumerate(self.relations):
-			yield ri, 'fwd', l, r
-			yield ri, 'bwd', r, l
-
 	@cached_property
 	def _codes(self):
 		return _Codes({(g, e): chr(2 * i + (e < 0))
@@ -202,11 +197,11 @@ class Presentation:
 	@cached_property
 	def _dehn(self):
 		'''Letter -> (rel, orient, y + y, t) for every place t of it in the
-		cyclic word y = b^-1 a of each oriented relation a = b, in _sides
+		cyclic word y = b^-1 a of each oriented relation a = b, in _oriented
 		order: y is stored twice over, so a cyclic factor is a slice.'''
 		out = {}
-		for ri, orient, a, b in self._sides():
-			y = invert(positive_to_word(b)) + positive_to_word(a)
+		for (ri, orient), (a, _, _, bi) in self._oriented.items():
+			y = self._decode(bi + a)
 			yy = y + y
 			for t, x in enumerate(y):
 				out.setdefault(x, []).append((ri, orient, yy, t))
@@ -215,8 +210,8 @@ class Presentation:
 	@cached_property
 	def commuting_pairs(self):
 		'''Every (s, t) such that st = ts is a relation, either way round.'''
-		return frozenset((a[0], a[1]) for _, _, a, b in self._sides()
-			if len(a) == 2 and b == (a[1], a[0]))
+		return frozenset(side for l, r in self.relations if len(l) == 2 and r == l[::-1]
+			for side in (l, r))
 
 
 _FIELDS = {}  # (rel, orient, sign) -> type 1 step fields, shared by all presentations

@@ -180,14 +180,12 @@ def left_divisors(p, g):
 
 
 def right_divides(p, d, g):
-	'''True iff some class member of g has a suffix equivalent to d.'''
-	d, g = tuple(d), tuple(g)
-	if len(d) > len(g):
-		return False if p.length_preserving else any(
-			m[len(m) - len(d):] in equiv_class(p, d)
-			for m in equiv_class(p, g) if len(m) >= len(d))
-	dcls = equiv_class(p, d)
-	return any(m[len(m) - len(d):] in dcls for m in equiv_class(p, g))
+	'''True iff some class member of g has a suffix equivalent to d.  The
+	suffixes of length |d| are enough (if g = x d' with d' ~ d, then x d is
+	a member), and d's class is closed only once there is one.'''
+	d = tuple(d)
+	ends = [m[len(m) - len(d):] for m in equiv_class(p, g) if len(m) >= len(d)]
+	return bool(ends) and not equiv_class(p, d).isdisjoint(ends)
 
 
 def right_lcm(p, u, v, budget=10000):
@@ -218,11 +216,10 @@ def brute_right_lcm(p, u, v):
 
 
 def right_is_multiple(p, w, u):
-	'''True iff u left-divides w.'''
-	if len(u) > len(w):
-		return False
-	ucls = equiv_class(p, u)
-	return any(m[:len(u)] in ucls for m in equiv_class(p, w))
+	'''True iff u left-divides w: right_divides, with prefixes.'''
+	u = tuple(u)
+	heads = [m[:len(u)] for m in equiv_class(p, w) if len(m) >= len(u)]
+	return bool(heads) and not equiv_class(p, u).isdisjoint(heads)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +271,12 @@ def coset_head_spherical(p, w, s0, validate_len=4):
 		raise ReversingError('presentation not declared spherical')
 	s0 = set(s0)
 	frac = left_fraction(p, w)
-	g1, g2 = frac.denominator, frac.numerator
-	head, tail, strip_steps = _strip_with_path(p, g2, s0)
-	den, num = invert(positive_to_word(g1)), positive_to_word(g2)
+	head, tail, strip_steps = _strip_with_path(p, frac.numerator, s0)
 	# positions of the strip rewrites are offsets inside g2, which starts
-	# after the |g1| negative letters of the reversed word
-	steps = frac.trace.steps + embed(den + num, len(g1), Derivation(num, strip_steps))
-	v = den + positive_to_word(head)
+	# after the |g1| negative letters of the reversed word g1^-1 g2
+	k = len(frac.denominator)
+	steps = frac.trace.steps + embed(frac.end, k, Derivation(frac.end[k:], strip_steps))
+	v = frac.end[:k] + positive_to_word(head)
 	u = positive_to_word(tail)
 	trace = Derivation(tuple(w), steps)
 	_validate_minimality(p, v, s0, validate_len)

@@ -321,8 +321,6 @@ def _regular(p, letters, marks):
 	'''is_regular on a pair, read off the marks: the letters a pair
 	encloses, less those of a larger index, are checked by stripping the
 	commuting codes, and the first letter left is the diagnosis.'''
-	if not marks:  # every index 0: no pair to check
-		return True, 'regular'
 	pairs = {}
 	for k, i in marks:
 		if i > 0:

@@ -121,6 +121,7 @@ class Fraction:
 	denominator: tuple
 	side: str
 	trace: Derivation
+	end: tuple  # the word the trace ends at: n d^-1 (right) or d^-1 n (left)
 
 
 def right_fraction(p, w, budget=10000):
@@ -131,7 +132,7 @@ def right_fraction(p, w, budget=10000):
 	rr = _converged(right_reverse(p, lr.word, budget), 'right')
 	num, den = split_pos_neg(rr.word)
 	trace = Derivation(tuple(w), lr.trace.steps + rr.trace.steps)
-	return Fraction(num, den, 'right', trace)
+	return Fraction(num, den, 'right', trace, rr.word)
 
 
 def left_fraction(p, w, budget=10000):
@@ -139,7 +140,7 @@ def left_fraction(p, w, budget=10000):
 	numerator g2) as the left fraction of w.'''
 	lr = _converged(left_reverse(p, w, budget), 'left')
 	den, num = split_neg_pos(lr.word)
-	return Fraction(num, den, 'left', lr.trace)
+	return Fraction(num, den, 'left', lr.trace, lr.word)
 
 
 def word_problem_spherical(p, w):

@@ -49,18 +49,18 @@ class Step:
 	orient: str = None  # 'fwd' or 'bwd'
 	lv: int = None      # |v|  (type 2)
 	lvp: int = None     # |v'| (type 2)
-	letter: str = None  # type 0 / inf
+	letter: str = None  # inf
 	sign: int = None    # type 0 / inf pair order; type 1 inverse-factor flag
 
 	def to_json(self):
 		d = {'pos': self.pos}
-		if self.kind == '0':
+		if self.kind == '0' and self.sign in (1, -1):
 			d['kind'] = '0r' if self.sign == 1 else '0l'
 		elif self.kind == 'inf':
 			d['kind'] = 'inf'
 			d['letter'] = self.letter
 			d['sign'] = self.sign
-		else:
+		elif self.kind in ('1', '2r', '2l'):
 			d['kind'] = self.kind
 			d['rel'] = self.rel
 			d['orient'] = self.orient
@@ -72,6 +72,8 @@ class Step:
 			else:
 				# the schema carries a single split index; pack both lengths
 				d['split'] = (self.lv - 1) * 64 + (self.lvp - 1)
+		else:  # an unknown kind, or a type 0 sign that reads back as another
+			raise StepError('step %r does not fit schema 1' % (self,))
 		return d
 
 	@classmethod

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from artincalc import cli as climod
 from artincalc import parse_word, Derivation, check_derivation
+from artincalc.core import load_presentation
 from artincalc.examples import data_path
+from artincalc.monoid import canonical
 
 from helpers import RA2
 
@@ -476,3 +478,16 @@ def test_cli_fuzz_derivation_files(data, command, presentation):
 			except SystemExit as e:
 				code = e.code or 0
 	assert code in (0, 1, 2, 64, 66), (argv, data, err.getvalue())
+
+
+def test_class_canonical_is_the_least_in_the_generator_order(capsys, tmp_path):
+	# with b before a, ab and ba are one element whose canonical word is ba,
+	# as monoid.canonical and divisors give it; the members stay sorted
+	path = tmp_path / 'ba.txt'
+	path.write_text('gens: b a\nrel: ab = ba\n')
+	code, out = run(capsys, 'class', '-p', str(path), '-w', 'ab', '--json')
+	assert code == 0 and json.loads(out) == {'canonical': 'ba', 'members': ['ab', 'ba']}
+	code, out = run(capsys, 'divisors', '-p', str(path), '-g', 'ab', '--json')
+	assert 'ba' in json.loads(out) and 'ab' not in json.loads(out)
+	p = load_presentation(str(path))
+	assert canonical(p, ('a', 'b')) == ('b', 'a')

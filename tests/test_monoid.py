@@ -19,7 +19,7 @@ from artincalc.monoid import (equiv_class, canonical, pos_equal, rewrite_path,
 from artincalc.reversing import ReversingError
 from artincalc.cayley import divisor_fragment
 
-from helpers import (A2, A3, I24, RA2, RA3, FIG2, FREE2, make, brute_class,
+from helpers import (A2, A3, I24, RA2, RA3, FIG2, FREE2, SIDE1, make, brute_class,
 	brute_pos_equal, all_positive_words, random_positive, reference_rewrite_path)
 
 
@@ -357,3 +357,21 @@ def test_rewrite_path_matches_reference():
 			cls = sorted(equiv_class(p, u))
 			for v in rng.sample(cls, min(3, len(cls))):
 				assert rewrite_path(p, u, v) == reference_rewrite_path(p, u, v), (p.relations, u, v)
+
+
+@pytest.mark.parametrize('p', [SIDE1,
+	make('gens: a b c\nrel: ab = ba\nrel: bc = cb\nrel: aab = c')], ids=['a=bb', 'aab=c'])
+def test_division_on_either_side_where_relations_change_length(p):
+	# the oracle takes a prefix or suffix of any length of any member, so a
+	# divisor longer than the word divides it where a relation shortens it
+	words = [w for n in range(4) for w in all_positive_words(p, n)]
+	longer = 0
+	for w in words:
+		cls = equiv_class(p, w)
+		for u in words + list(all_positive_words(p, 4)):
+			left = any(pos_equal(p, m[:k], u) for m in cls for k in range(len(m) + 1))
+			right = any(pos_equal(p, m[k:], u) for m in cls for k in range(len(m) + 1))
+			assert right_is_multiple(p, w, u) == left, (w, u)
+			assert right_divides(p, u, w) == right, (u, w)
+			longer += left and len(u) > len(w)
+	assert longer > 0

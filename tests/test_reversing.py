@@ -12,7 +12,7 @@ from artincalc.reversing import (ReversingError, BudgetReached, split_neg_pos,
 from artincalc.core import positive_to_word
 from artincalc.rewrite import derivation_words
 
-from helpers import (A2, I24, RA2, RA3, F2XF2, FIG2, FREE2, HomOracle,
+from helpers import (A2, A3, I24, RA2, RA3, F2XF2, FIG2, FREE2, HomOracle,
 	random_word, random_positive, brute_pos_equal, all_positive_words)
 
 
@@ -250,3 +250,18 @@ def test_left_reverse_is_mirrored_right_reverse():
 				sign=-s.sign if s.sign else None)
 				for s, n in zip(left.trace.steps, lengths)]
 			assert right.trace.steps == mirrored
+
+
+@pytest.mark.parametrize('p', [A2, I24, A3], ids=['A2', 'I24', 'A3'])
+def test_fraction_end_is_where_its_trace_ends(p):
+	# Fraction.end is the word the trace replays to, and it splits back
+	# into the fraction: n d^-1 on the right, d^-1 n on the left
+	rng = random.Random(1901)
+	for _ in range(60):
+		w = random_word(p, rng, rng.randrange(0, 12))
+		f = right_fraction(p, w)
+		assert check_derivation(p, f.trace) == f.end
+		assert split_pos_neg(f.end) == (f.numerator, f.denominator)
+		f = left_fraction(p, w)
+		assert check_derivation(p, f.trace) == f.end
+		assert split_neg_pos(f.end) == (f.denominator, f.numerator)

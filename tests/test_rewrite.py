@@ -9,7 +9,7 @@ from artincalc import (Presentation, Step, Derivation, applicable_steps, apply_s
 	check_derivation, dehn_steps, apply_dehn, simulate_type2, parse_word,
 	render_word, invert, parse_presentation_text, right_reverse, right_fraction)
 from artincalc.rewrite import StepError, derivation_words, embed
-from artincalc.core import positive_to_word
+from artincalc.core import load_presentation, positive_to_word
 
 from helpers import (A2, A3, I24, RA2, RA3, F2XF2, FIG2, SIDE1, MULTI, HomOracle,
 	make, random_word, reference_apply_step, reference_derivation_words,
@@ -549,3 +549,22 @@ def test_embed_reverses_a_factor(p):
 		steps = embed(w, i, f.trace)
 		assert [s.pos - i for s in steps] == [s.pos for s in f.trace.steps]
 		assert check_derivation(p, Derivation(w, steps)) == w[:i] + nd + w[j:]
+
+
+def test_step_json_writes_only_steps_that_read_back_as_themselves():
+	# every step the bundled presentations list, insertions included, reads
+	# back as itself; '0l' reads back with sign -1, so a type 0 step of
+	# another sign, like a kind outside the five, has no schema 1 form
+	rng = random.Random(1900)
+	kinds, seen = {'0', '1', '2r', '2l', 'inf'}, set()
+	for name in ('a2.txt', 'i24.txt', 'ra3.txt', 'f2xf2.txt', 'fig2.txt'):
+		p = load_presentation(name)
+		for _ in range(40):
+			w = random_word(p, rng, rng.randint(0, 8))
+			for s in applicable_steps(p, w, kinds, inf_letters=p.generators[:2]):
+				assert Step.from_json(s.to_json()) == s, (name, s)
+				seen.add(s.kind)
+	assert seen == kinds
+	for s in (Step('0', 0), Step('0', 0, sign=2), Step('x', 0, lv=1, lvp=1)):
+		with pytest.raises(StepError, match='does not fit schema 1'):
+			s.to_json()

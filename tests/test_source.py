@@ -105,3 +105,20 @@ def test_presentation_keeps_only_what_is_read():
 		and not any(n.attr == name and not (tree is core and d.lineno <= n.lineno <= d.end_lineno)
 			for tree, n in reads)]
 	assert len(defined) > 10 and not unread
+
+
+def test_cli_search_defaults_come_from_search_limits():
+	# the limit options of search read their defaults from SearchLimits, so
+	# the CLI keeps no second copy of them
+	tree = ast.parse((SRC / 'cli.py').read_text(encoding='utf-8'))
+	fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == 'search')
+	defaults = {}
+	for dec in fn.decorator_list:
+		if isinstance(dec, ast.Call) and getattr(dec.func, 'attr', None) == 'option':
+			kw = {k.arg: k.value for k in dec.keywords}
+			defaults[dec.args[0].value] = kw.get('default')
+	limits = ('--max-steps', '--max-len', '--max-ins', '--max-visited')
+	assert all(isinstance(defaults[o], ast.Attribute) and defaults[o].value.id == 'SearchLimits'
+		for o in limits)
+	assert isinstance(defaults['--target'], ast.Constant)
+	assert isinstance(defaults['--kinds'], ast.Constant)
