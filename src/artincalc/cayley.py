@@ -123,7 +123,7 @@ def non_reachability_certificate(p, g, v, w, w2):
 	return None
 
 
-def to_dot(f, p=None):
+def to_dot(f, p):
 	'''Graph text export for external rendering.'''
 	def name(v):
 		return '"%s"' % (render_word(positive_to_word(v), p) or '1')

@@ -20,7 +20,7 @@ import sys
 import click
 
 from .core import (InputError, WordError, load_presentation, parse_word,
-	parse_positive, render_word, validate as validate_p)
+	parse_positive, positive_to_word, render_word, validate as validate_p)
 from .rewrite import (Step, Derivation, StepError, FormatError, applicable_steps,
 	apply_step, derivation_words)
 from .reversing import (ReversingError, BudgetReached, right_reverse, left_reverse,
@@ -82,8 +82,8 @@ def _fmt(w, p):
 	return render_word(w, p) or 'e'
 
 
-def _pfmt(u):
-	return ''.join(u) or 'e'
+def _pfmt(u, p):
+	return _fmt(positive_to_word(u), p)
 
 
 @click.group()
@@ -183,7 +183,7 @@ def reverse(p, word, side):
 def fraction(p, word):
 	'''Right fraction n d^-1 of a word, via left then right reversing.'''
 	f = right_fraction(p, word)
-	num, den = _pfmt(f.numerator), _pfmt(f.denominator)
+	num, den = _pfmt(f.numerator, p), _pfmt(f.denominator, p)
 	return {'numerator': num, 'denominator': den, 'trace': f.trace.to_json(p, f.end)}, \
 		'numerator: %s\ndenominator: %s' % (num, den), 0
 
@@ -248,15 +248,15 @@ def fuzz_raag(gens, seed, count):
 @click.option('-w', '--word', required=True, help='positive word')
 def class_(p, word):
 	'''Equivalence class of a positive word under the relations.'''
-	members = [_pfmt(m) for m in sorted(equiv_class(p, word))]
-	return {'canonical': _pfmt(canonical(p, word)), 'members': members}, '\n'.join(members), 0
+	members = [_pfmt(m, p) for m in sorted(equiv_class(p, word))]
+	return {'canonical': _pfmt(canonical(p, word), p), 'members': members}, '\n'.join(members), 0
 
 
 @_command('divisors', element=parse_positive)
 @click.option('-g', '--element', required=True, help='positive word')
 def divisors(p, element):
 	'''Left divisors of a positive word, as canonical representatives.'''
-	divs = [_pfmt(d) for d in sorted(left_divisors(p, element))]
+	divs = [_pfmt(d, p) for d in sorted(left_divisors(p, element))]
 	return divs, '\n'.join(divs + ['%d divisor(s)' % len(divs)]), 0
 
 
@@ -266,7 +266,7 @@ def divisors(p, element):
 def lcm(p, u, v):
 	'''Right lcm of two positive words, computed by reversing.  (Invoking
 	this asserts the presentation is of spherical type.)'''
-	m = _pfmt(right_lcm(p, u, v))
+	m = _pfmt(right_lcm(p, u, v), p)
 	return {'lcm': m}, m, 0
 
 
@@ -307,9 +307,9 @@ def cayley_trace(p, element, vertex, word, as_dot):
 	v = canonical(p, _parse(parse_positive, vertex, p))
 	if v not in f.vertices:
 		raise click.UsageError('vertex %s is not a left divisor of %s'
-			% (vertex, _pfmt(element)))
+			% (vertex, _pfmt(element, p)))
 	traced, info = traced_from(f, v, _parse(parse_word, word, p))
-	path = [_pfmt(x) for x in info] if traced else None
+	path = [_pfmt(x, p) for x in info] if traced else None
 	text = 'traced: ' + ' -> '.join(path) if traced else 'not traced (fails at letter %d)' % info
 	return {'traced': traced, 'vertices': len(f.vertices), 'path': path,
 		'failed_at': None if traced else info}, text, 0 if traced else 1

@@ -3,8 +3,9 @@
 A letter is a pair (generator, sign) with sign +1 or -1; a word is a tuple
 of letters.  Positive words are tuples of generator names.  In rendered
 form we follow the usual convention that lowercase is a positive letter
-and uppercase its inverse, so "aB" is a b^-1; multi-character generators
-use whitespace-separated tokens with an explicit ^-1.
+and uppercase its inverse, so "aB" is a b^-1; other generators (longer
+names, or ones without an uppercase form of their own) use
+whitespace-separated tokens with an explicit ^-1.
 '''
 
 from __future__ import annotations
@@ -149,8 +150,7 @@ class Presentation:
 		index = {}
 		for (ri, orient), (a, b, ai, bi) in self._oriented.items():
 			for sign, factor, new in ((1, a, b), (-1, ai, bi)):
-				fields = _FIELDS.setdefault((ri, orient, sign), (ri, orient, None, None, None, sign))
-				index.setdefault(factor[0], []).append((factor, new, fields))
+				index.setdefault(factor[0], []).append((factor, new, (ri, orient, None, None, None, sign)))
 		return {k: tuple(v) for k, v in index.items()}
 
 	@cached_property
@@ -196,15 +196,15 @@ class Presentation:
 
 	@cached_property
 	def _dehn(self):
-		'''Letter -> (rel, orient, y + y, t) for every place t of it in the
-		cyclic word y = b^-1 a of each oriented relation a = b, in _oriented
-		order: y is stored twice over, so a cyclic factor is a slice.'''
+		'''Code -> (rel, orient, y + y, y^-1 + y^-1, t) for every place t of
+		it in the encoded cyclic word y = b^-1 a of each oriented relation
+		a = b, in _oriented order: y and its inverse a^-1 b are stored twice
+		over, so a cyclic factor and the inverse of one are slices.'''
 		out = {}
-		for (ri, orient), (a, _, _, bi) in self._oriented.items():
-			y = self._decode(bi + a)
-			yy = y + y
-			for t, x in enumerate(y):
-				out.setdefault(x, []).append((ri, orient, yy, t))
+		for (ri, orient), (a, b, ai, bi) in self._oriented.items():
+			yy, yiyi = bi + a + bi + a, ai + b + ai + b
+			for t, x in enumerate(bi + a):
+				out.setdefault(x, []).append((ri, orient, yy, yiyi, t))
 		return out
 
 	@cached_property
@@ -212,9 +212,6 @@ class Presentation:
 		'''Every (s, t) such that st = ts is a relation, either way round.'''
 		return frozenset(side for l, r in self.relations if len(l) == 2 and r == l[::-1]
 			for side in (l, r))
-
-
-_FIELDS = {}  # (rel, orient, sign) -> type 1 step fields, shared by all presentations
 
 
 class _Codes(dict):
@@ -330,9 +327,12 @@ def parse_word(text, p):
 	return tuple(out)
 
 
-def render_word(w, p=None):
-	single = all(len(g) == 1 for g, _ in w) if p is None else all(len(g) == 1 for g in p.generators)
-	if single:
+def render_word(w, p):
+	'''w as text that parse_word reads back: the case convention when every
+	generator is one character g whose uppercase differs from g, lowers back
+	to g and is no generator; tokens otherwise.'''
+	if all(len(g) == 1 and g.upper().lower() == g != g.upper() and g.upper() not in p.generators
+			for g in p.generators):
 		return ''.join(g if e == 1 else g.upper() for g, e in w)
 	return ' '.join(g if e == 1 else g + '^-1' for g, e in w)
 

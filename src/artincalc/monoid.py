@@ -202,19 +202,6 @@ def right_lcm(p, u, v, budget=10000):
 	return lcm
 
 
-def brute_right_lcm(p, u, v):
-	'''Independent oracle: smallest-length common right-multiple found by
-	enumerating positive words by length.  None if none has length <= 12.'''
-	u, v = tuple(u), tuple(v)
-	frontier = [()]
-	for _ in range(13):
-		for w in frontier:
-			if right_is_multiple(p, w, u) and right_is_multiple(p, w, v):
-				return canonical(p, w)
-		frontier = [w + (g,) for w in frontier for g in p.generators]
-	return None
-
-
 def right_is_multiple(p, w, u):
 	'''True iff u left-divides w: right_divides, with prefixes.'''
 	u = tuple(u)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .core import InputError, render_word, parse_word, invert
+from .core import InputError, render_word, parse_word
 
 class StepError(ValueError):
 	pass
@@ -327,21 +327,23 @@ class DehnStep:
 def dehn_steps(p, w):
 	'''All length-decreasing factor replacements u -> u' with u^-1 u' a
 	cyclic shift of v^-1 v' ('fwd') or v'^-1 v ('bwd') for a relation
-	v = v', matched in place (Presentation._dehn).  Order: position, |u|
-	descending, relation, orientation ('bwd' first), shift; a pair (u, u')
-	met twice at one position keeps the lowest relation, then 'fwd'.'''
-	out = []
-	for pos, x in enumerate(w):
-		found = {}  # (u, u') -> its first DehnStep
-		for rel, orient, yy, t in p._dehn.get(x, ()):
+	v = v', matched in place on the encoded word (Presentation._dehn).
+	Order: position, |u| descending, relation, orientation ('bwd' first),
+	shift; a pair (u, u') met twice at one position keeps the lowest
+	relation, then 'fwd'.'''
+	code, out = p._encode(w), []
+	n = len(code)
+	for pos, x in enumerate(code):
+		found = {}  # encoded (u, u') -> (rel, orient, shift) of its first step
+		for rel, orient, yy, yiyi, t in p._dehn.get(x, ()):
 			size, m = len(yy) // 2, 1
-			while m < size and pos + m < len(w) and w[pos + m] == yy[t + m]:
+			while m < size and pos + m < n and code[pos + m] == yy[t + m]:
 				m += 1
 			for k in range(size // 2 + 1, m + 1):
-				key = (yy[t:t + k], invert(yy[t + k:t + size]))
-				if key not in found:
-					found[key] = DehnStep(pos, *key, rel, orient, (size - t - k) % size)
-		out += sorted(found.values(), key=lambda d: (-len(d.factor), d.rel, d.orient, d.shift))
+				found.setdefault((yy[t:t + k], yiyi[size - t:2 * size - t - k]),
+					(rel, orient, (size - t - k) % size))
+		out += [DehnStep(pos, p._decode(u), p._decode(up), *f) for (u, up), f
+			in sorted(found.items(), key=lambda it: (-len(it[0][0]),) + it[1])]
 	return out
 
 

@@ -152,6 +152,24 @@ def all_positive_words(p, n):
 	return itertools.product(p.generators, repeat=n)
 
 
+def brute_right_lcm(p, u, v):
+	'''The least common right-multiple of the positive words u and v, by
+	enumerating positive words by length and closing each with brute_class,
+	as its least class member in the generator order; None if none has
+	length <= 12.  Generators are single characters, as in brute_class.
+	u left-divides w exactly when some member of w's class has a prefix of
+	length |u| in u's class: if w = u' x with u' ~ u, then u x is a
+	member.'''
+	order = {g: i for i, g in enumerate(p.generators)}
+	cu, cv = brute_class(p, u), brute_class(p, v)
+	for n in range(13):
+		for w in all_positive_words(p, n):
+			cls = brute_class(p, w)
+			if any(m[:len(u)] in cu for m in cls) and any(m[:len(v)] in cv for m in cls):
+				return min(cls, key=lambda m: [order[g] for g in m])
+	return None
+
+
 def reference_rewrite_path(p, u, v):
 	'''rewrite_path by breadth-first search on generator tuples, each
 	word's successors relation-major: by relation, 'fwd' before 'bwd',

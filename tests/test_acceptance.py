@@ -14,14 +14,14 @@ from artincalc.raag import (generate_01inf_derivation, eliminate_infinity,
 	aug_derivation_words, applicable_aug_steps, apply_aug_step, is_regular)
 from artincalc.reversing import (right_fraction, word_problem_spherical,
 	completeness_check)
-from artincalc.monoid import (equiv_class, right_lcm, brute_right_lcm,
+from artincalc.monoid import (equiv_class, right_lcm,
 	right_divides, coset_head_spherical, canonical)
 from artincalc.rewrite import dehn_steps
 from artincalc.search import (SearchLimits, bounded_derivation_search,
 	dehn_to_special)
 from artincalc.core import positive_to_word
 
-from helpers import A2, I24, RA2, RA3, HomOracle, random_word, random_positive
+from helpers import A2, I24, RA2, RA3, HomOracle, random_word, random_positive, brute_right_lcm
 from conftest import ACCEPTANCE_LINES
 
 

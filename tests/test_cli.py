@@ -13,7 +13,8 @@ from artincalc import cli as climod
 from artincalc import parse_word, Derivation, check_derivation
 from artincalc.core import load_presentation
 from artincalc.examples import data_path
-from artincalc.monoid import canonical
+from artincalc.core import parse_positive
+from artincalc.monoid import canonical, equiv_class, left_divisors, right_lcm
 
 from helpers import RA2
 
@@ -491,3 +492,33 @@ def test_class_canonical_is_the_least_in_the_generator_order(capsys, tmp_path):
 	assert 'ba' in json.loads(out) and 'ab' not in json.loads(out)
 	p = load_presentation(str(path))
 	assert canonical(p, ('a', 'b')) == ('b', 'a')
+
+
+def test_positive_words_print_as_words_that_read_back(capsys, tmp_path):
+	# over generators s1 and s2 every positive word printed is written as
+	# render_word writes it, in tokens, so it parses back to its own word
+	path = tmp_path / 'multi.txt'
+	path.write_text('gens: s1 s2\nrel: s1 s2 s1 = s2 s1 s2\n')
+	f, p = str(path), load_presentation(str(path))
+	back = lambda text: parse_positive(text, p)
+	d = ('s1', 's2', 's1')
+	code, out = run(capsys, 'class', '-p', f, '-w', 's1 s2 s1', '--json')
+	blob = json.loads(out)
+	assert back(blob['canonical']) == canonical(p, d) and blob['canonical'] == 's1 s2 s1'
+	assert {back(m) for m in blob['members']} == equiv_class(p, d)
+	code, out = run(capsys, 'class', '-p', f, '-w', 's1 s2 s1')
+	assert code == 0 and {back(m) for m in out.split('\n') if m} == equiv_class(p, d)
+	code, out = run(capsys, 'divisors', '-p', f, '-g', 's1 s2 s1', '--json')
+	assert {back(m) for m in json.loads(out)} == left_divisors(p, d)
+	code, out = run(capsys, 'lcm', '-p', f, '-u', 's1', '-v', 's2')
+	assert code == 0 and back(out) == right_lcm(p, ('s1',), ('s2',))
+	code, out = run(capsys, 'fraction', '-p', f, '-w', 's1^-1 s2', '--json')
+	blob = json.loads(out)
+	assert back(blob['numerator']) == ('s2', 's1') and back(blob['denominator']) == ('s1', 's2')
+	code, out = run(capsys, 'cayley-trace', '-p', f, '-g', 's1 s2 s1', '-v', 'e',
+		'-w', 's1 s2', '--json')
+	blob = json.loads(out)
+	assert code == 0 and [back(v) for v in blob['path']] == [(), ('s1',), ('s1', 's2')]
+	for word in blob['path']:
+		code, _ = run(capsys, 'class', '-p', f, '-w', word)
+		assert code == 0

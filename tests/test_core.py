@@ -54,6 +54,27 @@ def test_parse_render_round_trip(w):
 	assert parse_word(render_word(w, A2), A2) == w
 
 
+GENERATOR_SETS = ('a A', 'A B', '1 2', 'a \u00df', '\u0131 b', 'a b', 's1 s2')
+
+
+@given(st.sampled_from(GENERATOR_SETS).flatmap(lambda gens: st.tuples(st.just(gens),
+	st.lists(st.tuples(st.sampled_from(gens.split()), st.sampled_from((1, -1))), max_size=8))))
+def test_render_reads_back_over_any_generators(case):
+	# the case form only where every generator has an uppercase form of its
+	# own that is no generator: with A and B, A^-1 is neither 'a' nor 'A';
+	# 1 has no uppercase, the uppercase of \u00df is SS, and that of \u0131 is I
+	gens, w = case
+	p = Presentation(tuple(gens.split()), ())
+	assert parse_word(render_word(tuple(w), p), p) == tuple(w)
+
+
+def test_render_uses_tokens_where_case_cannot_tell_inverses():
+	p = Presentation(('A', 'B'), (('A', 'B'), ('B', 'A')))
+	assert render_word((('A', -1), ('B', 1)), p) == 'A^-1 B'
+	assert render_word((('A', 1), ('B', 1)), p) == 'A B'
+	assert render_word((('a', 1), ('b', -1)), A2) == 'aB'
+
+
 @given(words)
 def test_invert_involution(w):
 	assert invert(invert(w)) == w

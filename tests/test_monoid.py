@@ -13,14 +13,14 @@ from artincalc import (parse_positive, parse_word, render_word, apply_step,
 	check_derivation)
 from artincalc.core import WordError, positive_to_word
 from artincalc.monoid import (equiv_class, canonical, pos_equal, rewrite_path,
-	left_divisors, right_divides, right_lcm, brute_right_lcm,
+	left_divisors, right_divides, right_lcm,
 	right_is_multiple, is_S0_minimal, strip_S0, coset_head_spherical,
 	CapExceeded, _class_cache, _disk_path)
 from artincalc.reversing import ReversingError
 from artincalc.cayley import divisor_fragment
 
 from helpers import (A2, A3, I24, RA2, RA3, FIG2, FREE2, SIDE1, make, brute_class,
-	brute_pos_equal, all_positive_words, random_positive, reference_rewrite_path)
+	brute_pos_equal, all_positive_words, random_positive, reference_rewrite_path, brute_right_lcm)
 
 
 def W(s, p=A2):
@@ -138,6 +138,16 @@ def test_right_lcm_vs_brute():
 						assert got == want, (u, v)
 						assert right_is_multiple(p, got, u)
 						assert right_is_multiple(p, got, v)
+
+
+def test_right_lcm_vs_independent_oracle_three_generators():
+	# the oracle closes classes by string rewriting and reads divisibility
+	# off prefixes of class members, sharing no code with right_lcm
+	for p in (A3, RA3):
+		words = [w for n in range(3) for w in all_positive_words(p, n)]
+		for u in words:
+			for v in words:
+				assert right_lcm(p, u, v) == brute_right_lcm(p, u, v), (p.relations, u, v)
 
 
 def test_right_lcm_free_blocked():

@@ -9,7 +9,8 @@ from artincalc import (Presentation, Step, Derivation, applicable_steps, apply_s
 	check_derivation, dehn_steps, apply_dehn, simulate_type2, parse_word,
 	render_word, invert, parse_presentation_text, right_reverse, right_fraction)
 from artincalc.rewrite import StepError, derivation_words, embed
-from artincalc.core import load_presentation, positive_to_word
+from artincalc.core import WordError, load_presentation, positive_to_word
+from artincalc.search import dehn_run
 
 from helpers import (A2, A3, I24, RA2, RA3, F2XF2, FIG2, SIDE1, MULTI, HomOracle,
 	make, random_word, reference_apply_step, reference_derivation_words,
@@ -254,6 +255,21 @@ def test_dehn_steps_large_coxeter_entry():
 	assert time.perf_counter() - t0 < 1
 	assert sum(map(len, p._dehn.values())) == 2 * sum(len(l) + len(r) for l, r in p.relations)
 	assert len(got) == 1035 and got == reference_dehn_steps(p, w)
+
+
+def test_dehn_steps_reject_a_letter_without_a_sign():
+	# the word is encoded as apply_step encodes it, so a letter whose sign
+	# is not 1 or -1 raises WordError; a generator outside the presentation
+	# is a letter that no relator contains
+	p = make('gens: a b\nrel: aba = bab')
+	for w in ((('a', 2),), (('a', 1), ('b', 0)), parse_word('abaBA', p) + (('a', -2),)):
+		for call in (dehn_steps, dehn_run):
+			with pytest.raises(WordError, match='sign must be 1 or -1'):
+				call(p, w)
+	z = (('z', 1), ('a', 1), ('z', -1))
+	assert dehn_steps(p, z) == [] and dehn_run(p, z) == (z, [])
+	w = parse_word('abaBA', p)
+	assert [d.pos for d in dehn_steps(p, (('z', 1),) + w)] == [d.pos + 1 for d in dehn_steps(p, w)]
 
 
 def test_simulate_type2_matches_apply():

@@ -122,3 +122,34 @@ def test_cli_search_defaults_come_from_search_limits():
 		for o in limits)
 	assert isinstance(defaults['--target'], ast.Constant)
 	assert isinstance(defaults['--kinds'], ast.Constant)
+
+
+def test_dehn_index_is_keyed_by_codes():
+	# Dehn steps are matched on the encoded word, as every other step is:
+	# the index is keyed by letter code and its cyclic words are code strings
+	from artincalc.core import load_presentation
+	for name in ('a2.txt', 'i24.txt', 'ra3.txt', 'f2xf2.txt', 'fig2.txt'):
+		index = load_presentation(name)._dehn
+		assert index and all(type(k) is str and len(k) == 1 for k in index)
+		assert all(row[2:-1] and all(type(y) is str for y in row[2:-1])
+			for rows in index.values() for row in rows)
+
+
+def test_lcm_oracle_lives_in_the_tests():
+	# brute_right_lcm is a test oracle: it is not in the library, and
+	# neither it nor a helper it calls names anything artincalc.monoid defines
+	import artincalc.monoid as monoid
+	assert not hasattr(monoid, 'brute_right_lcm')
+	own = {name for name, obj in vars(monoid).items()
+		if getattr(obj, '__module__', None) == monoid.__name__}
+	tree = ast.parse((pathlib.Path(__file__).resolve().parent / 'helpers.py').read_text(encoding='utf-8'))
+	defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+	todo, seen, names = ['brute_right_lcm'], set(), set()
+	while todo:
+		seen.add(todo[-1])
+		body = list(ast.walk(defs[todo.pop()]))
+		names |= {n.id for n in body if isinstance(n, ast.Name)}
+		names |= {n.attr for n in body if isinstance(n, ast.Attribute)}
+		todo += [n for n in names if n in defs and n not in seen and n not in todo]
+	assert {'canonical', 'right_is_multiple', 'equiv_class'} <= own
+	assert 'brute_class' in seen and not names & own
