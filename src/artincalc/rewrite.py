@@ -166,43 +166,76 @@ def _successors(p, w, kinds, since=0):
 	encoded word, but those whose factor ends at or before since.  Fields
 	are tuples in Step's order, one per type 0 sign and type 1 row.  The
 	scan goes a sign run at a time from since - L + 1, L the longest factor
-	(Presentation._sizes): a type 0 pair straddles a run's end, a type 1
-	factor lies in a run, and a type 2 factor changes sign at its run's
-	end, where each relation with that boundary gets its largest |v| and
-	|v'| once (Presentation._boundaries).'''
+	(Presentation._sizes).  A type 0 pair starts at the run's last letter;
+	a type 1 factor lies inside a run as long as the shortest relation
+	side; a type 2 factor starts at most its largest |v| before the run's
+	end, where each relation with that boundary (Presentation._boundaries)
+	gets its largest |v| and |v'|, and the tails of its new words, once.
+	A run with no room for a type 1 factor takes a short path: with no
+	type 2 row, at most its type 0 step; with one row, as every run over
+	an Artin presentation, that row's steps from its largest |v| on (a
+	trivial pair has rows in twos, both orientations of a relation whose
+	sides start, or end, alike).  The last loop interleaves the steps of
+	every other run by position, up to its last type 1 position when it
+	has no type 0 or 2 step.'''
 	zero = '0' in kinds
-	type1 = p._type1 if '1' in kinds else {}
-	two = '2r' in kinds or '2l' in kinds
+	type1 = p._type1 if '1' in kinds else None
+	rules = p._boundaries
+	rl, rr = rules if '2l' in kinds else {}, rules if '2r' in kinds else {}
 	shortest, span = p._sizes
 	n, start = len(w), max(0, since - span + 1)
+	runs = zero or rl or rr  # type 1 alone: one run will do
 	while start < n:
 		odd = ord(w[start]) & 1
-		end = start + 1 if zero or two else n  # type 1 alone: one run will do
+		end = start + 1 if runs else n
 		while end < n and ord(w[end]) & 1 == odd:
 			end += 1
-		kind, rows = '2r' if odd else '2l', []
-		low = max(1, since - end + 1)  # the least |v'| that ends past since
-		for ri, orient, head, tail, left, right in (p._boundaries.get(
-				w[end - 1:end + 1], ()) if end < n and kind in kinds else ()):
+		rows, pair = (), n  # pair: where a trivial pair starts, or n
+		if end < n:
+			rows = (rr if odd else rl).get(w[end - 1:end + 1], ())
+			if zero and ord(w[end - 1]) ^ ord(w[end]) == 1 and end >= since:
+				pair = end - 1
+		ones = end - shortest + 1 if type1 else start  # type 1 factors start before
+		if not rows and ones <= start:
+			if pair < n:
+				yield '0', pair, _ZERO[odd], w[:pair] + w[end + 1:]
+			start = end
+			continue
+		kind = '2r' if odd else '2l'
+		low = since - end + 1 if since > end else 1  # the least |v'| that ends past since
+		found = [] if ones > start or len(rows) > 1 else None  # None: one row, no pair
+		for ri, orient, head, tail, left, right in rows:
 			lv = lvp = 1
-			while lv < len(head) and lv < end and w[end - 1 - lv] == head[-1 - lv]:
-				lv += 1
+			while lv < len(head) and end - lv > start and w[end - 1 - lv] == head[-1 - lv]:
+				lv += 1  # a row that would match past start ends by since
 			while lvp < len(tail) and end + lvp < n and w[end + lvp] == tail[lvp]:
 				lvp += 1
-			if lvp >= low:
-				rows.append((end - lv, ri, orient, left, right, lvp))
-		for pos in range(start, end):
-			if zero and pos == end - 1 and end < n and ord(w[pos]) ^ ord(w[end]) == 1 \
-					and end + 1 > since:
-				yield '0', pos, _ZERO[odd], w[:pos] + w[pos + 2:]
-			for factor, new, fields in type1.get(w[pos], ()) if pos + shortest <= end else ():
-				if w.startswith(factor, pos) and (not since or pos + len(factor) > since):
-					yield '1', pos, fields, w[:pos] + new + w[pos + len(factor):]
-			for lo, ri, orient, left, right, most in rows:
-				if pos >= lo:
-					head, lv = w[:pos] + left[end - pos:], end - pos
-					for lvp in range(low, most + 1):
-						yield kind, pos, (ri, orient, lv, lvp), head + right[:-lvp] + w[end + lvp:]
+			if lvp < low:
+				continue
+			tails = [right[:-m] + w[end + m:] for m in range(low, lvp + 1)] \
+				if lvp > low else (right[:-low] + w[end + low:],)
+			if found is not None:
+				found.append((end - lv, ri, orient, left, tails))
+				continue
+			for pos in range(end - lv, end):
+				front, m = w[:pos] + left[end - pos:], low
+				for tail in tails:
+					yield kind, pos, (ri, orient, end - pos, m), front + tail
+					m += 1
+		if found is not None:
+			for pos in range(start, end if found or pair < n else ones):
+				if pos == pair:
+					yield '0', pos, _ZERO[odd], w[:pos] + w[pos + 2:]
+				if pos < ones:
+					for factor, new, fields in type1.get(w[pos], ()):
+						if w.startswith(factor, pos) and (not since or pos + len(factor) > since):
+							yield '1', pos, fields, w[:pos] + new + w[pos + len(factor):]
+				for lo, ri, orient, left, tails in found:
+					if pos >= lo:
+						front, m = w[:pos] + left[end - pos:], low
+						for tail in tails:
+							yield kind, pos, (ri, orient, end - pos, m), front + tail
+							m += 1
 		start = end
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import free_reduce
 from .rewrite import (Step, Derivation, StepError, KindError, _successors, dehn_steps,
@@ -54,13 +55,16 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 
 	Once max_visited + 1 entries with depth < max_steps have been queued
 	(the start counts as one), the search is certain to stop at the node
-	cap, and nothing queued after that is ever expanded.  From then on a
-	successor within the length cap is only compared with the target, not
-	stored or queued; a node whose length is not one step from the
-	target's builds no successors, and insertions only when they make the
-	target's length.  A word stored there could still change the path to
+	cap, and nothing queued after that is ever expanded.  The cap is tested
+	after each expanded node, so the node that makes it certain is finished
+	in full and a target met there is the full search's answer.  Then one
+	pass reads the first max_visited - visited queued entries, those the
+	full search would expand next, and only compares their successors with
+	the target: an entry whose length is not one step from the target's is
+	passed over, and an insertion is a lookup among the words one insertion
+	below the target.  A word stored there could still change the path to
 	the target (reached again with fewer insertions, it takes the new
-	parent), so a target met in that phase is searched for again in full.
+	parent), so a target met in that pass is searched for again in full.
 	The answer, node count and derivation are those of the full search.'''
 	w, target = tuple(w), tuple(target)
 	use_inf = 'inf' in kinds
@@ -75,12 +79,9 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 		for g in p.generators for e in (1, -1)]
 	# letter before the position -> the pairs whose second letter differs
 	after = {a[1]: [(b, f) for b, f in pairs if b[1] != a[1]] for a, _ in pairs}
-
-	def insertions(cur, first):
-		for pos in range(first, len(cur) + 1):
-			head, tail = cur[:pos], cur[pos:]
-			for pair, fields in after.get(cur[pos - 1:pos], pairs):
-				yield 'inf', pos, fields, head + pair + tail
+	# the words from which one insertion makes the target
+	below = {goal[:i] + goal[i + 2:] for a, _ in pairs for i in range(len(goal) - 1)
+		if goal.startswith(a, i)} if use_inf else ()
 
 	max_len, max_steps, max_ins, max_visited = (limits.max_word_length,
 		limits.max_steps, limits.max_insertions, limits.max_visited)
@@ -92,30 +93,29 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 			gains |= {len(l) - len(r), len(r) - len(l)}
 		if '2r' in kinds or '2l' in kinds:
 			gains.update(range(len(l) + len(r) - 4, -len(l) - len(r) - 1, -2))
-	gain, reach = max(gains), gains | {2}
+	gain, reach = max(gains), gains | {2} if goal_len <= max_len else ()
 
 	def bfs(prune):
-		'''The search; with prune, past the node cap it only looks for the
-		target.  An entry c made from P by a step s at i skips what the other
-		side of a commuting square built: if s is of type 0, 1 or 2 and c is
-		no shorter than P or len(P) + gain <= max_len, c's steps of types 0-2
-		whose factor ends by i (_successors' since); if s inserts, c's
-		insertions before i.  Exact: for such a t, t(c) = s(t(P)), and t(P)
-		precedes c among P's successors, so it was queued first, or reached
-		with no more insertions (and expanded uncapped before c, building
-		t(c)), or it passed max_len, clearing emptied, and so does t(c).
-		Nothing is skipped while capped, nor across kinds: a rewrite of an
-		inserted c may pass max_len where the grow test refused the insertion
-		on t(P) without clearing emptied.  A new meaning of emptied (ROADMAP
-		item 1) must keep that exclusion.'''
+		'''The search: one loop takes a node's steps of types 0-2, one
+		builds its insertions; with prune, the cap pass above follows the
+		node that makes the cap certain.  An entry c made from P by a step s
+		at i skips what the other side of a commuting square built: if s is
+		of type 0, 1 or 2 and c is no shorter than P or len(P) + gain <=
+		max_len, c's steps of types 0-2 whose factor ends by i (_successors'
+		since); if s inserts, c's insertions before i.  Exact: for such a t,
+		t(c) = s(t(P)), and t(P) precedes c among P's successors, so it was
+		queued first, or reached with no more insertions (and expanded
+		before c, building t(c)), or it passed max_len, clearing emptied,
+		and so does t(c).  Nothing is skipped in the cap pass, nor across
+		kinds: a rewrite of an inserted c may pass max_len where the length
+		test refused the insertion on t(P) without clearing emptied.  A new
+		meaning of emptied (ROADMAP item 1) must keep that exclusion.'''
 		# word -> (fewest insertions, previous word, kind, pos, step fields);
 		# the start word holds its count only
 		seen = {start: (0,)}
 		queue = deque([(start, 0, 0, 0, 0)])  # word, depth, insertions, since, first
 		visited = 0
 		emptied = True
-		live = 1  # queued entries with depth < max_steps, the start included
-		capped = prune and live > max_visited
 		while queue:
 			cur, depth, ins, since, first = queue.popleft()
 			if depth >= max_steps:
@@ -125,35 +125,40 @@ def bounded_derivation_search(p, w, target, kinds, limits):
 			if visited > max_visited:
 				emptied = False
 				break
-			if capped and goal_len - len(cur) not in reach:
-				continue
-			size = len(cur)
-			grow = use_inf and ins < max_ins and size + 2 <= max_len \
-				and (not capped or size + 2 == goal_len)
-			for succs, nins in ((_successors(p, cur, kinds, 0 if capped else since), ins),
-					(insertions(cur, 0 if capped else first) if grow else (), ins + 1)):
-				for kind, pos, fields, nxt in succs:
-					if len(nxt) > max_len:
-						emptied = False
-						continue
-					if capped and nxt != goal:
-						continue
-					old = seen.get(nxt)
-					if old is not None and old[0] <= nins:
-						continue
-					seen[nxt] = (nins, cur, kind, pos, fields)
-					if nxt == goal:
-						# past the cap, the unpruned search may have given a
-						# word on this path a parent with fewer insertions
-						return bfs(False) if capped else SearchOutcome('found',
-							unwind(seen, w, nxt), visited=visited)
-					if kind == 'inf':
-						queue.append((nxt, depth + 1, nins, 0, pos))
-					else:
-						queue.append((nxt, depth + 1, nins,
-							pos if size + gain <= max_len or len(nxt) >= size else 0, 0))
-					live += depth + 1 < max_steps
-					capped = prune and live > max_visited
+			size, depth = len(cur), depth + 1
+			far = size + gain <= max_len
+			for kind, pos, fields, nxt in _successors(p, cur, kinds, since):
+				if len(nxt) > max_len:
+					emptied = False
+					continue
+				old = seen.get(nxt)
+				if old is not None and old[0] <= ins:
+					continue
+				seen[nxt] = (ins, cur, kind, pos, fields)
+				if nxt == goal:
+					return SearchOutcome('found', unwind(seen, w, nxt), visited=visited)
+				queue.append((nxt, depth, ins, pos if far or len(nxt) >= size else 0, 0))
+			if use_inf and ins < max_ins and size + 2 <= max_len:
+				ins += 1
+				for pos in range(first, size + 1):
+					head, tail = cur[:pos], cur[pos:]
+					for pair, fields in after.get(cur[pos - 1:pos], pairs):
+						nxt = head + pair + tail
+						old = seen.get(nxt)
+						if old is not None and old[0] <= ins:
+							continue
+						seen[nxt] = (ins, cur, 'inf', pos, fields)
+						if nxt == goal:
+							return SearchOutcome('found', unwind(seen, w, nxt), visited=visited)
+						queue.append((nxt, depth, ins, 0, pos))
+			if prune and depth < max_steps and visited + len(queue) > max_visited:
+				# below max_steps every queued entry counts toward the cap
+				for cur, _, ins, _, _ in islice(queue, max_visited - visited):
+					if goal_len - len(cur) in reach and (any(nxt == goal
+							for _, _, _, nxt in _successors(p, cur, kinds))
+							or ins < max_ins and cur in below):
+						return bfs(False)
+				return SearchOutcome('exhausted', visited=max_visited + 1)
 		return SearchOutcome('exhausted', visited=visited, frontier_emptied=emptied)
 
 	return bfs(True)
@@ -194,9 +199,10 @@ def dehn_to_special(p, w, ds):
 		raise StepError('presentation violates the length-2 hypothesis')
 	u, up = ds.factor, ds.replacement
 	# whole relation side, positive or inverse orientation: one type 1
+	# step at 0 whose factor ends past |u| - 1
 	u_code, up_code = p._encode(u), p._encode(up)
-	for fac, new, fields in p._type1.get(u_code[:1], ()):
-		if u_code == fac and up_code == new:
+	for _, pos, fields, nxt in _successors(p, u_code, {'1'}, len(u_code) - 1):
+		if pos == 0 and nxt == up_code:
 			return Derivation(tuple(w), embed(w, ds.pos, Derivation(u, [Step('1', 0, *fields)])))
 	limits = SearchLimits(max_steps=3, max_word_length=len(u) + 2)
 	out = bounded_derivation_search(p, u, up, {'0', '1', '2r', '2l'}, limits)

@@ -120,9 +120,14 @@ def abelianized(w, gens):
 # (joined strings, no Step machinery).
 
 def brute_class(p, u, cap=200000):
-	rels = [(''.join(l), ''.join(r)) for l, r in p.relations]
+	'''Every positive word that the relations of p rewrite u to, by
+	breadth-first search over strings that spell each generator with one
+	private character, mapped back to generator tuples at the end.'''
+	char = {g: chr(i) for i, g in enumerate(p.generators)}
+	spell = lambda v: ''.join(char[g] for g in v)
+	rels = [(spell(l), spell(r)) for l, r in p.relations]
 	rels += [(r, l) for l, r in rels]
-	seen = {''.join(u)}
+	seen = {spell(u)}
 	frontier = list(seen)
 	while frontier:
 		nxt = []
@@ -141,7 +146,7 @@ def brute_class(p, u, cap=200000):
 		frontier = nxt
 		if len(seen) > cap:
 			raise RuntimeError('brute class blew the cap')
-	return {tuple(w) for w in seen}
+	return {tuple(p.generators[ord(c)] for c in w) for w in seen}
 
 
 def brute_pos_equal(p, u, v):
@@ -156,10 +161,9 @@ def brute_right_lcm(p, u, v):
 	'''The least common right-multiple of the positive words u and v, by
 	enumerating positive words by length and closing each with brute_class,
 	as its least class member in the generator order; None if none has
-	length <= 12.  Generators are single characters, as in brute_class.
-	u left-divides w exactly when some member of w's class has a prefix of
-	length |u| in u's class: if w = u' x with u' ~ u, then u x is a
-	member.'''
+	length <= 12.  u left-divides w exactly when some member of w's class
+	has a prefix of length |u| in u's class: if w = u' x with u' ~ u, then
+	u x is a member.'''
 	order = {g: i for i, g in enumerate(p.generators)}
 	cu, cv = brute_class(p, u), brute_class(p, v)
 	for n in range(13):

@@ -385,3 +385,14 @@ def test_division_on_either_side_where_relations_change_length(p):
 			assert right_divides(p, u, w) == right, (u, w)
 			longer += left and len(u) > len(w)
 	assert longer > 0
+
+
+def test_brute_class_over_multi_character_generators():
+	# the oracle rewrites generator names, not the characters that spell
+	# them: over x1 x2 x1 = x2 x1 x2 the class of either side is both sides
+	from helpers import MULTI
+	sides = {('x1', 'x2', 'x1'), ('x2', 'x1', 'x2')}
+	assert brute_class(MULTI, ('x1', 'x2', 'x1')) == sides
+	assert brute_class(MULTI, ('x2', 'x1', 'x2')) == sides
+	assert brute_class(MULTI, ('x1', 'x2')) == {('x1', 'x2')}
+	assert set(equiv_class(MULTI, ('x1', 'x2', 'x1'))) == sides

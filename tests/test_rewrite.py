@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import time
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from artincalc import (Presentation, Step, Derivation, applicable_steps, apply_step,
 	check_derivation, dehn_steps, apply_dehn, simulate_type2, parse_word,
 	render_word, invert, parse_presentation_text, right_reverse, right_fraction)
-from artincalc.rewrite import StepError, derivation_words, embed
+from artincalc.rewrite import StepError, derivation_words, embed, _successors
 from artincalc.core import WordError, load_presentation, positive_to_word
 from artincalc.search import dehn_run
 
@@ -584,3 +585,44 @@ def test_step_json_writes_only_steps_that_read_back_as_themselves():
 	for s in (Step('0', 0), Step('0', 0, sign=2), Step('x', 0, lv=1, lvp=1)):
 		with pytest.raises(StepError, match='does not fit schema 1'):
 			s.to_json()
+
+
+def test_successors_since_drops_the_steps_ending_by_it():
+	# rewrite._successors(p, w, kinds, since) lists the steps of the list for
+	# since = 0, in its order, whose factor ends after since: a type 0 factor
+	# ends at pos + 2, a type 1 at pos + |factor|, a type 2 at pos + |v| +
+	# |v'|.  The list for since = 0 is the one built from the definitions.
+	# Words draw a letter outside the presentation now and then, and kinds
+	# run over every subset of {0, 1, 2r, 2l}.  Over aab = b two type 2
+	# relations share the boundary b B, so runs there interleave them.
+	presentations = (A2, I24, SIDE1, make('gens: a b\nrel: aab = b'),
+		make('gens: a b\nrel: ab = a'), MULTI, RA3, FIG2,
+		make('gens: a b\nrel: abababa = bababab'))
+	subsets = [set(c) for n in range(5)
+		for c in itertools.combinations(('0', '1', '2r', '2l'), n)]
+	rng = random.Random(2222)
+	shared = dropped = 0
+	for p in presentations:
+		def ends(kind, pos, fields):
+			if kind == '0':
+				return pos + 2
+			if kind == '1':
+				return pos + len(p.relations[fields[0]][fields[1] == 'bwd'])
+			return pos + fields[2] + fields[3]
+		for _ in range(30):
+			w = tuple((rng.choice(p.generators) if rng.random() < 0.9 else 'z',
+				rng.choice((1, -1))) for _ in range(rng.randrange(0, 12)))
+			code, brute = p._encode(w), brute_ordered_steps(p, w)
+			for kinds in subsets:
+				full = list(_successors(p, code, kinds))
+				assert [Step(kind, pos, *fields) for kind, pos, fields, _ in full] == \
+					[s for s in brute if s.kind in kinds]
+				assert [p._decode(nxt) for *_, nxt in full] == \
+					[reference_apply_step(p, w, Step(k, i, *f)) for k, i, f, _ in full]
+				for since in range(len(w) + 2):
+					want = [s for s in full if ends(*s[:3]) > since]
+					assert list(_successors(p, code, kinds, since)) == want
+					dropped += len(full) - len(want)
+				two = [(pos, fields[:2]) for kind, pos, fields, _ in full if kind in ('2r', '2l')]
+				shared += len({pos for pos, _ in two}) < len(set(two))
+	assert shared >= 20 and dropped >= 10000, (shared, dropped)

@@ -339,3 +339,50 @@ def test_dehn_to_special_checks_the_factor_position():
 					with pytest.raises(StepError, match='start mismatch'):
 						dehn_to_special(p, w, dataclasses.replace(ds, pos=pos))
 	assert taken
+
+
+def test_search_target_met_as_the_cap_becomes_certain(monkeypatch):
+	# The node cap is tested after each expanded node.  (a) The target is a
+	# successor of the node after which the cap is certain: that node is
+	# finished in full and the target returned from it.  (b) The target is
+	# met in the pass over the queue that follows: the search runs again in
+	# full.  Every case agrees with the plain search in helpers; the cases
+	# were found by a search over random inputs.  A wrapper tells the two
+	# apart: the expanded nodes scan with since, the cap pass without it,
+	# so (b) scans more nodes with since than it reports visited; (a) does
+	# not, and toward a target past the length cap, never met, the cap
+	# pass starts after exactly the nodes that (a) visited.
+	scans = []
+
+	def counted(*args):
+		scans.append(len(args) == 4)
+		return _successors(*args)
+	monkeypatch.setattr(search_module, '_successors', counted)
+	K01I2 = K01INF | K012
+	cases = [
+		('a', A2, 'bbAA', 'ABababAA', K012, 4, 10, 1, 14),
+		('a', SIDE1, 'AbABa', 'BABaBb', K01I2, 4, 6, 1, 17),
+		('a', I24, 'B', 'AaBbB', K01INF, 3, 5, 2, 25),
+		('a', RA3, 'CbCCCC', 'CCCCbC', K012, 4, 7, 2, 4),
+		('b', SIDE1, 'abBAB', 'aaAbBABbB', K01I2, 3, 11, 2, 26),
+		('b', A2, 'AB', 'ABBbaA', K01INF, 4, 6, 2, 16),
+		('b', I24, 'aaBb', 'BABababaBb', K012, 3, 12, 0, 14),
+		('b', RA3, 'cCccbB', 'AacCcCccbB', K01I2, 5, 10, 2, 19),
+	]
+	for want, p, text, goal, kinds, steps, length, ins, nodes in cases:
+		w, target = parse_word(text, p), parse_word(goal, p)
+		limits = SearchLimits(max_steps=steps, max_word_length=length,
+			max_insertions=ins, max_visited=nodes)
+		scans.clear()
+		out = bounded_derivation_search(p, w, target, kinds, limits)
+		expanded = sum(scans)
+		result, der, visited, emptied, _ = reference_search(p, w, target,
+			kinds, limits)
+		assert (out.result, out.visited, out.frontier_emptied) == \
+			('found', visited, emptied) and result == 'found'
+		assert out.derivation.to_json(p) == der.to_json(p)
+		scans.clear()
+		never = bounded_derivation_search(p, w, w[:1] * (length + 1), kinds, limits)
+		at_cap = never.visited == nodes + 1 and sum(scans) == out.visited
+		assert (want == 'b') == (expanded > out.visited), goal
+		assert (want == 'a') == (expanded == out.visited and at_cap), goal

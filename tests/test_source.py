@@ -153,3 +153,18 @@ def test_lcm_oracle_lives_in_the_tests():
 		todo += [n for n in names if n in defs and n not in seen and n not in todo]
 	assert {'canonical', 'right_is_multiple', 'equiv_class'} <= own
 	assert 'brute_class' in seen and not names & own
+
+
+def test_search_finds_steps_through_the_step_scan():
+	# search.py takes every step of types 0-2 from rewrite._successors: it
+	# reads no rule table of Presentation, so step enumeration has one
+	# implementation, which test_skip_rule_builds_fewer_successors counts.
+	# Insertion words are built in one place: no generator function, and
+	# the table of pairs that may be inserted after a letter is read once.
+	tree = ast.parse((SRC / 'search.py').read_text(encoding='utf-8'))
+	attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+	assert not attrs & {'_boundaries', '_type1', '_oriented', '_sizes', '_dehn', '_swap'}
+	assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Yield, ast.YieldFrom))]
+	reads = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == 'after'
+		and isinstance(n.ctx, ast.Load)]
+	assert len(reads) == 1
