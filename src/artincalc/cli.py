@@ -79,7 +79,9 @@ def _subset(text, p):
 
 
 def _fmt(w, p):
-	return render_word(w, p) or 'e'
+	'''w as parse_word reads it back: the empty word is "e", or blank
+	where a generator is named e.'''
+	return render_word(w, p) or ('' if 'e' in p.generators else 'e')
 
 
 def _pfmt(u, p):

@@ -135,23 +135,28 @@ class Presentation:
 	@cached_property
 	def _oriented(self):
 		'''(rel, orient) -> the encoded a, b, a^-1 and b^-1 of the oriented
-		relation a = b; both orientations share the four strings.'''
-		out = {}
+		relation a = b; both orientations share the four strings, each
+		encoded straight from _codes.'''
+		codes, out = self._codes, {}
 		for i, (l, r) in enumerate(self.relations):
-			l, r = positive_to_word(l), positive_to_word(r)
-			l, r, li, ri = [self._encode(u) for u in (l, r, invert(l), invert(r))]
-			out[i, 'fwd'], out[i, 'bwd'] = (l, r, li, ri), (r, l, ri, li)
+			a = b = ai = bi = ''
+			for g in l:
+				a, ai = a + codes[g, 1], codes[g, -1] + ai
+			for g in r:
+				b, bi = b + codes[g, 1], codes[g, -1] + bi
+			out[i, 'fwd'], out[i, 'bwd'] = (a, b, ai, bi), (b, a, bi, ai)
 		return out
 
 	@cached_property
 	def _type1(self):
 		'''Code -> (factor, replacement, step fields tuple) of every type 1
 		step whose factor starts with it, in step order.'''
-		index = {}
+		out = {}
+		get = out.get
 		for (ri, orient), (a, b, ai, bi) in self._oriented.items():
-			for sign, factor, new in ((1, a, b), (-1, ai, bi)):
-				index.setdefault(factor[0], []).append((factor, new, (ri, orient, None, None, None, sign)))
-		return {k: tuple(v) for k, v in index.items()}
+			out[a[0]] = get(a[0], ()) + ((a, b, (ri, orient, None, None, None, 1)),)
+			out[ai[0]] = get(ai[0], ()) + ((ai, bi, (ri, orient, None, None, None, -1)),)
+		return out
 
 	@cached_property
 	def _boundaries(self):
@@ -160,20 +165,24 @@ class Presentation:
 		oriented relation a = b with them, in step order: the step rewrites
 		head[-|v|:] + tail[:|v'|] to left[|v|:] + right[:-|v'|].'''
 		out = {}
+		get = out.get
 		for (ri, orient), (a, b, ai, bi) in self._oriented.items():
-			for head, tail, left, right in ((ai, b, a, bi), (a, bi, ai, b)):
-				out.setdefault(head[-1] + tail[0], []).append((ri, orient, head, tail, left, right))
-		return {k: tuple(v) for k, v in out.items()}
+			k = ai[-1] + b[0]
+			out[k] = get(k, ()) + ((ri, orient, ai, b, a, bi),)
+			k = a[-1] + bi[0]
+			out[k] = get(k, ()) + ((ri, orient, a, bi, ai, b),)
+		return out
 
 	@cached_property
 	def _commuting(self):
 		'''Code -> the codes of both signs of every generator that
 		commutes with its generator (commuting_pairs), as a string.'''
-		out = {}
+		codes, partners = self._codes, {}
 		for s, t in self.commuting_pairs:
-			both = self._codes[t, 1] + self._codes[t, -1]
-			for e in (1, -1):
-				out[self._codes[s, e]] = out.get(self._codes[s, e], '') + both
+			partners.setdefault(s, []).append(codes[t, 1] + codes[t, -1])
+		out = {}
+		for s, both in partners.items():
+			out[codes[s, 1]] = out[codes[s, -1]] = ''.join(both)
 		return out
 
 	@cached_property
@@ -300,9 +309,10 @@ def artin_presentation(m, declared_spherical=False):
 def parse_word(text, p):
 	'''Parse a word.  Single-character generators use the case convention
 	(lowercase positive, uppercase inverse); otherwise, or when the text
-	contains whitespace, tokens are "s" or "s^-1".'''
+	contains whitespace, tokens are "s" or "s^-1".  Blank text is the
+	empty word, and so is "e" where no generator is named e.'''
 	text = text.strip()
-	if text in ('', 'e'):  # allow an explicit empty-word marker on the CLI
+	if not text or (text == 'e' and 'e' not in p.generators):  # the CLI's empty-word marker
 		return ()
 	single = all(len(g) == 1 for g in p.generators)
 	if single and not any(ch.isspace() for ch in text) and '^' not in text:

@@ -29,15 +29,17 @@ _aug_words, _project); the public functions split, call it and join.
 Plain steps are applied and replayed on the same strings by
 rewrite._apply, so eliminate_infinity, raag_word_problem and
 generate_01inf_derivation encode their input once and build no triple.
-Each step is applied once where that checks it: the shuffle applies its
-steps, and generation replays only its type 2 simulations; the lift
+The shuffle decides on the string before it derives: it finds every
+cancellation pair first, so a word that is not trivial makes no step.
+Each step made is applied once where that checks it: the shuffle applies
+its steps, and generation replays only its type 2 simulations; the lift
 applies augmented steps only to insertions and to words with marks; the
 last projection stage, which has no marks, is replayed only as plain steps.
 '''
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import accumulate, compress, count
 from operator import itemgetter, ne
@@ -123,13 +125,22 @@ def max_index(w):
 	return max(map(itemgetter(1), w), default=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AugStep:
 	kind: str       # '0', '1', '2', 'inf'
 	pos: int
 	letter: str = None  # inf only
 	index: int = None   # inf only
 	sign: int = None    # inf only
+
+	def __init__(self, kind, pos, letter=None, index=None, sign=None):
+		# as rewrite.Step: each slot's setter (_AUG_SLOTS)
+		set_kind, set_pos, set_letter, set_index, set_sign = _AUG_SLOTS
+		set_kind(self, kind)
+		set_pos(self, pos)
+		set_letter(self, letter)
+		set_index(self, index)
+		set_sign(self, sign)
 
 	def to_json(self):
 		d = {'kind': self.kind, 'pos': self.pos}
@@ -140,6 +151,9 @@ class AugStep:
 	@classmethod
 	def from_json(cls, d):
 		return cls(d['kind'], d['pos'], d.get('letter'), d.get('index'), d.get('sign'))
+
+
+_AUG_SLOTS = tuple(AugStep.__dict__[f.name].__set__ for f in fields(AugStep))
 
 
 @dataclass
@@ -504,24 +518,45 @@ def raag_word_problem(p, w):
 	'''A {0,1,2} derivation from w to the empty word when w represents 1
 	in the right-angled group, else None.  Repeatedly finds a letter pair
 	s^e ... s^-e whose enclosed letters all commute with s, commutes the
-	partner leftward, and cancels.'''
+	partner leftward, and cancels.  The pairs are found on the word
+	first, and a word that is not trivial makes no step (see _shuffle).'''
 	shuffled = _shuffle(p, w)
 	return None if shuffled is None else Derivation(tuple(w), shuffled[0])
 
 
 def _shuffle(p, w):
 	'''raag_word_problem on w encoded: (its steps, step index -> encoded
-	words before and after it for each type 2 step), or None.  Each step
-	is applied by rewrite._apply as it is made, which checks it.'''
+	words before and after it for each type 2 step), or None.
+
+	It decides first, on the string.  A round that cancels the pair (i, j)
+	moves w[j] next to w[i] across letters that commute with it and
+	cancels both, so the next word is w less its letters i and j.  A word
+	left with no pair before it is empty is nontrivial, by the normal form
+	theorem for graph groups (Green; Hermiller and Meier), so the answer
+	None makes no step and applies none.  Otherwise the steps are made
+	from the pairs, in the same order, and each is applied once by
+	rewrite._apply as it is made, which checks it.'''
 	if not p.right_angled:
 		raise AugError('shuffle algorithm requires a right-angled presentation')
-	cur = p._encode(w)
-	steps, twos = [], {}
+	start = cur = p._encode(w)
+	commuting, pairs = p._commuting, []
 	while cur:
-		pair = _find_cancellable_pair(p, cur)
-		if pair is None:
+		# the first i, with its j, such that cur[j] is the inverse of cur[i]
+		# and every letter between commutes with cur[i]: the first letter
+		# after i that does not commute with it is cur[j].  No generator
+		# commutes with itself, so that letter is also the first on the
+		# generator of cur[i].
+		for i, c in enumerate(cur):
+			rest = cur[i + 1:].lstrip(commuting.get(c, ''))
+			if rest and ord(rest[0]) == ord(c) ^ 1:
+				break
+		else:
 			return None
-		i, j = pair
+		j = len(cur) - len(rest)
+		pairs.append((i, j))
+		cur = cur[:i] + cur[i + 1:j] + cur[j + 1:]
+	cur, steps, twos = start, [], {}
+	for i, j in pairs:
 		for k in range(j - 1, i, -1):
 			step = _plain_step(p, cur,
 				'2' if (ord(cur[k]) ^ ord(cur[k + 1])) & 1 else '1', k)
@@ -533,19 +568,6 @@ def _shuffle(p, w):
 		steps.append(_plain_step(p, cur, '0', i))
 		cur = _apply_plain(p, cur, steps[-1])
 	return steps, twos
-
-
-def _find_cancellable_pair(p, w):
-	'''The first i, with its j, such that w[j] is the inverse of w[i] and
-	every letter between commutes with w[i]: the first letter after i
-	that does not commute with it is w[j].  In a right-angled presentation
-	no generator commutes with itself, so that letter is also the first
-	on the generator of w[i].'''
-	for i, c in enumerate(w):
-		rest = w[i + 1:].lstrip(p._commuting.get(c, ''))
-		if rest and ord(rest[0]) == ord(c) ^ 1:
-			return i, len(w) - len(rest)
-	return None
 
 
 def generate_01inf_derivation(p, w):

@@ -25,7 +25,7 @@ are shifted in one place, embed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .core import InputError, render_word, parse_word
 
@@ -41,7 +41,7 @@ class KindError(StepError, InputError):
 	'''Step kinds that a computation does not take.'''
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Step:
 	kind: str
 	pos: int
@@ -51,6 +51,20 @@ class Step:
 	lvp: int = None     # |v'| (type 2)
 	letter: str = None  # inf
 	sign: int = None    # type 0 / inf pair order; type 1 inverse-factor flag
+
+	def __init__(self, kind, pos, rel=None, orient=None, lv=None, lvp=None, letter=None,
+			sign=None):
+		# the generated frozen __init__ calls object.__setattr__ once per
+		# field; calling each slot's setter (_STEP_SLOTS) costs half as much
+		set_kind, set_pos, set_rel, set_orient, set_lv, set_lvp, set_letter, set_sign = _STEP_SLOTS
+		set_kind(self, kind)
+		set_pos(self, pos)
+		set_rel(self, rel)
+		set_orient(self, orient)
+		set_lv(self, lv)
+		set_lvp(self, lvp)
+		set_letter(self, letter)
+		set_sign(self, sign)
 
 	def to_json(self):
 		d = {'pos': self.pos}
@@ -95,6 +109,9 @@ class Step:
 				lv=split // 64 + 1, lvp=split % 64 + 1)
 		except (KeyError, TypeError, AttributeError) as e:
 			raise FormatError('malformed step %r: %r' % (d, e)) from None
+
+
+_STEP_SLOTS = tuple(Step.__dict__[f.name].__set__ for f in fields(Step))
 
 
 def oriented_relation(p, step):

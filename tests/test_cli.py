@@ -522,3 +522,28 @@ def test_positive_words_print_as_words_that_read_back(capsys, tmp_path):
 	for word in blob['path']:
 		code, _ = run(capsys, 'class', '-p', f, '-w', word)
 		assert code == 0
+
+
+def test_generator_named_e_reads_back(capsys):
+	'''Over fig2.txt, which has a generator named e, "e" is that letter and
+	not the empty word: e, ea and the empty word read back as themselves
+	from render_word and from the CLI's spelling, which writes the empty
+	word blank there.  Over other presentations "e" is still the empty
+	word.'''
+	from artincalc import render_word
+	p = load_presentation('fig2.txt')
+	for word in ((('e', 1),), (('e', 1), ('a', 1)), ()):
+		assert parse_word(render_word(word, p), p) == word
+		assert parse_word(climod._fmt(word, p), p) == word
+	assert parse_word('e', p) == (('e', 1),) and parse_word('E', p) == (('e', -1),)
+	assert climod._fmt((), p) == '' and climod._pfmt(('e',), p) == 'e'
+	code, out = run(capsys, 'dead', '-p', 'fig2.txt', '-w', 'e', '--json')
+	assert (code, json.loads(out)) == (0, {'dead': True})
+	code, out = run(capsys, 'dead', '-p', 'fig2.txt', '-w', '', '--json')
+	assert (code, json.loads(out)) == (1, {'dead': False})
+	code, out = run(capsys, 'dehn', '-p', 'fig2.txt', '-w', 'aA')
+	assert (code, out) == (0, ' (1 step(s))\n')
+	a2 = load_presentation(A2)
+	assert parse_word('e', a2) == () and climod._fmt((), a2) == 'e'
+	code, out = run(capsys, 'dehn', '-p', A2, '-w', 'aA')
+	assert (code, out) == (0, 'e (1 step(s))\n')

@@ -211,3 +211,46 @@ def test_readme_library_example_runs_anywhere(tmp_path, monkeypatch, capsys):
 	assert capsys.readouterr().out.splitlines() == want
 	with pytest.raises(FileNotFoundError, match='^no such presentation file: nowhere/a3.txt$'):
 		load_presentation('nowhere/a3.txt')
+
+
+def _reference_rule_tables(p):
+	'''The first-use rule tables, built as they were before each side was
+	encoded straight from the code table: through positive_to_word,
+	invert and Presentation._encode, with lists turned into tuples.'''
+	oriented = {}
+	for i, (l, r) in enumerate(p.relations):
+		l, r = positive_to_word(l), positive_to_word(r)
+		l, r, li, ri = [p._encode(u) for u in (l, r, invert(l), invert(r))]
+		oriented[i, 'fwd'], oriented[i, 'bwd'] = (l, r, li, ri), (r, l, ri, li)
+	type1, boundaries, commuting = {}, {}, {}
+	for (ri, orient), (a, b, ai, bi) in oriented.items():
+		for sign, factor, new in ((1, a, b), (-1, ai, bi)):
+			type1.setdefault(factor[0], []).append((factor, new, (ri, orient, None, None, None, sign)))
+		for head, tail, left, right in ((ai, b, a, bi), (a, bi, ai, b)):
+			boundaries.setdefault(head[-1] + tail[0], []).append((ri, orient, head, tail, left, right))
+	for s, t in p.commuting_pairs:
+		both = p._codes[t, 1] + p._codes[t, -1]
+		for e in (1, -1):
+			commuting[p._codes[s, e]] = commuting.get(p._codes[s, e], '') + both
+	return {'_oriented': oriented, '_type1': {k: tuple(v) for k, v in type1.items()},
+		'_boundaries': {k: tuple(v) for k, v in boundaries.items()}, '_commuting': commuting}
+
+
+def test_rule_tables_match_reference():
+	# the tables hold the same rows, of the same types, under the same keys
+	# in the same order, as built through word tuples: step order reads them
+	import random
+	from artincalc.raag import random_right_angled
+	from helpers import A3, I24, FIG2, SIDE1, MULTI
+	rng = random.Random(157)
+	cases = [A2, A3, I24, RA3, FIG2, SIDE1, MULTI] + [random_right_angled(rng, n)
+		for n in range(1, 8) for _ in range(10)]
+	for _ in range(60):
+		gens = ('a', 'b', 'c', 'x1')[:rng.randrange(1, 5)]
+		side = lambda: tuple(rng.choice(gens) for _ in range(rng.randrange(1, 5)))
+		cases.append(Presentation(gens, tuple((side(), side()) for _ in range(rng.randrange(4)))))
+	for p in cases:
+		p = Presentation(p.generators, p.relations)  # fresh tables
+		for name, want in _reference_rule_tables(p).items():
+			got = getattr(p, name)
+			assert list(got.items()) == list(want.items()), (p, name)

@@ -723,3 +723,44 @@ def test_lift_error_order_matches_reference():
 			assert got == want
 		seen['elimination error'] += got[0] != 'ok'
 	assert min(seen.values()) >= 20, seen
+
+
+def test_nontrivial_shuffle_makes_no_step(monkeypatch):
+	'''The shuffle decides on the string before it derives: a word that is
+	not trivial makes no step and applies none, counted by wrapping
+	raag._plain_step and raag._apply_plain, and every word still gets the
+	reference's answer.  A third of the words are trivial words with one
+	letter planted, so the shuffle cancels pairs before it finds none left.'''
+	counts = {'step': 0, 'apply': 0}
+
+	def counted(name, f):
+		def wrapped(*args):
+			counts[name] += 1
+			return f(*args)
+		return wrapped
+	monkeypatch.setattr(raag, '_plain_step', counted('step', raag._plain_step))
+	monkeypatch.setattr(raag, '_apply_plain', counted('apply', raag._apply_plain))
+	rng = random.Random(151)
+	seen = dict.fromkeys(('random', 'planted', 'trivial'), 0)
+	for p in (RA3, RA5):
+		for _ in range(150):
+			kind = rng.choice(tuple(seen))
+			if kind == 'random':
+				w = random_word(p, rng, rng.randrange(1, 16))
+			else:
+				w = list(random_trivial_word(p, rng, rng.randrange(4, 40)))
+				if kind == 'planted':
+					w.insert(rng.randrange(len(w) + 1),
+						(rng.choice(p.generators), rng.choice((1, -1))))
+				w = tuple(w)
+			counts.update(step=0, apply=0)
+			got = raag_word_problem(p, w)
+			want = reference_raag_word_problem(p, w)
+			if want is None:
+				assert got is None and counts == {'step': 0, 'apply': 0}
+				seen[kind] += kind != 'trivial'
+			else:
+				assert [s.to_json() for s in got.steps] == [s.to_json() for s in want.steps]
+				assert counts['step'] == counts['apply'] == len(got.steps)
+				seen[kind] += kind == 'trivial'
+	assert min(seen.values()) >= 60, seen

@@ -626,3 +626,45 @@ def test_successors_since_drops_the_steps_ending_by_it():
 				two = [(pos, fields[:2]) for kind, pos, fields, _ in full if kind in ('2r', '2l')]
 				shared += len({pos for pos, _ in two}) < len(set(two))
 	assert shared >= 20 and dropped >= 10000, (shared, dropped)
+
+
+def test_step_contract():
+	'''Step and raag.AugStep are frozen dataclasses with a constructor
+	written by hand: their fields keep their names and order, assigning a
+	field raises FrozenInstanceError, positional and keyword construction
+	give equal objects with equal hashes, repr has the generated form, and
+	dataclasses.replace makes a changed copy.'''
+	from artincalc.raag import AugStep
+	assert [f.name for f in dataclasses.fields(Step)] == \
+		['kind', 'pos', 'rel', 'orient', 'lv', 'lvp', 'letter', 'sign']
+	assert [f.name for f in dataclasses.fields(AugStep)] == \
+		['kind', 'pos', 'letter', 'index', 'sign']
+	for cls, args, kwargs in (
+			(Step, ('2r', 5, 1, 'bwd', 2, 1), dict(kind='2r', pos=5, rel=1, orient='bwd',
+				lv=2, lvp=1)),
+			(Step, ('0', 5, None, None, None, None, None, -1), dict(kind='0', pos=5, sign=-1)),
+			(Step, ('inf', 0, None, None, None, None, 'a', 1), dict(pos=0, kind='inf',
+				sign=1, letter='a')),
+			(AugStep, ('inf', 3, 'b', 2, -1), dict(kind='inf', pos=3, letter='b', index=2,
+				sign=-1)),
+			(AugStep, ('1', 3), dict(pos=3, kind='1'))):
+		s, t = cls(*args), cls(**kwargs)
+		assert s == t and hash(s) == hash(t) and s is not t
+		assert tuple(getattr(s, f.name) for f in dataclasses.fields(cls))[:len(args)] == args
+		for f in dataclasses.fields(cls):
+			with pytest.raises(dataclasses.FrozenInstanceError):
+				setattr(s, f.name, 7)
+		moved = dataclasses.replace(s, pos=s.pos + 2)
+		assert type(moved) is cls and moved.pos == s.pos + 2 and moved != s
+		assert dataclasses.replace(moved, pos=s.pos) == s
+		assert eval(repr(s), {cls.__name__: cls}) == s
+	assert repr(Step('0', 5, sign=1)) == ("Step(kind='0', pos=5, rel=None, orient=None, "
+		"lv=None, lvp=None, letter=None, sign=1)")
+	assert repr(AugStep('inf', 2, letter='a', index=1, sign=-1)) == \
+		"AugStep(kind='inf', pos=2, letter='a', index=1, sign=-1)"
+	assert Step('1', 0, 0, 'fwd', sign=1) != Step('1', 0, 0, 'fwd', sign=-1)
+	assert len({Step('0', 1, sign=1), Step('0', 1, sign=1), Step('0', 1, sign=-1)}) == 2
+	with pytest.raises(TypeError):
+		Step('0')
+	with pytest.raises(TypeError):
+		AugStep('0', 1, colour='red')
