@@ -76,13 +76,14 @@ class Presentation:
 	The rule source, of size O(total relation length), answers every
 	"which factor may a relation rewrite" question, and type 1, type 2 and
 	Dehn steps are matched in place from it.  Its pieces are _oriented,
-	_type1, _boundaries and _dehn, with _swap on top of them.  Each is
-	built on first use and cached on the instance, and a copy made by
-	dataclasses.replace starts afresh.  Step order, and so the order of
-	search results, is: relation index, then 'fwd' (the stored relation
-	read lhs -> rhs) before 'bwd', then sign +1 before -1 (type 1), or |v|
-	then |v'| ascending (type 2); _swap keeps the first hit.  Dehn steps
-	have an order of their own (rewrite.dehn_steps).
+	_type1, _boundaries and _dehn, with _swap on top of them, and the
+	right-angled pipeline keeps its plain swap and cancellation steps in
+	_steps.  Each is built on first use and cached on the instance, and a
+	copy made by dataclasses.replace starts afresh.  Step order, and so
+	the order of search results, is: relation index, then 'fwd' (the
+	stored relation read lhs -> rhs) before 'bwd', then sign +1 before -1
+	(type 1), or |v| then |v'| ascending (type 2); _swap keeps the first
+	hit.  Dehn steps have an order of their own (rewrite.dehn_steps).
 
 	Inside the search, step replay, reversing and the right-angled
 	pipeline a word is a string, one character per letter: generator i is
@@ -202,6 +203,20 @@ class Presentation:
 		for factor, _, fields in self._type1.get(pair[0], ()):
 			if factor == pair:
 				return '1', fields
+
+	@cached_property
+	def _steps(self):
+		'''(kind, code pair, position) -> the plain Step that raag._plain_step
+		made for the zero-index augmented step of that kind ('0', '1' or
+		'2') at that position on a word with that pair there.  A Step is
+		frozen, so the shuffle, generation and elimination share one per
+		key.  Only raag._plain_step fills it, and only with a Step it
+		made: a swap that no relation realizes raises on every call.  The
+		pipeline asks kind 0 of a trivial pair and a swap of any other, so
+		the table holds at most (2|S|)² × the longest word Steps, |S| the
+		generators coded (_codes).  It lives and dies with the instance,
+		and a copy made by dataclasses.replace starts empty.'''
+		return {}
 
 	@cached_property
 	def _dehn(self):

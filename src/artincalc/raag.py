@@ -23,9 +23,17 @@ and its inverse differing in the lowest bit), so phi is the first half of
 the pair, and marks the tuple of (position, index) pairs of the letters
 whose index is not 0, ascending by position.  An insertion is cancelled
 long before the word ends, so a word carries few marks, and most none:
-every core costs what its marks cost, besides one string operation.
+every core costs what its marks cost, besides one string operation, and
+a word with one marked pair costs a few list operations on its two marks.
 Each operation has one private core on pairs (_apply, _regular, _drop,
 _aug_words, _project); the public functions split, call it and join.
+A projected type 0 step that moves a letter finds the moved block from
+the marks and the step's position (_below), so _swap_block compares the
+outside as two slices and the block as a rotation by one letter.
+The plain Step of each swap and cancellation is made once per
+presentation, kind, letter pair and position (_plain_step, into
+Presentation._steps), so the shuffle, generation and the last stage of
+elimination on one presentation share it.
 Plain steps are applied and replayed on the same strings by
 rewrite._apply, so eliminate_infinity, raag_word_problem and
 generate_01inf_derivation encode their input once and build no triple.
@@ -39,10 +47,11 @@ last projection stage, which has no marks, is replayed only as plain steps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import accumulate, compress, count
-from operator import itemgetter, ne
+from itertools import accumulate, compress
+from operator import itemgetter
 
 from .core import Presentation
 from .rewrite import (Step, Derivation, StepError, oriented_relation,
@@ -99,9 +108,13 @@ def _drop(letters, marks, h):
 	gone = [k for k, i in marks if i >= h]
 	if not gone:
 		return letters, marks
-	ends = [-1] + gone + [len(letters)]
-	return (''.join(letters[a + 1:b] for a, b in zip(ends, ends[1:])),
-		tuple((k - sum(g < k for g in gone), i) for k, i in marks if i < h))
+	pieces, a = [], 0
+	for k in gone:
+		pieces.append(letters[a:k])
+		a = k + 1
+	pieces.append(letters[a:])
+	# a mark kept moves left past the letters gone before it
+	return ''.join(pieces), tuple([(k - bisect_left(gone, k), i) for k, i in marks if i < h])
 
 
 def _below(marks, pos, h):
@@ -168,10 +181,10 @@ def apply_aug_step(p, w, s):
 
 def _apply(p, letters, marks, s):
 	'''apply_aug_step on a pair.'''
-	n, k = len(letters), s.pos
+	kind, k, n = s.kind, s.pos, len(letters)
 	if type(k) is not int or k < 0:
 		raise AugError('position %r out of range' % (k,))
-	if s.kind == '0':
+	if kind == '0':
 		if k + 2 > n:
 			raise AugError('aug type 0 out of range')
 		c1, c2 = letters[k], letters[k + 1]
@@ -182,7 +195,7 @@ def _apply(p, letters, marks, s):
 			return letters, marks
 		at = dict(marks)
 		lo, hi = sorted((at.get(k, 0), at.get(k + 1, 0)))
-		rest = tuple((m - 2 * (m > k), i) for m, i in marks if m - k not in (0, 1))
+		rest = tuple([(m - 2 if m > k else m, i) for m, i in marks if m != k and m != k + 1])
 		if lo == hi:  # the relabelling keeps every index
 			return letters, rest
 		# only the letters on the cancelled generator that carry the larger
@@ -190,35 +203,39 @@ def _apply(p, letters, marks, s):
 		if hi == 0:  # unmarked letters take the negative lo: only a public caller's word
 			return letters, _marks(lo if i == 0 and c in (c1, c2) else i
 				for c, i in zip(letters, _dense(len(letters), rest)))
-		return letters, tuple((m, lo if i == hi and letters[m] in (c1, c2) else i)
-			for m, i in rest if lo or i != hi or letters[m] not in (c1, c2))
-	if s.kind in ('1', '2'):
+		return letters, tuple([(m, lo if i == hi and letters[m] in (c1, c2) else i)
+			for m, i in rest if lo or i != hi or letters[m] not in (c1, c2)])
+	if kind == '1' or kind == '2':
 		if k + 2 > n:
 			raise AugError('aug swap out of range')
 		c1, c2 = letters[k], letters[k + 1]
 		if c2 not in p._commuting.get(c1, ''):
 			raise AugError('%s and %s do not commute'
 				% (_name(p, c1), _name(p, c2)))
-		if s.kind == '1' and (ord(c1) ^ ord(c2)) & 1:
+		if kind == '1' and (ord(c1) ^ ord(c2)) & 1:
 			raise AugError('aug type 1 needs equal signs')
-		if s.kind == '2' and not (ord(c1) ^ ord(c2)) & 1:
+		if kind == '2' and not (ord(c1) ^ ord(c2)) & 1:
 			raise AugError('aug type 2 needs opposite signs')
 		if marks:  # a mark on k or k + 1 moves with its letter
-			marks = tuple(sorted((2 * k + 1 - m if m - k in (0, 1) else m, i) for m, i in marks))
+			marks = tuple(sorted([(2 * k + 1 - m if k <= m <= k + 1 else m, i) for m, i in marks]))
 		return letters[:k] + c2 + c1 + letters[k + 2:], marks
-	if s.kind == 'inf':
+	if kind == 'inf':
 		if k > n:
 			raise AugError('insertion position out of range')
+		index, sign = s.index, s.sign
+		if type(index) is not int:
+			raise AugError('insertion index must be an integer, got %r' % (index,))
 		# the unmarked letters have index 0
-		if s.index <= max([i for _, i in marks] + [0] * (len(marks) < n), default=-1):
-			raise AugError('insertion index %d not fresh' % s.index)
-		if type(s.sign) is not int or s.sign not in (1, -1):
-			raise AugError('insertion sign must be 1 or -1, got %r' % (s.sign,))
-		pair = p._codes[s.letter, s.sign] + p._codes[s.letter, -s.sign]
-		new = ((k, s.index), (k + 1, s.index)) if s.index else ()
-		return letters[:k] + pair + letters[k:], (tuple(x for x in marks if x[0] < k)
-			+ new + tuple((m + 2, i) for m, i in marks if m >= k))
-	raise AugError('unknown augmented step kind %r' % s.kind)
+		if index <= max([i for _, i in marks] + [0] * (len(marks) < n), default=-1):
+			raise AugError('insertion index %d not fresh' % index)
+		if type(sign) is not int or sign not in (1, -1):
+			raise AugError('insertion sign must be 1 or -1, got %r' % (sign,))
+		codes = p._codes
+		letters = letters[:k] + codes[s.letter, sign] + codes[s.letter, -sign] + letters[k:]
+		new = ((k, index), (k + 1, index)) if index else ()
+		return letters, (tuple([x for x in marks if x[0] < k]) + new
+			+ tuple([(m + 2, i) for m, i in marks if m >= k]))
+	raise AugError('unknown augmented step kind %r' % kind)
 
 
 def check_aug_derivation(p, d):
@@ -268,17 +285,17 @@ def _plain_step_to_aug(p, marks, step):
 	marks into an augmented step at the same position.  The callers
 	require a right-angled presentation, so a type 1 step's relation is
 	looked up only for its checks, which come first.'''
-	if step.kind == '0':
-		return AugStep('0', step.pos)
-	if step.kind == '1':
+	kind, pos = step.kind, step.pos
+	if kind == '0':
+		return AugStep('0', pos)
+	if kind == '1':
 		oriented_relation(p, step)
-		return AugStep('1', step.pos)
-	if step.kind in ('2r', '2l'):
-		return AugStep('2', step.pos)
-	if step.kind == 'inf':
-		return AugStep('inf', step.pos, letter=step.letter,
-			index=_fresh(map(itemgetter(1), marks)), sign=step.sign)
-	raise AugError('unknown plain step kind %r' % step.kind)
+		return AugStep('1', pos)
+	if kind == '2r' or kind == '2l':
+		return AugStep('2', pos)
+	if kind == 'inf':
+		return AugStep('inf', pos, step.letter, _fresh([i for _, i in marks]), step.sign)
+	raise AugError('unknown plain step kind %r' % kind)
 
 
 def lift_derivation(p, d):
@@ -332,53 +349,62 @@ def is_regular(p, w):
 
 
 def _regular(p, letters, marks):
-	'''is_regular on a pair, read off the marks: the letters a pair
-	encloses, less those of a larger index, are checked by stripping the
-	commuting codes, and the first letter left is the diagnosis.'''
-	pairs = {}
-	for k, i in marks:
-		if i > 0:
-			pairs.setdefault(i, []).append(k)
-	for h in sorted(pairs):
-		if len(pairs[h]) != 2:
-			return False, 'index %d occurs %d times' % (h, len(pairs[h]))
-		a, b = pairs[h]
+	'''is_regular on a pair, read off the marks, sorted by index: each
+	index must be on two marks in a row.  The letters a pair encloses,
+	less those of a larger index, are checked by stripping the commuting
+	codes, and the first letter left is the diagnosis.'''
+	marked = sorted([(i, k) for k, i in marks if i > 0])
+	n = len(marked)
+	for j in range(0, n, 2):
+		h, a = marked[j]
+		if j + 1 == n or marked[j + 1][0] != h or (j + 2 < n and marked[j + 2][0] == h):
+			return False, 'index %d occurs %d times' % (h, [i for i, _ in marked].count(h))
+		b = marked[j + 1][1]
 		c1, c2 = letters[a], letters[b]
 		if ord(c1) >> 1 != ord(c2) >> 1:
 			return False, 'index %d letters have different generators' % h
 		if c1 == c2:
 			return False, 'index %d letters do not have opposite signs' % h
+		enclosed = letters[a + 1:b]
+		if n > 2:  # the letters of a larger index are left out
+			ends = [a, *[k for k, i in marks if a < k < b and i > h], b]
+			enclosed = ''.join([letters[x + 1:y] for x, y in zip(ends, ends[1:])])
 		# a letter on the pair's own generator fails even where a relation
 		# aa = aa says it commutes
-		commuting = p._commuting.get(c1, '').replace(c1, '').replace(c2, '')
-		ends = [a] + [k for k, i in marks if a < k < b and i > h] + [b]
-		for c in (letters[x + 1:y].lstrip(commuting)[:1] for x, y in zip(ends, ends[1:])):
-			if c in (c1, c2):
-				return False, 'index %d pair encloses its own generator' % h
-			if c:
-				return False, 'index %d pair encloses non-commuting %s' % (h, _name(p, c))
+		c = enclosed.lstrip(p._commuting.get(c1, '').replace(c1, '').replace(c2, ''))[:1]
+		if c in (c1, c2):
+			return False, 'index %d pair encloses its own generator' % h
+		if c:
+			return False, 'index %d pair encloses non-commuting %s' % (h, _name(p, c))
 	return True, 'regular'
 
 
 # ---------------------------------------------------------------------------
 # projection (one step, top index h)
 
-def _swap_block(p, pw, target):
+def _swap_block(p, pw, target, a, b):
 	'''Steps moving one letter across a commuting block, turning the pair pw
-	into the pair target; both words must agree except for that one move.
-	The move is read off the letters and the marks.'''
+	into the pair target; both words must agree except for that one move,
+	which lies in pw[a:b].  The outside is checked as two slices and the
+	marks there; the block, as its letters where neither word has marks
+	and as (letter, index) pairs otherwise, is narrowed to its first and
+	last difference and must be a rotation by one letter.'''
 	if pw == target:
 		return []
 	(lw, mw), (lt, mt) = pw, target
-	if len(lw) != len(lt):
+	if len(lw) != len(lt) or lw[:a] != lt[:a] or lw[b:] != lt[b:]:
 		raise AugError('projection diff is not a single move')
-	iw, it = dict(mw), dict(mt)
-	# the moved block is lw[a:b], from the first to the last place where the
-	# letters or the indices differ; pw and target differ, so it is not empty
-	marked = [k for k in iw.keys() | it.keys() if iw.get(k, 0) != it.get(k, 0)]
-	a = min(marked + [_first_difference(lw, lt)])
-	b = max(marked + [len(lw) - 1 - _first_difference(lw[::-1], lt[::-1])]) + 1
-	bw, bt = ([(l[k], i.get(k, 0)) for k in range(a, b)] for l, i in ((lw, iw), (lt, it)))
+	bw, bt = lw[a:b], lt[a:b]
+	if mw or mt:
+		if [x for x in mw if not a <= x[0] < b] != [x for x in mt if not a <= x[0] < b]:
+			raise AugError('projection diff is not a single move')
+		bw = list(zip(bw, _dense(b - a, [(k - a, i) for k, i in mw if a <= k < b])))
+		bt = list(zip(bt, _dense(b - a, [(k - a, i) for k, i in mt if a <= k < b])))
+	# pw and target differ, and only inside the block
+	while bw[0] == bt[0]:
+		bw, bt, a = bw[1:], bt[1:], a + 1
+	while bw[-1] == bt[-1]:
+		bw, bt, b = bw[:-1], bt[:-1], b - 1
 	if bw[-1] == bt[0] and bw[:-1] == bt[1:]:
 		# the last letter moves left, crossing the block from its right end
 		x = lw[b - 1]
@@ -389,18 +415,13 @@ def _swap_block(p, pw, target):
 		crossings = zip(range(a, b - 1), lw[a + 1:b])
 	else:
 		raise AugError('projection diff is not a single move')
-	steps = []
+	steps, commuting = [], p._commuting.get(x, '')
 	for cur, c in crossings:
-		if ord(c) >> 1 == ord(x) >> 1 or c not in p._commuting.get(x, ''):
+		if ord(c) >> 1 == ord(x) >> 1 or c not in commuting:
 			raise AugError('projection needs %s and %s to commute'
 				% (_name(p, c), _name(p, x)))
 		steps.append(AugStep('2' if (ord(c) ^ ord(x)) & 1 else '1', cur))
 	return steps
-
-
-def _first_difference(x, y):
-	'''The first k with x[k] != y[k], or len(x) when there is none.'''
-	return next(compress(count(), map(ne, x, y)), len(x))
 
 
 def project_step(p, w, s, h):
@@ -431,9 +452,20 @@ def _project(p, marks, s, h, pw, pw2):
 		if pw != pw2:
 			raise AugError('step on letters of index >= %d changed the projection' % h)
 		return []
-	# type 0 with one cancelled letter of index h: the surviving pair partner
-	# is relabelled below h and must cross the pair contents by commutations
-	steps = _swap_block(p, pw, pw2)
+	# type 0 with one cancelled letter r of index below h: the other letters
+	# of the larger index on its generator are relabelled below h.  When one
+	# letter q carries that index (the pair partner, where the index is
+	# positive), the relabelled q replaces r, and pi_h(w) changes only
+	# between them: q crosses the letters between by commutations.
+	# Otherwise the move is looked for in the whole of pw.
+	hi = max(i1, i2)
+	q = [k for k, i in marks if i == hi and k - s.pos not in (0, 1)]
+	if len(q) == 1:
+		x, y = sorted((q[0], s.pos + (i1 >= h)))
+		a, b = _below(marks, x, h), _below(marks, y + 1, h)
+	else:
+		a, b = 0, len(pw[0])
+	steps = _swap_block(p, pw, pw2, a, b)
 	if _aug_words(p, pw, steps)[-1] != pw2:
 		raise AugError('projected block does not replay')
 	return steps
@@ -444,17 +476,26 @@ def _project(p, marks, s, h, pw, pw2):
 
 def _plain_step(p, letters, kind, pos):
 	'''The plain Step of a zero-index augmented step of this kind ('0',
-	'1' or '2') at pos on the encoded letters.'''
+	'1' or '2') at pos on the encoded letters: the one Step of the
+	presentation's table (Presentation._steps) for the kind, the pair at
+	pos and pos, made on the first call.'''
+	key = kind, letters[pos:pos + 2], pos
+	step = p._steps.get(key)
+	if step is not None:
+		return step
 	if kind == '0':
-		return Step('0', pos, sign=-1 if ord(letters[pos]) & 1 else 1)
-	# over a right-angled presentation Presentation._swap names every step
-	# needed: type 1 for equal signs, 2r or 2l (the reversing step) otherwise
-	pair = letters[pos:pos + 2]
-	row = p._swap(pair)
-	if row is None or row[0][0] != kind:
-		g1, g2 = (_name(p, c) for c in pair)
-		raise AugError('no relation realizes the swap %s %s' % (g1, g2))
-	return Step(row[0], pos, *row[1])
+		step = Step('0', pos, sign=-1 if ord(letters[pos]) & 1 else 1)
+	else:
+		# over a right-angled presentation Presentation._swap names every
+		# step needed: type 1 for equal signs, 2r or 2l (the reversing
+		# step) otherwise
+		row = p._swap(key[1])
+		if row is None or row[0][0] != kind:
+			g1, g2 = (_name(p, c) for c in key[1])
+			raise AugError('no relation realizes the swap %s %s' % (g1, g2))
+		step = Step(row[0], pos, *row[1])
+	p._steps[key] = step
+	return step
 
 
 def eliminate_infinity(p, d):

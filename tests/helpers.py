@@ -316,7 +316,7 @@ def reference_is_regular(p, w):
 def reference_apply_aug_step(p, w, s):
 	'''apply_aug_step on words of triples, as first written, with the
 	position check and the insertion sign check that rewrite.apply_step
-	makes.'''
+	makes, and the insertion index checked by type as the sign is.'''
 	n = len(w)
 	if type(s.pos) is not int or s.pos < 0:
 		raise AugError('position %r out of range' % (s.pos,))
@@ -344,6 +344,8 @@ def reference_apply_aug_step(p, w, s):
 	if s.kind == 'inf':
 		if not 0 <= s.pos <= n:
 			raise AugError('insertion position out of range')
+		if type(s.index) is not int:
+			raise AugError('insertion index must be an integer, got %r' % (s.index,))
 		if s.index <= max((i for _, i, _ in w), default=-1):
 			raise AugError('insertion index %d not fresh' % s.index)
 		if type(s.sign) is not int or s.sign not in (1, -1):

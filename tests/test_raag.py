@@ -764,3 +764,201 @@ def test_nontrivial_shuffle_makes_no_step(monkeypatch):
 				assert counts['step'] == counts['apply'] == len(got.steps)
 				seen[kind] += kind == 'trivial'
 	assert min(seen.values()) >= 60, seen
+
+
+def test_aug_insertion_index_checked_by_type():
+	'''An insertion's index is checked by type, as its sign is, with an
+	AugError: None (what AugStep.from_json reads when "index" is missing)
+	and a string raised TypeError from the freshness comparison, and 1.5
+	was inserted into the word.  apply_aug_step, check_aug_derivation and
+	aug_derivation_words give the reference's message.'''
+	missing = AugStep.from_json({'kind': 'inf', 'pos': 0, 'letter': 'a', 'sign': 1})
+	assert missing == AugStep('inf', 0, letter='a', sign=1)
+	messages = {None: 'insertion index must be an integer, got None',
+		'2': "insertion index must be an integer, got '2'",
+		1.5: 'insertion index must be an integer, got 1.5',
+		True: 'insertion index must be an integer, got True',
+		False: 'insertion index must be an integer, got False'}
+	w = aw('a0+ b0-')
+	for index, message in messages.items():
+		s = AugStep('inf', 0, letter='a', index=index, sign=1)
+		assert _outcome(apply_aug_step, RA2, w, s) == ('AugError', message)
+		assert _outcome(reference_apply_aug_step, RA2, w, s) == ('AugError', message)
+		d = AugDerivation(aw('a0+ a0-'), [AugStep('0', 0), s])
+		for f in (check_aug_derivation, aug_derivation_words):
+			assert _outcome(f, RA2, d) == ('AugError', 'augmented step 1 inapplicable: ' + message)
+	assert _outcome(apply_aug_step, RA2, w, missing) == ('AugError', messages[None])
+	# an integer index is still inserted, and still checked for freshness
+	assert apply_aug_step(RA2, w, AugStep('inf', 2, letter='a', index=1, sign=-1)) == \
+		aw('a0+ b0- a1- a1+')
+	with pytest.raises(AugError, match='^insertion index 0 not fresh$'):
+		apply_aug_step(RA2, w, AugStep('inf', 0, letter='a', index=0, sign=1))
+
+
+def test_plain_step_table():
+	'''raag._plain_step keeps one Step per (kind, code pair, position) in
+	Presentation._steps: the same key gives the identical Step, whatever
+	the rest of the word; a copy made by dataclasses.replace starts with
+	an empty table; and a swap that no relation realizes is not stored
+	and raises again on its second call.'''
+	p = dataclasses.replace(RA2)
+	enc = lambda text: p._encode(parse_word(text, p))
+	assert p._steps == {}
+	one = raag._plain_step(p, enc('ab'), '1', 0)
+	assert one == Step('1', 0, *p._swap(enc('ab'))[1])
+	assert raag._plain_step(p, enc('abAB'), '1', 0) is one
+	two = raag._plain_step(p, enc('aB'), '2', 0)
+	assert two.kind == '2l' and raag._plain_step(p, enc('aBab'), '2', 0) is two
+	zero = raag._plain_step(p, enc('bAa'), '0', 1)
+	assert zero == Step('0', 1, sign=-1) and raag._plain_step(p, enc('aAa'), '0', 1) is zero
+	# another position or pair is another key
+	assert raag._plain_step(p, enc('bab'), '1', 1) == Step('1', 1, *p._swap(enc('ab'))[1])
+	assert raag._plain_step(p, enc('bab'), '1', 1) is not one
+	assert raag._plain_step(p, enc('ba'), '1', 0) is not one
+	assert len(p._steps) == 5
+	copy = dataclasses.replace(p)
+	assert copy._steps == {} and copy._steps is not p._steps
+	assert raag._plain_step(copy, enc('ab'), '1', 0) == one
+	assert raag._plain_step(copy, enc('ab'), '1', 0) is not one
+	# refused swaps: no relation, and a kind that the pair's signs refuse
+	free = dataclasses.replace(FREE2)
+	for q, text, kind, message in ((free, 'ab', '1', 'no relation realizes the swap a b'),
+			(p, 'ab', '2', 'no relation realizes the swap a b'),
+			(p, 'aB', '1', 'no relation realizes the swap a b')):
+		before = dict(q._steps)
+		for _ in range(2):
+			with pytest.raises(AugError, match='^%s$' % message):
+				raag._plain_step(q, q._encode(parse_word(text, q)), kind, 0)
+		assert q._steps == before
+
+
+def _presentation_text(p):
+	return '\n'.join(['gens: ' + ' '.join(p.generators)] + ['rel: %s = %s' % (''.join(l), ''.join(r))
+		for l, r in p.relations])
+
+
+def test_elimination_on_a_cold_table():
+	'''Elimination on a freshly parsed presentation whose step table is
+	empty, with the derivation read back through to_json and replay_json
+	and no generation first, as the CLI's eliminate-inf runs, gives the
+	steps JSON, or the error, of elimination on the presentation that
+	generated the derivation and of reference_eliminate: over
+	_elimination_cases and nested derivations from _hoisted.  On the
+	warm presentation, elimination of a generated derivation makes no
+	Step: it gives back the shuffle's own Steps.'''
+	from artincalc import parse_presentation_text
+	rng = random.Random(163)
+	cases = _elimination_cases()
+	while len(cases) < 120:
+		p = random_right_angled(rng, rng.randrange(2, 7))
+		d = generate_01inf_derivation(p, random_trivial_word(p, rng, rng.randrange(8, 60)))
+		for _ in range(rng.randrange(1, 4)):
+			d = _hoisted(p, d, rng) or d
+		cases.append((p, d))
+	jsons = lambda out: (out[0], [s.to_json() for s in out[1].steps] if out[0] == 'ok' else out[1])
+	read_back = shared = 0
+	for p, d in cases:
+		cold = parse_presentation_text(_presentation_text(p))
+		assert (cold.generators, cold.relations) == (p.generators, p.relations)
+		assert cold._steps == {}
+		try:
+			d2 = Derivation.replay_json(d.to_json(cold), cold)[0]
+			read_back += 1
+		except (StepError, ValueError):  # the rejected inputs: eliminated as they are
+			d2 = d
+		warm = _outcome(eliminate_infinity, p, d)
+		assert jsons(_outcome(eliminate_infinity, cold, d2)) == jsons(warm) == \
+			jsons(_outcome(reference_eliminate, p, d))
+		if warm[0] == 'ok' and d.steps and all(s.kind in ('0', '1', 'inf') for s in d.steps):
+			shuffled = raag_word_problem(p, d.start)
+			if shuffled is not None and jsons(('ok', shuffled)) == jsons(warm):
+				assert all(a is b for a, b in zip(warm[1].steps, shuffled.steps))
+				shared += 1
+	assert read_back >= 100 and shared >= 20
+
+
+def _regular_with_cancel(p, rng, negative):
+	'''A regular augmented word and a type 0 step at k that cancels a
+	letter of index hi against the inverse letter of a smaller index lo.
+	Pairs of indices 1 to 3 are inserted in ascending order, each around
+	letters that commute with its generator (lower indices included), so
+	other marks sit inside the blocks that projections move.  The
+	planted letter is an unmarked (or negative) one next to a pair's
+	letter; with negative, it is of index -1 or -2 next to an unmarked
+	letter or one of index -1, so that projecting at h <= 0 relabels
+	letters with no partner, several or none: moves that are not one.
+	None when the word is not regular.'''
+	gens = p.generators
+	w = [(rng.choice(gens), rng.choice((0, -1, -2)) if negative else 0, rng.choice((1, -1)))
+		for _ in range(rng.randrange(0, 9))]
+	for index in range(1, rng.randrange(2, 5)):
+		g, e = rng.choice(gens), rng.choice((1, -1))
+		x = rng.randrange(len(w) + 1)
+		run = 0
+		while x + run < len(w) and w[x + run][0] != g and p.commutes(g, w[x + run][0]):
+			run += 1
+		y = x + rng.randint(min(run, 1), run)
+		w[y:y] = [(g, index, -e)]
+		w[x:x] = [(g, index, e)]
+	if negative:
+		marked = [k for k, (_, i, _) in enumerate(w) if i in (0, -1)]
+	else:
+		marked = [k for k, (_, i, _) in enumerate(w) if i > 0]
+	if not marked:
+		return None
+	k = rng.choice(marked)
+	g, hi, e = w[k]
+	lo = rng.choice((-1, -2)) if negative else rng.choice((0, 0, 0, -1))
+	lo = min(lo, hi - 1)
+	if rng.random() < 0.5:  # the planted letter before: the step is at k
+		w[k:k] = [(g, lo, -e)]
+	else:
+		w[k + 1:k + 1] = [(g, lo, -e)]
+	w = tuple(w)
+	if not reference_is_regular(p, w)[0]:
+		return None
+	return w, AugStep('0', k), lo, hi
+
+
+def test_project_step_moves_match_reference():
+	'''project_step, whose _swap_block reads the moved block off the marks
+	and the step's position, against reference_project_step, which
+	compares whole words: regular words with a type 0 step that cancels
+	a marked letter, projected at every h with lo < h <= hi, the steps or
+	the error of the reference.  Moves across blocks with other marks in
+	them, and on words with negative indices moves that are not one,
+	so that each _swap_block error is raised.'''
+	rng = random.Random(167)
+	seen = dict.fromkeys(('moved', 'marks in the block', 'not a single move',
+		'needs to commute', 'empty'), 0)
+	made = 0
+	while made < 2000:
+		p = rng.choice((RA3, RA5, FREE2, random_right_angled(rng, rng.randrange(2, 6))))
+		planted = _regular_with_cancel(p, rng, rng.random() < 0.5)
+		if planted is None:
+			continue
+		w, s, lo, hi = planted
+		made += 1
+		for h in range(lo + 1, hi + 1):
+			got = _outcome(project_step, p, w, s, h)
+			assert got == _outcome(reference_project_step, p, w, s, h), (p, w, s, h)
+			if got[0] == 'ok' and got[1]:
+				seen['moved'] += 1
+				steps = got[1]
+				inside = pi_h(w, h)[min(t.pos for t in steps):max(t.pos for t in steps) + 2]
+				seen['marks in the block'] += any(i for _, i, _ in inside)
+			elif got[0] == 'ok':
+				seen['empty'] += 1
+			elif 'not a single move' in got[1]:
+				seen['not a single move'] += 1
+			elif 'to commute' in got[1]:
+				seen['needs to commute'] += 1
+	assert min(seen.values()) >= 20, seen
+	# project_step's words agree outside the block it passes, so the outside
+	# checks are met on direct calls: a length, the letters, then the marks
+	pw = raag._split(RA2, aw('a0+ b0+ a1+ a1-'))
+	assert raag._swap_block(RA2, pw, raag._split(RA2, aw('b0+ a0+ a1+ a1-')), 0, 2) == \
+		[AugStep('1', 0)]
+	for text in ('b0+ a0+ a1+', 'b0+ a0+ a1- a1+', 'b0+ a0+ a2+ a2-'):
+		with pytest.raises(AugError, match='^projection diff is not a single move$'):
+			raag._swap_block(RA2, pw, raag._split(RA2, aw(text)), 0, 2)

@@ -168,3 +168,25 @@ def test_search_finds_steps_through_the_step_scan():
 	reads = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == 'after'
 		and isinstance(n.ctx, ast.Load)]
 	assert len(reads) == 1
+
+
+def test_plain_steps_are_made_on_the_table_miss_path():
+	# raag makes a plain Step only where Presentation._steps has none for
+	# the key: every Step(...) in raag.py lies in _plain_step, after the
+	# return of a table hit and before the one store into the table, and
+	# nothing else under src/artincalc stores into that table
+	tree = ast.parse((SRC / 'raag.py').read_text(encoding='utf-8'))
+	fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == '_plain_step')
+	hit = next(n for n in fn.body if isinstance(n, ast.If) and isinstance(n.body[0], ast.Return)
+		and isinstance(n.test, ast.Compare) and isinstance(n.test.ops[0], ast.IsNot))
+	made = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, 'id', None) == 'Step']
+	stores = []
+	for path in sorted(SRC.glob('*.py')):
+		for node in ast.walk(ast.parse(path.read_text(encoding='utf-8'))):
+			if isinstance(node, ast.Assign) and any(isinstance(t, ast.Subscript)
+					and getattr(t.value, 'attr', None) == '_steps' for t in node.targets):
+				stores.append((path.name, node))
+	assert [name for name, _ in stores] == ['raag.py']
+	store = stores[0][1]
+	assert fn.lineno <= store.lineno <= fn.end_lineno
+	assert len(made) == 2 and all(hit.end_lineno < n.lineno < store.lineno for n in made)
