@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .core import render_word, positive_to_word
-from .monoid import canonical, left_divisors
+from .monoid import canonical, _divisor_forms
 from .rewrite import _successors
 
 
@@ -49,14 +49,11 @@ class CayleyFragment:
 
 def divisor_fragment(p, g):
 	g = tuple(g)
-	verts = left_divisors(p, g)
-	edges = set()
-	for u in verts:
-		for s in p.generators:
-			t = canonical(p, u + (s,))
-			if t in verts:
-				edges.add((u, s, t))
-	return CayleyFragment(canonical(p, g), verts, frozenset(edges))
+	forms = _divisor_forms(p, g)
+	verts = frozenset(forms.values())
+	# canonical(u s) is a vertex exactly when u s left-divides g
+	edges = {(u, s, forms[u + (s,)]) for u in verts for s in p.generators if u + (s,) in forms}
+	return CayleyFragment(forms[g], verts, frozenset(edges))
 
 
 def traced_from(f, v, w):

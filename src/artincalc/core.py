@@ -117,10 +117,6 @@ class Presentation:
 		return (s, t) in self.commuting_pairs
 
 	@cached_property
-	def fingerprint(self):
-		return repr((self.generators, self.relations))
-
-	@cached_property
 	def _codes(self):
 		return _Codes({(g, e): chr(2 * i + (e < 0))
 			for i, g in enumerate(self.generators) for e in (1, -1)})
@@ -232,6 +228,16 @@ class Presentation:
 		return out
 
 	@cached_property
+	def _complete(self):
+		'''The sides, of 'right' and 'left', on which reversing decides the
+		positive monoid (reversing._cube_condition), cached as the rule
+		source is: left reversing is right reversing on the mirror image.'''
+		from .reversing import _cube_condition  # reversing builds on core
+		mirror = Presentation(self.generators, [(l[::-1], r[::-1]) for l, r in self.relations])
+		return tuple(side for side, q in (('right', self), ('left', mirror))
+			if self.length_preserving and _cube_condition(q))
+
+	@cached_property
 	def commuting_pairs(self):
 		'''Every (s, t) such that st = ts is a relation, either way round.'''
 		return frozenset(side for l, r in self.relations if len(l) == 2 and r == l[::-1]
@@ -326,16 +332,20 @@ def parse_word(text, p):
 	(lowercase positive, uppercase inverse); otherwise, or when the text
 	contains whitespace, tokens are "s" or "s^-1".  Blank text is the
 	empty word, and so is "e" where no generator is named e.'''
+	return _parse_word(text, p.generators)
+
+
+def _parse_word(text, gens):
 	text = text.strip()
-	if not text or (text == 'e' and 'e' not in p.generators):  # the CLI's empty-word marker
+	if not text or (text == 'e' and 'e' not in gens):  # the CLI's empty-word marker
 		return ()
-	single = all(len(g) == 1 for g in p.generators)
+	single = all(len(g) == 1 for g in gens)
 	if single and not any(ch.isspace() for ch in text) and '^' not in text:
 		out = []
 		for ch in text:
-			if ch in p.generators:
+			if ch in gens:
 				out.append((ch, 1))
-			elif ch.lower() in p.generators:
+			elif ch.lower() in gens:
 				out.append((ch.lower(), -1))
 			else:
 				raise WordError('unknown generator %r in %r' % (ch, text))
@@ -346,7 +356,7 @@ def parse_word(text, p):
 			g, e = tok[:-3], -1
 		else:
 			g, e = tok, 1
-		if g not in p.generators:
+		if g not in gens:
 			raise WordError('unknown generator %r in %r' % (g, text))
 		out.append((g, e))
 	return tuple(out)
@@ -402,8 +412,9 @@ def parse_presentation_text(text):
 			raise PresentationError('unrecognized line %r' % raw)
 	if gens is None:
 		raise PresentationError('missing gens: line')
-	shell = Presentation(gens, ())
-	relations = [(parse_positive(l, shell), parse_positive(r, shell)) for l, r in rels]
+	if len(set(gens)) < len(gens):  # reported before an unknown generator in a relation
+		Presentation(gens, ())  # raises the duplicates, worded by validate
+	relations = [tuple(word_to_positive(_parse_word(t, gens)) for t in rel) for rel in rels]
 	if cox:
 		m = CoxeterMatrix(gens)
 		for triple in cox:

@@ -1,86 +1,29 @@
-''' Desk-scale positive-word monoid arithmetic by exhaustive closure under
-length-preserving relation rewrites: equivalence classes, divisibility,
-right lcm via reversing, S0-minimality, and the spherical coset-head
-construction.
+''' Positive-word monoid arithmetic: equality, divisibility, canonical
+forms, right lcms, S0-minimality and the spherical coset-head construction.
 
-The closure runs on the word encoded once (Presentation._encode), over
-the type 1 steps of rewrite._successors, and decodes the class once to
-generator tuples.  Classes are memoized per presentation in-process, the
-newest ones up to CACHED_MEMBERS members together; setting ARTIN_CACHE_DIR
-adds a JSON file cache keyed by a presentation fingerprint.  Results are
-identical with or without either cache.
+Where reversing is complete (Presentation._complete), u left-divides w
+exactly when u^-1 w right-reverses to a positive word, the quotient, and
+right-divides w exactly when w u^-1 left-reverses to the inverse of one.
+Elsewhere, and where a reversing reaches its budget, a decision closes the
+class of its word (equiv_class): a breadth-first search over the type 1
+steps of rewrite._successors on the word encoded once.  Closure also lists
+members where they are asked for, as in left_divisors and the S0 strip.
 '''
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 from .core import WordError, invert, positive_to_word
 from .rewrite import Derivation, embed, unwind, _successors
-from .reversing import right_reverse, left_fraction, split_pos_neg, ReversingError, _converged
+from .reversing import (right_reverse, left_fraction, split_pos_neg, split_neg_pos,
+	ReversingError, _converged, _reverse)
 
 DEFAULT_CAP = 100000
-# A round of the spherical-arith benchmark touches about 420 classes of
-# 23,000 members together, so this keeps all of them; one class at the cap
-# fills it alone.
-CACHED_MEMBERS = DEFAULT_CAP
-
-
-class _Classes(dict):
-	'''(fingerprint, word) -> class.  Once the classes hold more than
-	CACHED_MEMBERS members together, the oldest are evicted; the newest
-	is always kept.'''
-
-	def __init__(self):
-		super().__init__()
-		self.order = deque()
-		self.members = 0
-
-	def add(self, fingerprint, cls, words):
-		'''Cache cls under each of words, all of them members of cls.'''
-		self.update(((fingerprint, m), cls) for m in words)
-		self.order.append((fingerprint, cls, words))
-		self.members += len(cls)
-		while self.members > CACHED_MEMBERS and len(self.order) > 1:
-			fingerprint, old, words = self.order.popleft()
-			self.members -= len(old)
-			for m in words:
-				if self.get((fingerprint, m)) is old:  # not taken over since
-					del self[fingerprint, m]
-
-	def clear(self):
-		super().clear()
-		self.order.clear()
-		self.members = 0
-
-
-_class_cache = _Classes()
 
 
 class CapExceeded(RuntimeError):
 	pass
-
-
-def _disk_path(p, w):
-	root = os.environ.get('ARTIN_CACHE_DIR')
-	if not root:
-		return None
-	import hashlib  # the disk cache alone loads it, and with it OpenSSL
-	key = hashlib.sha256((p.fingerprint + '|' + ' '.join(w)).encode()).hexdigest()
-	return os.path.join(root, key + '.json')
-
-
-def _read_class(path, w):
-	'''The class stored at path, or None when there is none or it is not
-	a class of w: a damaged file, or one written for another word.'''
-	import json
-	try:
-		with open(path) as f:
-			cls = frozenset(tuple(m) for m in json.load(f))
-	except (FileNotFoundError, ValueError, TypeError):
-		return None
-	return cls if w in cls else None
 
 
 def equiv_class(p, w, cap=DEFAULT_CAP):
@@ -88,16 +31,6 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 	for length-preserving presentations; the cap, on members and on cap *
 	max(1, |w|) letters in all, guards the general case.'''
 	w = tuple(w)
-	key = (p.fingerprint, w)
-	hit = _class_cache.get(key)
-	if hit is not None:
-		return hit
-	path = _disk_path(p, w)
-	cls = path and _read_class(path, w)
-	if cls:
-		# only w: the file is trusted for w's class alone
-		_class_cache.add(p.fingerprint, cls, (w,))
-		return cls
 	start = p._encode(positive_to_word(w))
 	seen = {start}
 	queue = deque([start])
@@ -113,22 +46,32 @@ def equiv_class(p, w, cap=DEFAULT_CAP):
 				queue.append(nxt)
 	names = [g for g, _ in p._codes]
 	# a frozenset copied from a set gets a table sized to it, not grown
-	cls = frozenset({tuple([names[ord(c)] for c in m]) for m in seen})
-	_class_cache.add(p.fingerprint, cls, cls)
-	if path:
-		import json
-		import tempfile
-		# through a temp file, so a reader never sees a partial class
-		os.makedirs(os.path.dirname(path), exist_ok=True)
-		fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix='.tmp')
-		try:
-			with os.fdopen(fd, 'w') as f:
-				json.dump(sorted(list(m) for m in cls), f)
-			os.replace(tmp, path)
-		except BaseException:
-			os.unlink(tmp)
-			raise
-	return cls
+	return frozenset({tuple([names[ord(c)] for c in m]) for m in seen})
+
+
+class _Undecided(Exception):
+	'''Reversing is not complete on the side asked, or reached its budget.'''
+
+
+def _quotient(p, u, w, side):
+	'''x with w = u x (side 'right') or w = x u ('left'), None where u does
+	not divide w so, and _Undecided where reversing cannot tell.'''
+	if side not in p._complete:
+		raise _Undecided
+	u, w = tuple(u), tuple(w)
+	# u^-1 u x and x u u^-1 reverse to x by cancelling alone
+	if side == 'right' and w[:len(u)] == u:
+		return w[len(u):]
+	if side == 'left' and w[len(w) - len(u):] == u:
+		return w[:len(w) - len(u)]
+	u, w = positive_to_word(u), positive_to_word(w)
+	res = _reverse(p, invert(u) + w if side == 'right' else w + invert(u), 10000, side)
+	if res.blocked:  # no common multiple
+		return None
+	if not res.converged:
+		raise _Undecided
+	x, y = split_pos_neg(res.word) if side == 'right' else split_neg_pos(res.word)[::-1]
+	return None if y else x
 
 
 def _least(p, words):
@@ -141,19 +84,32 @@ def _least(p, words):
 
 
 def canonical(p, w):
-	'''Lexicographically least class member under the generator order.'''
-	return _least(p, equiv_class(p, w))
+	'''Lexicographically least class member under the generator order: the
+	least generator s that left-divides w, then canonical(s^-1 w).'''
+	x = _least(p, (tuple(w),))  # w, or WordError for a letter outside the presentation
+	out = []
+	try:
+		while x:  # x[0] divides x, so some s does
+			s, x = next((s, q) for s in p.generators
+				if (q := _quotient(p, (s,), x, 'right')) is not None)
+			out.append(s)
+		return tuple(out)
+	except _Undecided:
+		return _least(p, equiv_class(p, w))
 
 
 def pos_equal(p, u, v):
-	return tuple(v) in equiv_class(p, u)
+	try:
+		return _quotient(p, u, v, 'right') == ()
+	except _Undecided:
+		return tuple(v) in equiv_class(p, u)
 
 
 def rewrite_path(p, u, v):
 	'''A list of type-1 Steps transforming the positive word u into the
-	positive word v (exact words, not classes).'''
+	positive word v (exact words, not classes), within the class cap.'''
 	u, v = tuple(u), tuple(v)
-	if v not in equiv_class(p, u):
+	if not pos_equal(p, u, v):
 		raise ValueError('words are not equivalent')
 	code = p._encode(positive_to_word(u + v))
 	start, goal = code[:len(u)], code[len(u):]
@@ -165,6 +121,8 @@ def rewrite_path(p, u, v):
 		for _, i, fields, nxt in sorted(_successors(p, cur, {'1'}),
 				key=lambda s: (s[2][0], s[2][1] != 'fwd', s[1])):
 			if nxt not in parent:
+				if len(parent) >= DEFAULT_CAP:
+					raise CapExceeded('equivalence class exceeds cap %d' % DEFAULT_CAP)
 				parent[nxt] = (cur, '1', i, fields)
 				queue.append(nxt)
 	return unwind(parent, u, goal).steps
@@ -172,20 +130,43 @@ def rewrite_path(p, u, v):
 
 def left_divisors(p, g):
 	'''Canonical forms of all prefixes of all class members of g.'''
-	divs = set()
-	for m in equiv_class(p, g):
-		for k in range(len(m) + 1):
-			divs.add(canonical(p, m[:k]))
-	return frozenset(divs)
+	return frozenset(_divisor_forms(p, tuple(g)).values())
+
+
+def _divisor_forms(p, g):
+	'''Each word that left-divides g, mapped to its canonical form.  These
+	words, the prefixes of the class members of g, are closed under
+	equivalence, so closing each class among them once finds them all.'''
+	cls = equiv_class(p, g)
+	forms = dict.fromkeys(cls, _least(p, cls))
+	for m in cls:
+		for k in range(len(m)):
+			if m[:k] not in forms:
+				c = equiv_class(p, m[:k])
+				forms.update(dict.fromkeys(c, _least(p, c)))
+	return forms
 
 
 def right_divides(p, d, g):
-	'''True iff some class member of g has a suffix equivalent to d.  The
-	suffixes of length |d| are enough (if g = x d' with d' ~ d, then x d is
-	a member), and d's class is closed only once there is one.'''
-	d = tuple(d)
-	ends = [m[len(m) - len(d):] for m in equiv_class(p, g) if len(m) >= len(d)]
-	return bool(ends) and not equiv_class(p, d).isdisjoint(ends)
+	'''True iff d right-divides g.'''
+	return _divides(p, d, g, 'left')
+
+
+def right_is_multiple(p, w, u):
+	'''True iff u left-divides w.'''
+	return _divides(p, u, w, 'right')
+
+
+def _divides(p, u, w, side):
+	'''Whether u divides w on the left (side 'right') or on the right
+	('left').  By closure: some class member of w has a prefix (suffix) of
+	length |u| equivalent to u (if w = u' x with u' ~ u, u x is a member).'''
+	try:
+		return _quotient(p, u, w, side) is not None
+	except _Undecided:
+		parts = [m[:len(u)] if side == 'right' else m[len(m) - len(u):]
+			for m in equiv_class(p, w) if len(m) >= len(u)]
+		return bool(parts) and not equiv_class(p, u).isdisjoint(parts)
 
 
 def right_lcm(p, u, v, budget=10000):
@@ -202,13 +183,6 @@ def right_lcm(p, u, v, budget=10000):
 	return lcm
 
 
-def right_is_multiple(p, w, u):
-	'''True iff u left-divides w: right_divides, with prefixes.'''
-	u = tuple(u)
-	heads = [m[:len(u)] for m in equiv_class(p, w) if len(m) >= len(u)]
-	return bool(heads) and not equiv_class(p, u).isdisjoint(heads)
-
-
 # ---------------------------------------------------------------------------
 # S0-minimality and coset heads
 
@@ -216,9 +190,10 @@ def is_S0_minimal(p, g, s0):
 	'''No generator of S0 right-divides g.  Letterwise suffices: every
 	nontrivial element of the S0-submonoid ends in an S0 generator.'''
 	s0 = set(s0)
-	if not s0:
-		return True
-	return not any(m and m[-1] in s0 for m in equiv_class(p, g))
+	try:
+		return all(_quotient(p, (s,), g, 'left') is None for s in s0)
+	except _Undecided:
+		return not any(m and m[-1] in s0 for m in equiv_class(p, g))
 
 
 def strip_S0(p, g, s0):

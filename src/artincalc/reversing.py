@@ -1,5 +1,5 @@
 ''' Right and left subword reversing, fraction extraction, the
-spherical-type word problem, and completeness sampling.
+spherical-type word problem, completeness sampling and the cube condition.
 
 Right reversing repeatedly rewrites the leftmost negative-positive pattern
 s^-1 t (type 0 when s = t, type 2r otherwise) until the word has the shape
@@ -11,6 +11,7 @@ process need not terminate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import InputError, invert, word_to_positive, positive_to_word
@@ -177,3 +178,29 @@ def completeness_sample(p, pairs):
 		else:
 			failed.append((u, v))
 	return {'passed': passed, 'failed': failed, 'total': passed + len(failed)}
+
+
+def _cube_condition(q):
+	'''Whether u = v in the positive monoid of the length-preserving q
+	exactly when u^-1 v right-reverses to the empty word.  By Dehornoy's
+	criterion (Complete positive group presentations, J. Algebra 268,
+	2003): the sides of each relation start with distinct letters, no two
+	relations start with the same pair, and for all generators r, s, t, if
+	r^-1 s s^-1 t right-reverses to v u^-1 (a blocked one meets the
+	condition), then (r v)^-1 (t u) right-reverses to the empty word, each
+	within the budget.'''
+	firsts = [frozenset((l[0], r[0])) for l, r in q.relations]
+	if any(len(f) < 2 for f in firsts) or len(set(firsts)) < len(firsts):
+		return False
+	for r, s, t in itertools.product(q.generators, repeat=3):
+		if s in (r, t):  # r^-1 t alone, whose one relation meets the condition
+			continue
+		res = right_reverse(q, ((r, -1), (s, 1), (s, -1), (t, 1)))
+		if res.blocked:
+			continue
+		if not res.converged:
+			return False
+		v, u = split_pos_neg(res.word)
+		if not completeness_check(q, (r,) + v, (t,) + u)[0]:
+			return False
+	return True

@@ -254,3 +254,18 @@ def test_rule_tables_match_reference():
 		for name, want in _reference_rule_tables(p).items():
 			got = getattr(p, name)
 			assert list(got.items()) == list(want.items()), (p, name)
+
+
+def test_relation_sides_parse_over_the_generator_tuple():
+	# relation sides are read by the parser behind parse_word, over the
+	# listed generators; duplicates among them are reported first, in
+	# validate's words, and an unknown generator in a side as parse_word
+	# reports it
+	with pytest.raises(PresentationError, match="^duplicate generator 'a'; duplicate generator 'a'$"):
+		parse_presentation_text('gens: a a a\nrel: az = za\n')
+	with pytest.raises(WordError, match="^unknown generator 'z' in 'az'$"):
+		parse_presentation_text('gens: a b\nrel: az = za\n')
+	p = parse_presentation_text('gens: x1 x2\nrel: x1 x2 = x2 x1\n')
+	assert p.relations == ((('x1', 'x2'), ('x2', 'x1')),)
+	with pytest.raises(WordError, match=r"^word contains inverse letters"):
+		parse_presentation_text('gens: a b\nrel: aB = Ba\n')

@@ -1,5 +1,4 @@
 import itertools
-import json
 import os
 import random
 import subprocess
@@ -15,7 +14,7 @@ from artincalc.core import WordError, positive_to_word
 from artincalc.monoid import (equiv_class, canonical, pos_equal, rewrite_path,
 	left_divisors, right_divides, right_lcm,
 	right_is_multiple, is_S0_minimal, strip_S0, coset_head_spherical,
-	CapExceeded, _class_cache, _disk_path)
+	CapExceeded)
 from artincalc.reversing import ReversingError
 from artincalc.cayley import divisor_fragment
 
@@ -229,12 +228,10 @@ def test_cap_bounds_the_letters_of_a_class():
 	# the class of acac over FIG2 has 4 members of 20 letters in all: at
 	# cap 4 the letters (4 * |acac| = 16) stop it, at cap 5 they do not
 	w = parse_positive('acac', FIG2)
-	_class_cache.clear()
 	with pytest.raises(CapExceeded):
 		equiv_class(FIG2, w, cap=4)
 	assert len(equiv_class(FIG2, w, cap=5)) == 4
 	# length-preserving: the letter bound is the member bound
-	_class_cache.clear()
 	with pytest.raises(CapExceeded):
 		equiv_class(A2, W('abab'), cap=2)
 	assert len(equiv_class(A2, W('abab'), cap=3)) == 3
@@ -249,97 +246,6 @@ def test_cli_import_loads_no_hashlib():
 		'print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))'],
 		capture_output=True, text=True, env=env, check=True)
 	assert r.stdout.strip() == '[]'
-
-
-def test_disk_cache_identical_results(tmp_path, monkeypatch):
-	w = W('abab')
-	fresh = equiv_class(A2, w)
-	monkeypatch.setenv('ARTIN_CACHE_DIR', str(tmp_path))
-	_class_cache.clear()
-	first = equiv_class(A2, w)
-	assert os.listdir(tmp_path)
-	_class_cache.clear()
-	cached = equiv_class(A2, w)
-	assert fresh == first == cached
-
-
-def test_disk_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
-	w = W('abab')
-	fresh = equiv_class(A2, w)
-	monkeypatch.setenv('ARTIN_CACHE_DIR', str(tmp_path))
-	_class_cache.clear()
-
-	def dump_then_fail(obj, f):
-		f.write('[["a"')
-		raise OSError('no space left on device')
-	with monkeypatch.context() as m:
-		m.setattr(json, 'dump', dump_then_fail)
-		with pytest.raises(OSError):
-			equiv_class(A2, w)
-	assert os.listdir(tmp_path) == []
-	_class_cache.clear()
-	assert equiv_class(A2, w) == fresh
-	assert [f[-5:] for f in os.listdir(tmp_path)] == ['.json']
-
-
-def test_disk_cache_ignores_a_class_without_the_word(tmp_path, monkeypatch):
-	w = W('abab')
-	fresh = equiv_class(A2, w)
-	monkeypatch.setenv('ARTIN_CACHE_DIR', str(tmp_path))
-	path = _disk_path(A2, w)
-	# another word's class, and a file cut short
-	for stored in ('[["b", "a"]]', '[["a", "b"'):
-		with open(path, 'w') as f:
-			f.write(stored)
-		_class_cache.clear()
-		assert equiv_class(A2, w) == fresh
-		_class_cache.clear()
-		assert equiv_class(A2, w) == fresh  # now read from the rewritten file
-
-
-def test_class_cache_keeps_the_newest_classes(monkeypatch):
-	from artincalc import monoid
-	monkeypatch.setattr(monoid, 'CACHED_MEMBERS', 10)
-	_class_cache.clear()
-	first = equiv_class(A2, W('aba'))  # two members, cached under both
-	# each a^k is a class of one member: fill the cache past its bound
-	for k in range(1, 13):
-		assert equiv_class(A2, W('a' * k)) == {W('a' * k)}
-	# the oldest went first: aba and bab, then a and aa
-	assert _class_cache.members == 10
-	assert sorted(len(w) for _, w in _class_cache) == list(range(3, 13))
-	# an evicted class is computed again, equal to before, and evicts the
-	# two oldest one-member classes
-	assert equiv_class(A2, W('bab')) == first
-	assert (A2.fingerprint, W('aba')) in _class_cache
-	assert sorted(len(w) for _, w in _class_cache) == [3, 3] + list(range(5, 13))
-	# a class larger than the bound is kept, alone
-	big = equiv_class(A2, W('abababab'))
-	assert len(big) > 10
-	assert set(_class_cache.values()) == {big}
-	assert _class_cache.members == len(big)
-	_class_cache.clear()
-
-
-def test_class_cache_trusts_a_disk_file_for_its_word_only(tmp_path, monkeypatch):
-	from artincalc import monoid
-	w, x, y = W('abab'), W('aabb'), W('aaba')
-	fresh_w, fresh_x = equiv_class(A2, w), equiv_class(A2, x)
-	assert x not in fresh_w and y in fresh_w and w != y
-	monkeypatch.setenv('ARTIN_CACHE_DIR', str(tmp_path))
-	_class_cache.clear()
-	# a damaged file for w that parses, holds w, and lists x as well
-	with open(_disk_path(A2, w), 'w') as f:
-		json.dump([list(w), list(x)], f)
-	assert equiv_class(A2, w) == {w, x}
-	assert equiv_class(A2, x) == fresh_x  # x's class is computed, not read
-	# y's class takes over the key of w; evicting the file's class later
-	# leaves that key to y's class
-	assert equiv_class(A2, y) == fresh_w
-	monkeypatch.setattr(monoid, 'CACHED_MEMBERS', len(fresh_w) + len(fresh_x))
-	assert equiv_class(A2, W('a')) == {W('a')}
-	assert _class_cache.get((A2.fingerprint, w)) == fresh_w
-	_class_cache.clear()
 
 
 @pytest.mark.parametrize('call', [
@@ -396,3 +302,124 @@ def test_brute_class_over_multi_character_generators():
 	assert brute_class(MULTI, ('x2', 'x1', 'x2')) == sides
 	assert brute_class(MULTI, ('x1', 'x2')) == {('x1', 'x2')}
 	assert set(equiv_class(MULTI, ('x1', 'x2', 'x1'))) == sides
+
+
+from artincalc.core import invert
+from helpers import F2XF2, MULTI
+
+REJECTED = make('gens: a b c\nrel: aa = ba\nrel: ba = ca')
+AAB_C = make('gens: a b c\nrel: ab = ba\nrel: bc = cb\nrel: aab = c')
+
+
+def _random_complemented(rng):
+	'''At most one relation s x = t y per pair of distinct generators, its
+	sides of equal length.'''
+	gens = 'abc'[:rng.choice((2, 3))]
+	rels = []
+	for i, s in enumerate(gens):
+		for t in gens[i + 1:]:
+			if rng.random() < 0.8:
+				k = rng.randrange(3)
+				x = ''.join(rng.choice(gens) for _ in range(k))
+				y = ''.join(rng.choice(gens) for _ in range(k))
+				rels.append('rel: %s = %s' % ((s + x, t + y) if rng.random() < 0.5 else (t + y, s + x)))
+	return make('\n'.join(['gens: ' + ' '.join(gens)] + rels))
+
+
+def test_completeness_gate_never_accepts_a_counterexample():
+	# on a side the gate accepts, every pair u = v with |u| <= 4 that the
+	# brute oracle finds reverses to the empty word
+	from artincalc.reversing import right_reverse, left_reverse
+	rng = random.Random(67)
+	accepted = {'right': 0, 'left': 0}
+	for _ in range(150):
+		p = _random_complemented(rng)
+		sides = p._complete
+		if not sides:
+			continue
+		for n in range(5):
+			for u in all_positive_words(p, n):
+				for v in brute_class(p, u):
+					uw, vw = positive_to_word(u), positive_to_word(v)
+					if 'right' in sides:
+						res = right_reverse(p, invert(uw) + vw)
+						assert res.converged and res.word == (), (p.relations, u, v)
+					if 'left' in sides:
+						res = left_reverse(p, uw + invert(vw))
+						assert res.converged and res.word == (), (p.relations, u, v)
+		for side in sides:
+			accepted[side] += 1
+	assert min(accepted.values()) > 20, accepted
+
+
+def test_completeness_gate_on_the_desk_presentations():
+	for p in (A2, I24, A3, RA3, F2XF2, MULTI):
+		assert p._complete == ('right', 'left'), p.relations
+	for p in (REJECTED, SIDE1, AAB_C, FIG2):
+		assert p._complete == (), p.relations
+	# a copy made by dataclasses.replace checks again, and agrees
+	import dataclasses
+	assert dataclasses.replace(RA3, declared_spherical=True)._complete == ('right', 'left')
+
+
+@pytest.mark.parametrize('p', [A2, I24, A3, RA3, F2XF2, MULTI, SIDE1, AAB_C, FIG2, REJECTED],
+	ids=['A2', 'I24', 'A3', 'RA3', 'F2xF2', 'MULTI', 'a=bb', 'aab=c', 'FIG2', 'rejected'])
+def test_decisions_match_brute_oracles(p):
+	# by reversing where the gate accepts p, by closure elsewhere: the brute
+	# oracle closes classes by string rewriting, and reads division off
+	# prefixes and suffixes of any length of any member
+	rng = random.Random(repr(p.relations))
+	order = {g: i for i, g in enumerate(p.generators)}
+	longest = 4 if p.length_preserving else 3
+	for _ in range(40):
+		w = random_positive(p, rng, rng.randrange(0, longest + 1))
+		cls = brute_class(p, w)
+		assert canonical(p, w) == min(cls, key=lambda m: [order[g] for g in m])
+		s0 = set(rng.sample(p.generators, rng.randrange(0, len(p.generators) + 1)))
+		assert is_S0_minimal(p, w, s0) == (not any(m and m[-1] in s0 for m in cls))
+		for _ in range(5):
+			u = random_positive(p, rng, rng.randrange(0, longest + 1))
+			if rng.random() < 0.3:
+				u = rng.choice(sorted(cls))
+			ucls = brute_class(p, u)
+			assert pos_equal(p, w, u) == (u in cls), (w, u)
+			left = any(m[:k] in ucls for m in cls for k in range(len(m) + 1))
+			right = any(m[k:] in ucls for m in cls for k in range(len(m) + 1))
+			assert right_is_multiple(p, w, u) == left, (w, u)
+			assert right_divides(p, u, w) == right, (u, w)
+
+
+def test_reversing_answers_where_closure_hit_the_cap():
+	# each class has more than 100,000 members: closure stopped at the cap,
+	# and reversing answers at once
+	p = make('gens: a b\nrel: ab = ba')
+	start = time.perf_counter()
+	assert canonical(p, ('a', 'b') * 10) == ('a',) * 10 + ('b',) * 10
+	delta = W('abacba', A3)
+	assert pos_equal(A3, delta * 3, W('cbcabc', A3) + delta * 2)
+	assert time.perf_counter() - start < 1
+	with pytest.raises(CapExceeded):
+		equiv_class(p, ('a', 'b') * 10)
+
+
+def test_canonical_closes_where_reversing_is_not_complete():
+	# aa = a makes the class of aa infinite; greedy steps that never reverse
+	# (each first letter the least generator) would still answer aa
+	p = make('gens: a b\nrel: aa = a')
+	assert p._complete == ()
+	with pytest.raises(CapExceeded):
+		canonical(p, ('a', 'a'))
+
+
+def test_fragment_answers_where_an_outside_edge_hit_the_cap():
+	# c^5 = a^10 b^5 over aab = c with b central: its divisors are a^i b^j
+	# (i <= 10, j <= 5), and c adds aab.  An edge word outside them, whose
+	# class passes the cap, used to be closed; it is no longer looked at
+	f = divisor_fragment(AAB_C, ('c',) * 5)
+	form = lambda i, j: ('a',) * i + ('b',) * j
+	assert f.base == form(10, 5)
+	assert f.vertices == {form(i, j) for i in range(11) for j in range(6)}
+	steps = {'a': (1, 0), 'b': (0, 1), 'c': (2, 1)}
+	assert f.edges == {(form(i, j), s, form(i + di, j + dj))
+		for i in range(11) for j in range(6) for s, (di, dj) in steps.items()
+		if i + di <= 10 and j + dj <= 5}

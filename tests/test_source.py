@@ -190,3 +190,20 @@ def test_plain_steps_are_made_on_the_table_miss_path():
 	store = stores[0][1]
 	assert fn.lineno <= store.lineno <= fn.end_lineno
 	assert len(made) == 2 and all(hit.end_lineno < n.lineno < store.lineno for n in made)
+
+
+def test_monoid_keeps_no_cache():
+	# monoid reads no environment variable and keeps no container at module
+	# level: every module-level assignment binds a constant, and no class
+	# there is a container
+	tree = ast.parse((SRC / 'monoid.py').read_text(encoding='utf-8'))
+	names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+	attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+	assert not (names | attrs) & {'os', 'environ', 'getenv'}
+	assigned = [n for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))]
+	assert assigned and all(isinstance(n.value, ast.Constant) for n in assigned)
+	bases = {getattr(b, 'id', None) for n in tree.body if isinstance(n, ast.ClassDef) for b in n.bases}
+	assert not bases & {'dict', 'list', 'set', 'deque', 'OrderedDict'}
+	import artincalc.monoid as monoid
+	assert not [k for k, v in vars(monoid).items() if not k.startswith('__')
+		and isinstance(v, (dict, list, set, frozenset))]
